@@ -159,8 +159,8 @@ fn case(name: &str, f: impl FnMut() -> u64) -> CaseReport {
     }
 }
 
-/// 100k one-shot timers scheduled upfront (same spread as the
-/// `engine_throughput` criterion bench), run to completion. Returns
+/// 100k one-shot timers scheduled upfront (scattered over the first
+/// simulated millisecond), run to completion. Returns
 /// `(fired, heap pushes, heap pops)`.
 fn timer_events_instrumented(n: u64) -> (u64, u64, u64) {
     let mut eng: Engine<u64> = Engine::new();
@@ -246,8 +246,8 @@ impl GpuHost for TraceWorld {
     }
 }
 
-/// The contended MPS trace from `engine_throughput` /
-/// `arbitration_regression`: 8 contexts × 50 kernels on one A100-80GB.
+/// The contended MPS trace from `arbitration_regression`: 8 contexts ×
+/// 50 kernels on one A100-80GB.
 /// Returns `(completions, events fired, recompute calls, domains
 /// visited)`.
 fn contended_arbitration_instrumented() -> (u64, u64, u64, u64) {

@@ -3,73 +3,34 @@
 //!
 //! The paper's future work wants the platform to *notice* that one
 //! tenant's partition is too small for its demand and reallocate GPU
-//! share at runtime. This module closes that loop over the pieces the
-//! rest of the crate provides:
+//! share at runtime. [`enable_slo_autoscaler`] closes that loop over the
+//! pieces the rest of the crate provides (DESIGN.md §11):
 //!
-//! 1. **observe** — per-executor queue depths (backlog = demand signal);
-//! 2. **decide** — a proportional split of 100 % across tenants by
-//!    backlog, clamped to a configurable floor so idle tenants keep a
-//!    live instance;
-//! 3. **act** — [`crate::reconfig::resize_mps`] (the §6 restart path,
-//!    ideally with the §7 weight cache enabled so the restart re-binds
-//!    instead of reloading).
+//! 1. **observe** — per-executor queue depths (backlog = demand signal)
+//!    and the monitoring latency EWMA;
+//! 2. **decide** — [`demand_scores`] folds SLO misses into the backlog,
+//!    and [`proportional_split`] divides 100 % across tenants by score,
+//!    clamped to a configurable floor so idle tenants keep a live
+//!    instance;
+//! 3. **act** — the *staged* [`begin_resize_mps`] transaction (the §6
+//!    restart path, ideally with the §7 weight cache enabled so the
+//!    restart re-binds instead of reloading).
 //!
-//! The controller runs as a periodic event; hysteresis (`min_shift`)
-//! prevents resize thrash, because every act costs a process restart.
-//!
-//! Two controllers live here:
-//!
-//! * [`enable_autoscaler`] — the original single-GPU backlog controller
-//!   acting through the *immediate* [`resize_mps`] path.
-//! * [`enable_slo_autoscaler`] — the closed-loop SLO controller
-//!   (DESIGN.md §11): fleet-wide, latency-aware ([`demand_scores`] folds
-//!   the monitoring EWMA into the backlog signal), acting through the
-//!   *staged* [`begin_resize_mps`] transaction, with stability guards —
-//!   hysteresis, per-GPU cooldown, a concurrent-reconfig limit, refusal
-//!   on fenced/draining devices, and a capacity floor that holds the
-//!   plan steady while the fleet is degraded (correlated outage) or
-//!   shedding load.
+//! The controller runs fleet-wide as a periodic event, with stability
+//! guards — hysteresis (`min_shift`, because every act costs a process
+//! restart), per-GPU cooldown, a concurrent-reconfig limit, refusal on
+//! fenced/draining devices, and a capacity floor that holds the plan
+//! steady while the fleet is degraded (correlated outage) or shedding
+//! load. An `slo` above any reachable turnaround makes it a pure backlog
+//! controller (the E7 burst experiment).
 
-use crate::reconfig::{begin_resize_mps, resize_mps, workers_on_gpu};
+use crate::reconfig::{begin_resize_mps, workers_on_gpu};
 use parfait_faas::{gpu_quarantined, AcceleratorSpec, FaasWorld};
 use parfait_gpu::GpuId;
 use parfait_simcore::{Engine, SimDuration, SimTime};
 use serde::Serialize;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Controller parameters.
-#[derive(Debug, Clone, Serialize)]
-pub struct AutoscalePolicy {
-    /// Control period.
-    pub period: SimDuration,
-    /// Minimum percentage any tenant keeps (floor).
-    pub min_pct: u32,
-    /// Only resize when some tenant's target differs from its current
-    /// share by at least this many percentage points (hysteresis).
-    pub min_shift: u32,
-}
-
-impl Default for AutoscalePolicy {
-    fn default() -> Self {
-        AutoscalePolicy {
-            period: SimDuration::from_secs(20),
-            min_pct: 10,
-            min_shift: 15,
-        }
-    }
-}
-
-/// A record of one controller decision.
-#[derive(Debug, Clone, Serialize)]
-pub struct AutoscaleEvent {
-    /// Virtual time of the decision.
-    pub at_s: f64,
-    /// Observed backlog per tenant executor.
-    pub backlogs: Vec<usize>,
-    /// The split applied (None = held steady).
-    pub applied: Option<Vec<u32>>,
-}
 
 /// Compute the proportional-backlog split across `n` tenants, with a
 /// per-tenant floor. Deterministic and side-effect free (unit tested).
@@ -100,23 +61,6 @@ pub fn proportional_split(backlogs: &[usize], min_pct: u32) -> Vec<u32> {
     pcts
 }
 
-/// Start the controller for a set of single-worker tenant executors that
-/// share GPU `gpu` under partitioned MPS. `tenants` maps executor index →
-/// tenant slot, in the same order as the workers on the GPU.
-///
-/// Returns a handle to the decision log (readable after the run).
-pub fn enable_autoscaler(
-    world: &mut FaasWorld,
-    eng: &mut Engine<FaasWorld>,
-    gpu: u32,
-    tenants: Vec<usize>,
-    policy: AutoscalePolicy,
-) -> std::rc::Rc<std::cell::RefCell<Vec<AutoscaleEvent>>> {
-    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    tick(world, eng, gpu, tenants, policy, std::rc::Rc::clone(&log));
-    log
-}
-
 fn current_pcts(world: &FaasWorld, gpu: u32) -> Vec<u32> {
     workers_on_gpu(world, gpu)
         .into_iter()
@@ -127,55 +71,15 @@ fn current_pcts(world: &FaasWorld, gpu: u32) -> Vec<u32> {
         .collect()
 }
 
-fn tick(
-    world: &mut FaasWorld,
-    eng: &mut Engine<FaasWorld>,
-    gpu: u32,
-    tenants: Vec<usize>,
-    policy: AutoscalePolicy,
-    log: std::rc::Rc<std::cell::RefCell<Vec<AutoscaleEvent>>>,
-) {
-    let backlogs: Vec<usize> = tenants.iter().map(|&e| world.queues[e].len()).collect();
-    let target = proportional_split(&backlogs, policy.min_pct);
-    let current = current_pcts(world, gpu);
-    let shift = target
-        .iter()
-        .zip(current.iter().chain(std::iter::repeat(&0)))
-        .map(|(t, c)| t.abs_diff(*c))
-        .max()
-        .unwrap_or(0);
-    // Resizing restarts the tenant processes (§6); any in-flight request
-    // fails and retries after the restart — exactly the cost the §7
-    // weight cache is built to shrink. Hysteresis keeps this rare.
-    let applied = if shift >= policy.min_shift && current.len() == target.len() {
-        resize_mps(world, eng, gpu, &target)
-            .ok()
-            .map(|_| target.clone())
-    } else {
-        None
-    };
-    log.borrow_mut().push(AutoscaleEvent {
-        at_s: eng.now().as_secs_f64(),
-        backlogs,
-        applied,
-    });
-    // Keep controlling while work remains anywhere.
-    let active = !world.dfk.all_settled();
-    if active {
-        let log2 = std::rc::Rc::clone(&log);
-        eng.schedule_in(policy.period, move |w: &mut FaasWorld, e| {
-            tick(w, e, gpu, tenants, policy, log2)
-        });
-    }
-}
-
 /// Parameters for the closed-loop SLO controller.
 #[derive(Debug, Clone, Serialize)]
 pub struct SloPolicy {
     /// Control period.
     pub period: SimDuration,
     /// Per-task turnaround objective; the latency EWMA is compared
-    /// against this when weighing demand.
+    /// against this when weighing demand. A value above any reachable
+    /// turnaround never inflates a score, which leaves a backlog-only
+    /// controller.
     pub slo: SimDuration,
     /// Minimum percentage any tenant keeps (floor).
     pub min_pct: u32,
@@ -299,7 +203,7 @@ struct SloCtrl {
 
 /// Start the closed-loop SLO controller over a fleet `plan`. Each entry
 /// names one MPS-partitioned GPU and the tenant executors on it (one
-/// single-worker executor per tenant slot, like [`enable_autoscaler`]).
+/// single-worker executor per tenant slot, in worker order).
 ///
 /// Returns the decision log, readable after the run.
 pub fn enable_slo_autoscaler(

@@ -15,8 +15,9 @@
 //! * [`advisor`] — Table 1's "no one-size-fits-all" navigation as a
 //!   decision procedure: tenancy requirements → strategy + rationale.
 //! * [`autoscale`] — §7's "change GPU resources depending on demand": a
-//!   backlog-proportional MPS repartitioning controller over
-//!   [`reconfig`], designed to pair with the [`weightcache`].
+//!   closed-loop SLO controller repartitioning MPS shares by backlog and
+//!   latency through [`reconfig`]'s staged transactions, designed to pair
+//!   with the [`weightcache`].
 //! * [`reconfig`] — the §6 reconfiguration paths: MPS resize by process
 //!   restart; MIG resize by GPU reset; strategy switches.
 //! * [`rightsize`] — §7 "understanding GPU resource requirement": knee
@@ -39,8 +40,8 @@ pub mod weightcache;
 pub use accel::{parse_accelerators, parse_entry, AccelParseError};
 pub use advisor::{recommend_strategy, StrategyAdvice, TenancyRequirements};
 pub use autoscale::{
-    demand_scores, enable_autoscaler, enable_slo_autoscaler, proportional_split, AutoscaleEvent,
-    AutoscalePolicy, GpuTenancy, SloAction, SloDecision, SloPolicy,
+    demand_scores, enable_slo_autoscaler, proportional_split, GpuTenancy, SloAction, SloDecision,
+    SloPolicy,
 };
 pub use planner::{
     apply_fleet, apply_plan, equal_mig_profile, plan, plan_fleet, PartitionPlan, PlanError,

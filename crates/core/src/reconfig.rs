@@ -15,24 +15,31 @@
 //! constant) rather than being asserted. The §7 weight cache shortens the
 //! MPS path by turning the model reload into a re-bind.
 //!
-//! Two tiers of API (DESIGN.md §11):
+//! Every reconfiguration is a transaction with one commit body per layout
+//! (DESIGN.md §11): `commit_mps` kills each victim and respawns it under
+//! its new share; `commit_replan` resets the device and applies a fresh
+//! partition plan (MIG re-slice or strategy switch). Two tiers of entry
+//! point run them:
 //!
+//! * [`begin_resize_mps`] / [`begin_reconfigure_mig`] — *staged*: a
+//!   [`parfait_faas::begin_drain`] quiesces the victims first
+//!   (stop-dispatch → checkpoint → await → timeout force-kill), then the
+//!   commit runs at drain completion.
 //! * [`resize_mps`] / [`reconfigure_mig_equal`] / [`switch_strategy`] —
-//!   *immediate* reconfiguration: victims are killed on the spot (their
-//!   in-flight tasks fail and retry). Refuses unhealthy targets.
-//! * [`begin_resize_mps`] / [`begin_reconfigure_mig`] — *staged*
-//!   transactions: a [`parfait_faas::begin_drain`] quiesces the victims
-//!   first (stop-dispatch → checkpoint → await → timeout force-kill),
-//!   then the commit runs with injectable failure
-//!   ([`parfait_faas::reconfig_commit_fails`]):
+//!   *immediate*: a transaction whose drain has already finished. Victims
+//!   are killed on the spot (their in-flight tasks fail and retry);
+//!   unhealthy targets are refused and a failed commit returns
+//!   [`ReconfigError::CommitFailed`].
 //!
-//!   | outcome | MPS path | MIG path |
-//!   |---|---|---|
-//!   | fenced mid-drain | abort, keep old shares | abort, keep old slices |
-//!   | commit fails | rollback: budgeted respawn with old shares | degraded: device quarantined, workers parked for re-admission |
-//!   | commit succeeds | respawn with new shares | reset + re-slice, respawn after [`MIG_RESET_TIME`] |
+//! The commit can fail by injection ([`parfait_faas::reconfig_commit_fails`]):
+//!
+//! | outcome | MPS path | re-plan path |
+//! |---|---|---|
+//! | fenced mid-drain | abort, keep old shares | abort, keep old slices |
+//! | commit fails | rollback: budgeted respawn with old shares | degraded: device quarantined, workers parked for re-admission |
+//! | commit succeeds | respawn with new shares | reset + re-slice; respawn after [`MIG_RESET_TIME`] for MIG, inline otherwise |
 
-use crate::planner::{apply_plan, plan, PartitionPlan, PlanError, Strategy};
+use crate::planner::{apply_plan, plan, PlanError, Strategy};
 use parfait_faas::{
     auto_respawn, begin_drain, gpu_quarantined, kill_worker, quarantine_gpu, reconfig_commit_fails,
     respawn_worker, AcceleratorSpec, FaasWorld, FaultPhase, WorkerState,
@@ -44,7 +51,8 @@ use serde::Serialize;
 /// GPU reset time for MIG reconfiguration (§6: "1–2 seconds").
 pub const MIG_RESET_TIME: SimDuration = SimDuration::from_millis(1_500);
 
-/// Why a reconfiguration was refused (before any worker was touched).
+/// Why a reconfiguration was refused (before any worker was touched) or
+/// why its commit did not apply.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReconfigError {
     /// The partition plan itself is invalid.
@@ -70,6 +78,11 @@ pub enum ReconfigError {
         /// The mode the device is actually in.
         mode: DeviceMode,
     },
+    /// The commit on this GPU failed (injected, drawn at the config's
+    /// `fail_prob`, or the reset device rejected the new plan): an MPS
+    /// resize rolled back to the old shares, a re-plan left the device
+    /// quarantined for re-admission.
+    CommitFailed(u32),
 }
 
 impl From<PlanError> for ReconfigError {
@@ -93,6 +106,7 @@ impl std::fmt::Display for ReconfigError {
                     "GPU {gpu} is in {mode:?} mode; MPS resize needs MpsPartitioned"
                 )
             }
+            ReconfigError::CommitFailed(g) => write!(f, "reconfiguration commit failed on GPU {g}"),
         }
     }
 }
@@ -190,12 +204,35 @@ fn check_target(
     Ok(())
 }
 
+/// What an immediate reconfiguration did, read back from the victims'
+/// bindings after the commit.
+fn report(
+    world: &FaasWorld,
+    gpu: u32,
+    initiated_at: SimTime,
+    victims: Vec<usize>,
+    gpu_reset: bool,
+) -> ReconfigReport {
+    ReconfigReport {
+        gpu,
+        initiated_at,
+        new_specs: victims
+            .iter()
+            .filter_map(|&wid| world.workers[wid].accel.clone())
+            .collect(),
+        workers_restarted: victims,
+        gpu_reset,
+    }
+}
+
 /// Resize MPS partitions: kill each worker on `gpu` and respawn it with
 /// the new percentage. The device stays in `MpsPartitioned` mode and
 /// other GPUs are untouched — but each worker pays a §6 restart.
 ///
 /// Refuses fenced GPUs, crashed victims, and GPUs mid-drain; use
-/// [`begin_resize_mps`] for the graceful staged path.
+/// [`begin_resize_mps`] for the graceful staged path. A failed commit
+/// rolls back to the old shares and returns
+/// [`ReconfigError::CommitFailed`].
 pub fn resize_mps(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
@@ -206,21 +243,8 @@ pub fn resize_mps(
     validate_mps(world, gpu, &victims, new_percentages)?;
     check_target(world, gpu, &victims, true)?;
     let initiated_at = eng.now();
-    let mut new_specs = Vec::new();
-    for (&wid, &pct) in victims.iter().zip(new_percentages) {
-        // §6: the env var is read at process start — restart required.
-        kill_worker(world, eng, wid, "MPS resize");
-        let spec = AcceleratorSpec::GpuPercentage(gpu, pct);
-        new_specs.push(spec.clone());
-        respawn_worker(world, eng, wid, Some(spec)).expect("worker was just killed");
-    }
-    Ok(ReconfigReport {
-        gpu,
-        initiated_at,
-        workers_restarted: victims,
-        gpu_reset: false,
-        new_specs,
-    })
+    commit_mps(world, eng, gpu, &victims, new_percentages)?;
+    Ok(report(world, gpu, initiated_at, victims, false))
 }
 
 fn validate_mps(
@@ -261,48 +285,18 @@ pub fn reconfigure_mig_equal(
     gpu: u32,
     k: usize,
 ) -> Result<ReconfigReport, ReconfigError> {
-    let victims = workers_on_gpu(world, gpu);
-    if victims.len() != k {
+    if workers_on_gpu(world, gpu).len() != k {
         return Err(PlanError::WeightLengthMismatch.into());
     }
-    check_target(world, gpu, &victims, true)?;
-    let initiated_at = eng.now();
-    for &wid in &victims {
-        kill_worker(world, eng, wid, "MIG reconfiguration");
-    }
-    // Reset: drops contexts, allocations, instances — and the weight
-    // cache contents on this GPU.
-    let now = eng.now();
-    world.fleet.device_mut(GpuId(gpu)).reset(now);
-    world.weight_cache.clear_gpu(gpu);
-    let gpu_spec = world.fleet.device(GpuId(gpu)).spec.clone();
-    let p: PartitionPlan = plan(&gpu_spec, gpu, k, &Strategy::MigEqual)?;
-    // The reset takes 1-2 s before instances exist; model it by making
-    // the device unusable and respawning the workers after the delay.
-    let new_specs = apply_plan(&mut world.fleet, &p)?;
-    let pairs: Vec<(usize, AcceleratorSpec)> = victims
-        .iter()
-        .copied()
-        .zip(new_specs.iter().cloned())
-        .collect();
-    eng.schedule_in(MIG_RESET_TIME, move |w: &mut FaasWorld, e| {
-        for (wid, spec) in pairs {
-            respawn_worker(w, e, wid, Some(spec)).expect("worker was just killed");
-        }
-    });
-    Ok(ReconfigReport {
-        gpu,
-        initiated_at,
-        workers_restarted: victims,
-        gpu_reset: true,
-        new_specs,
-    })
+    switch_strategy(world, eng, gpu, &Strategy::MigEqual)
 }
 
 /// Switch a GPU's sharing strategy wholesale (e.g. time-sharing → MPS):
-/// kill residents, change mode, respawn with the plan's bindings.
+/// kill residents, reset the device, respawn with the plan's bindings.
 ///
-/// Refuses fenced GPUs, crashed victims, and GPUs mid-drain.
+/// Refuses fenced GPUs, crashed victims, and GPUs mid-drain. A failed
+/// commit quarantines the device and returns
+/// [`ReconfigError::CommitFailed`].
 pub fn switch_strategy(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
@@ -311,40 +305,18 @@ pub fn switch_strategy(
 ) -> Result<ReconfigReport, ReconfigError> {
     let victims = workers_on_gpu(world, gpu);
     check_target(world, gpu, &victims, true)?;
-    let initiated_at = eng.now();
-    for &wid in &victims {
-        kill_worker(world, eng, wid, "strategy switch");
-    }
-    let now = eng.now();
-    world.fleet.device_mut(GpuId(gpu)).reset(now);
-    world.weight_cache.clear_gpu(gpu);
-    let gpu_spec = world.fleet.device(GpuId(gpu)).spec.clone();
-    let p = plan(&gpu_spec, gpu, victims.len(), strategy)?;
-    let needs_reset = matches!(p.mode, DeviceMode::Mig);
-    let new_specs = apply_plan(&mut world.fleet, &p)?;
-    if needs_reset {
-        let pairs: Vec<(usize, AcceleratorSpec)> = victims
-            .iter()
-            .copied()
-            .zip(new_specs.iter().cloned())
-            .collect();
-        eng.schedule_in(MIG_RESET_TIME, move |w: &mut FaasWorld, e| {
-            for (wid, spec) in pairs {
-                respawn_worker(w, e, wid, Some(spec)).expect("worker was just killed");
-            }
-        });
-    } else {
-        for (&wid, spec) in victims.iter().zip(&new_specs) {
-            respawn_worker(world, eng, wid, Some(spec.clone())).expect("worker was just killed");
-        }
-    }
-    Ok(ReconfigReport {
+    // Validate the plan shape before touching any worker (pure); the
+    // commit re-plans against the reset device.
+    plan(
+        &world.fleet.device(GpuId(gpu)).spec,
         gpu,
-        initiated_at,
-        workers_restarted: victims,
-        gpu_reset: needs_reset,
-        new_specs,
-    })
+        victims.len(),
+        strategy,
+    )?;
+    let initiated_at = eng.now();
+    commit_replan(world, eng, gpu, strategy, &victims)?;
+    let mig = *strategy == Strategy::MigEqual;
+    Ok(report(world, gpu, initiated_at, victims, mig))
 }
 
 /// Staged MPS resize: drain the GPU's workers (DESIGN.md §11), then run
@@ -369,19 +341,24 @@ pub fn begin_resize_mps(
         eng,
         gpu,
         members,
-        Box::new(move |w, e, _outcome| commit_mps(w, e, gpu, victims, new_percentages)),
+        Box::new(move |w, e, _outcome| {
+            // The outcome is recorded in the stats and the fault log.
+            let _ = commit_mps(w, e, gpu, &victims, &new_percentages);
+        }),
     )
     .map_err(|_| ReconfigError::Busy(gpu))
 }
 
-/// The MPS transaction body, run at drain completion.
+/// The MPS commit body: kill each victim and respawn it under its new
+/// share. Staged resizes run it at drain completion, [`resize_mps`]
+/// directly.
 fn commit_mps(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     gpu: u32,
-    victims: Vec<usize>,
-    pcts: Vec<u32>,
-) {
+    victims: &[usize],
+    pcts: &[u32],
+) -> Result<(), ReconfigError> {
     let now = eng.now();
     if gpu_quarantined(world, GpuId(gpu)) {
         // The device got fenced mid-drain (host outage, rack power, …).
@@ -396,7 +373,7 @@ fn commit_mps(
             None,
             "GPU fenced mid-drain; workers keep previous MPS shares",
         );
-        return;
+        return Err(ReconfigError::GpuFenced(gpu));
     }
     if reconfig_commit_fails(world, gpu) {
         // Failed MPS respawn: roll back to the last known-good shares by
@@ -412,16 +389,18 @@ fn commit_mps(
             None,
             "MPS respawn failed; rolling back to previous shares",
         );
-        for &wid in &victims {
+        for &wid in victims {
             kill_worker(world, eng, wid, "MPS resize failed");
             auto_respawn(world, eng, wid);
         }
-        return;
+        return Err(ReconfigError::CommitFailed(gpu));
     }
-    for (&wid, &pct) in victims.iter().zip(&pcts) {
+    for (&wid, &pct) in victims.iter().zip(pcts) {
+        // §6: the env var is read at process start — restart required.
+        // `kill_worker` leaves the worker Dead, so the respawn is accepted.
         kill_worker(world, eng, wid, "MPS resize");
         let spec = AcceleratorSpec::GpuPercentage(gpu, pct);
-        respawn_worker(world, eng, wid, Some(spec)).expect("worker was just killed");
+        let _ = respawn_worker(world, eng, wid, Some(spec));
     }
     world.reconfig.stats.txns_committed += 1;
     world.monitor.fault_event(
@@ -432,6 +411,7 @@ fn commit_mps(
         None,
         format!("MPS shares now {pcts:?}"),
     );
+    Ok(())
 }
 
 /// Staged MIG re-slice to `k` equal instances: drain, then reset +
@@ -450,27 +430,37 @@ pub fn begin_reconfigure_mig(
     }
     // Validate the plan shape up front (pure); the commit re-plans
     // against the reset device.
-    let gpu_spec = world.fleet.device(GpuId(gpu)).spec.clone();
-    plan(&gpu_spec, gpu, k, &Strategy::MigEqual)?;
+    plan(
+        &world.fleet.device(GpuId(gpu)).spec,
+        gpu,
+        k,
+        &Strategy::MigEqual,
+    )?;
     check_target(world, gpu, &victims, false)?;
     begin_drain(
         world,
         eng,
         gpu,
         victims.clone(),
-        Box::new(move |w, e, _outcome| commit_mig(w, e, gpu, k, victims)),
+        Box::new(move |w, e, _outcome| {
+            // The outcome is recorded in the stats and the fault log.
+            let _ = commit_replan(w, e, gpu, &Strategy::MigEqual, &victims);
+        }),
     )
     .map_err(|_| ReconfigError::Busy(gpu))
 }
 
-/// The MIG transaction body, run at drain completion.
-fn commit_mig(
+/// The re-plan commit body: kill every victim, reset the device (wiping
+/// its weight cache), apply a fresh `strategy` plan and bind each victim
+/// to its new slot. Serves [`switch_strategy`], [`reconfigure_mig_equal`]
+/// and, at drain completion, [`begin_reconfigure_mig`].
+fn commit_replan(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     gpu: u32,
-    k: usize,
-    victims: Vec<usize>,
-) {
+    strategy: &Strategy,
+    victims: &[usize],
+) -> Result<(), ReconfigError> {
     let now = eng.now();
     if gpu_quarantined(world, GpuId(gpu)) {
         world.reconfig.stats.txns_aborted += 1;
@@ -482,23 +472,33 @@ fn commit_mig(
             None,
             "GPU fenced mid-drain; MIG layout unchanged",
         );
-        return;
+        return Err(ReconfigError::GpuFenced(gpu));
     }
-    for &wid in &victims {
-        kill_worker(world, eng, wid, "MIG reconfiguration");
+    let mig = *strategy == Strategy::MigEqual;
+    let reason = if mig {
+        "MIG reconfiguration"
+    } else {
+        "strategy switch"
+    };
+    for &wid in victims {
+        kill_worker(world, eng, wid, reason);
     }
+    // Reset: drops contexts, allocations, instances — and the weight
+    // cache contents on this GPU.
     world.fleet.device_mut(GpuId(gpu)).reset(now);
     world.weight_cache.clear_gpu(gpu);
-    let gpu_spec = world.fleet.device(GpuId(gpu)).spec.clone();
-    let p = plan(&gpu_spec, gpu, k, &Strategy::MigEqual).expect("plan validated at begin");
-    let new_specs = apply_plan(&mut world.fleet, &p).expect("re-slice of a reset device");
-    // Bind the new instance UUIDs immediately (the old ones died with the
+    let k = victims.len();
+    let specs = plan(&world.fleet.device(GpuId(gpu)).spec, gpu, k, strategy)
+        .and_then(|p| apply_plan(&mut world.fleet, &p));
+    // Bind the new slots immediately (the old MIG UUIDs died with the
     // reset): if the device gets fenced during the reset window, the
     // fence can resolve each worker's target GPU and park it.
-    for (&wid, spec) in victims.iter().zip(&new_specs) {
-        world.workers[wid].accel = Some(spec.clone());
+    if let Ok(specs) = &specs {
+        for (&wid, spec) in victims.iter().zip(specs) {
+            world.workers[wid].accel = Some(spec.clone());
+        }
     }
-    if reconfig_commit_fails(world, gpu) {
+    if specs.is_err() || reconfig_commit_fails(world, gpu) {
         // Failed re-slice: the device is left in a degraded state.
         // Quarantine it — the victims (all Dead) are parked against the
         // fence and re-admission brings them back on restart budget.
@@ -512,7 +512,7 @@ fn commit_mig(
             "MIG re-slice failed; device quarantined for recovery",
         );
         quarantine_gpu(world, eng, GpuId(gpu), "MIG re-slice failed");
-        return;
+        return Err(ReconfigError::CommitFailed(gpu));
     }
     world.reconfig.stats.txns_committed += 1;
     world.monitor.fault_event(
@@ -521,19 +521,41 @@ fn commit_mig(
         "reconfig-commit",
         Some(gpu),
         None,
-        format!("re-sliced to {k} equal MIG instances"),
+        if mig {
+            format!("re-sliced to {k} equal MIG instances")
+        } else {
+            format!("re-planned {k} workers as {strategy:?}")
+        },
     );
-    eng.schedule_in(MIG_RESET_TIME, move |w: &mut FaasWorld, e| {
-        for &wid in &victims {
-            if w.workers[wid].state != WorkerState::Dead {
-                continue; // already revived (e.g. re-admitted after a fence)
-            }
-            if gpu_quarantined(w, GpuId(gpu)) {
-                continue; // fenced during the reset window; parked for re-admission
-            }
-            respawn_worker(w, e, wid, None).expect("worker is dead");
-        }
-    });
+    if mig {
+        // The reset takes 1–2 s before instances exist.
+        let victims = victims.to_vec();
+        eng.schedule_in(MIG_RESET_TIME, move |w: &mut FaasWorld, e| {
+            respawn_victims(w, e, gpu, &victims)
+        });
+    } else {
+        respawn_victims(world, eng, gpu, victims);
+    }
+    Ok(())
+}
+
+/// Respawn a committed re-plan's victims under their new bindings,
+/// unless the device was fenced meanwhile (they stay parked for
+/// re-admission).
+fn respawn_victims(
+    world: &mut FaasWorld,
+    eng: &mut Engine<FaasWorld>,
+    gpu: u32,
+    victims: &[usize],
+) {
+    if gpu_quarantined(world, GpuId(gpu)) {
+        return;
+    }
+    for &wid in victims {
+        // Refused, harmlessly, for a worker already revived (e.g.
+        // re-admitted after a fence).
+        let _ = respawn_worker(world, eng, wid, None);
+    }
 }
 
 #[cfg(test)]

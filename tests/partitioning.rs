@@ -1,10 +1,9 @@
 //! Cross-crate integration tests for the partitioning lifecycle: plans
 //! through the executor, live reconfiguration, and the weight cache.
 
-use parfait::core::autoscale::{enable_autoscaler, AutoscalePolicy};
 use parfait::core::{
-    apply_plan, plan, reconfigure_mig_equal, resize_mps, switch_strategy, weightcache, Strategy,
-    MIG_RESET_TIME,
+    apply_plan, enable_slo_autoscaler, plan, reconfigure_mig_equal, resize_mps, switch_strategy,
+    weightcache, GpuTenancy, SloAction, SloPolicy, Strategy, MIG_RESET_TIME,
 };
 use parfait::faas::{
     boot, submit, AcceleratorSpec, AppCall, Config, ExecutorConfig, FaasWorld, TaskState,
@@ -12,7 +11,7 @@ use parfait::faas::{
 };
 use parfait::gpu::host::GpuFleet;
 use parfait::gpu::{GpuId, GpuSpec, GIB};
-use parfait::simcore::Engine;
+use parfait::simcore::{Engine, SimDuration};
 use parfait::workloads::{CompletionBody, LlmSpec};
 
 fn platform(strategy: &Strategy, procs: usize) -> (FaasWorld, Engine<FaasWorld>, LlmSpec, GpuSpec) {
@@ -55,6 +54,9 @@ fn mps_resize_restarts_workers_and_applies_new_percentages() {
     let report = resize_mps(&mut w, &mut eng, 0, &[75, 25]).unwrap();
     assert_eq!(report.workers_restarted.len(), 2);
     assert!(!report.gpu_reset);
+    // An immediate resize is a transaction whose drain already finished.
+    assert_eq!(w.reconfig.stats.txns_committed, 1);
+    assert_eq!(w.reconfig.stats.drains_started, 0);
     eng.run(&mut w);
 
     for (wk, old_epoch) in w.workers.iter().zip(epochs) {
@@ -163,6 +165,8 @@ fn mig_reconfigure_resets_gpu_and_rebinds_uuids() {
     let t0 = eng.now();
     let report = reconfigure_mig_equal(&mut w, &mut eng, 0, 2).unwrap();
     assert!(report.gpu_reset);
+    assert_eq!(w.reconfig.stats.txns_committed, 1);
+    assert_eq!(w.reconfig.stats.drains_started, 0);
     eng.run(&mut w);
     let new_uuid = w.workers[0]
         .env
@@ -355,9 +359,10 @@ fn amd_cu_masking_path() {
 }
 
 /// End-to-end §7 autoscaling: two tenants at 50/50; tenant A gets a burst
-/// of 20 completions while B idles. The controller shifts share toward A
-/// (through §6 restarts, softened by the §7 weight cache) and A's burst
-/// drains faster than with the static split.
+/// of 20 completions while B idles. The SLO controller, with an objective
+/// no turnaround reaches, acts on backlog alone: it shifts share toward A
+/// (through §6 restarts, softened by the §7 weight cache) once, and A's
+/// burst drains faster than with the static split.
 #[test]
 fn autoscaler_shifts_share_toward_backlogged_tenant() {
     let gpu_spec = GpuSpec::a100_80gb();
@@ -402,15 +407,20 @@ fn autoscaler_shifts_share_toward_backlogged_tenant() {
             );
         }
         let log = if autoscale {
-            Some(enable_autoscaler(
+            Some(enable_slo_autoscaler(
                 &mut w,
                 &mut eng,
-                0,
-                vec![0, 1],
-                AutoscalePolicy {
-                    period: parfait::simcore::SimDuration::from_secs(15),
+                vec![GpuTenancy {
+                    gpu: 0,
+                    tenants: vec![0, 1],
+                }],
+                SloPolicy {
+                    period: SimDuration::from_secs(15),
+                    slo: SimDuration::from_secs(1_000_000),
                     min_pct: 10,
                     min_shift: 15,
+                    max_concurrent: 1,
+                    ..SloPolicy::default()
                 },
             ))
         } else {
@@ -430,29 +440,32 @@ fn autoscaler_shifts_share_toward_backlogged_tenant() {
                 _ => None,
             })
             .collect();
-        let applied: Vec<Vec<u32>> = log
+        let started: Vec<Vec<u32>> = log
             .map(|l| {
                 l.borrow()
                     .iter()
-                    .filter_map(|e| e.applied.clone())
+                    .filter_map(|d| match &d.action {
+                        SloAction::Started(split) => Some(split.clone()),
+                        _ => None,
+                    })
                     .collect()
             })
             .unwrap_or_default();
-        (makespan, final_pcts, applied)
+        (makespan, final_pcts, started)
     };
 
     let (static_t, static_pcts, _) = run(false);
-    let (auto_t, auto_pcts, applied) = run(true);
+    let (auto_t, _, started) = run(true);
     assert_eq!(static_pcts, vec![50, 50], "static split unchanged");
-    assert!(!applied.is_empty(), "controller must act on the imbalance");
+    assert!(!started.is_empty(), "controller must act on the imbalance");
     assert!(
-        applied.iter().any(|p| p[0] > 60),
-        "some applied split must favour the backlogged tenant: {applied:?}"
+        started.iter().any(|p| p[0] > 60),
+        "some started split must favour the backlogged tenant: {started:?}"
     );
     assert_eq!(
-        auto_pcts,
-        vec![50, 50],
-        "after the burst drains the controller rebalances to equal"
+        started.len(),
+        1,
+        "one transaction per demand peak: {started:?}"
     );
     assert!(
         auto_t < static_t,

@@ -5,9 +5,9 @@ use parfait::core::{
 };
 use parfait::faas::app::bodies::CpuBurn;
 use parfait::faas::{
-    boot, crash_worker, fault_host, fault_rack, kill_worker, quarantine_gpu, respawn_worker,
-    submit, AcceleratorSpec, AppCall, CheckpointPolicy, Config, ExecutorConfig, FaasWorld,
-    WorkerState,
+    boot, crash_worker, fault_host, fault_rack, inject_fault, kill_worker, quarantine_gpu,
+    respawn_worker, submit, AcceleratorSpec, AppCall, CheckpointPolicy, Config, ExecutorConfig,
+    FaasWorld, FaultKind, InjectOutcome, WorkerState,
 };
 use parfait::gpu::host::GpuFleet;
 use parfait::gpu::{GpuId, GpuSpec};
@@ -50,7 +50,7 @@ fn chaos_kill_respawn_preserves_invariants() {
         eng.schedule_at(at, move |w: &mut FaasWorld, e| {
             if w.workers[victim].state != WorkerState::Dead {
                 kill_worker(w, e, victim, "chaos monkey");
-                respawn_worker(w, e, victim, None).expect("worker was just killed");
+                respawn_worker(w, e, victim, None).expect("the kill leaves the victim Dead");
             }
         });
     }
@@ -233,6 +233,37 @@ fn resize_refuses_crashed_worker() {
         reconfigure_mig_equal(&mut w2, &mut eng2, 0, 2).unwrap_err(),
         ReconfigError::GpuFenced(0)
     );
+}
+
+/// An immediate resize runs the same transaction commit as the staged
+/// path, so an injected commit failure rolls the victims back to their
+/// old shares through the budgeted respawn path and reports
+/// `CommitFailed` instead of applying the new split.
+#[test]
+fn immediate_resize_commit_failure_rolls_back() {
+    let (mut w, mut eng, llm) = mps_platform(|_| {});
+    boot(&mut w, &mut eng);
+    for _ in 0..2 {
+        submit(&mut w, &mut eng, long_session(&llm));
+    }
+    eng.run_until(&mut w, SimTime::from_secs(5));
+    assert_eq!(
+        inject_fault(&mut w, &mut eng, &FaultKind::ReconfigFail { gpu: 0 }),
+        InjectOutcome::Applied
+    );
+    assert_eq!(
+        resize_mps(&mut w, &mut eng, 0, &[70, 30]).unwrap_err(),
+        ReconfigError::CommitFailed(0)
+    );
+    eng.run(&mut w);
+
+    assert_eq!(w.reconfig.stats.txns_failed, 1);
+    assert_eq!(w.reconfig.stats.rollbacks, 1);
+    assert_eq!(w.reconfig.stats.txns_committed, 0);
+    assert_eq!(w.reconfig.stats.drains_started, 0);
+    assert_eq!(mps_pcts(&w), vec![50, 50], "rollback keeps the old shares");
+    assert!(w.dfk.all_settled());
+    assert_eq!(w.dfk.done_count(), 2, "retries absorb the rollback");
 }
 
 /// Racing fault #2: a rack-power fence lands mid-drain. The fence kills
