@@ -3,10 +3,12 @@
 //! Wraps [`std::alloc::System`] with relaxed atomic counters so the
 //! deterministic cost proxy (`repro substrate`, ratcheted by
 //! `cost-baseline.txt`) can track heap traffic on the fixed fleet case
-//! alongside events fired and heap ops. Allocation counts are a pure
+//! alongside events fired and heap ops: allocation calls, bytes
+//! requested, and the peak of live bytes. Allocation counts are a pure
 //! function of the code under test on a single-threaded run, so any
-//! increase is an allocation regression on the hot path — caught in
-//! review instead of showing up as a mysteriously slower campaign.
+//! increase is an allocation regression on the hot path, and a higher
+//! peak is memory the simulation retained — caught in review instead of
+//! showing up as a mysteriously slower or larger campaign.
 //!
 //! The counters are process-global: a delta taken around a section is
 //! only meaningful when no other thread allocates concurrently. The
@@ -15,39 +17,49 @@
 //! not assert on exact counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 static ALLOC_OPS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static PEAK_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
-/// [`System`] plus relaxed counters of allocation calls and bytes
-/// requested (`alloc`, `alloc_zeroed`, and the grow side of `realloc`).
+/// Count one allocation call of `requested` new bytes that changes the
+/// live heap by `live_delta`.
+fn note(requested: usize, live_delta: i64) {
+    ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(requested as u64, Ordering::Relaxed);
+    let live = LIVE_BYTES.fetch_add(live_delta, Ordering::Relaxed) + live_delta;
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+/// [`System`] plus relaxed counters of allocation calls, bytes requested
+/// (`alloc`, `alloc_zeroed`, and the grow side of `realloc`) and live
+/// bytes with their peak.
 pub struct CountingAlloc;
 
 // SAFETY: defers every operation verbatim to `System`; the counters are
 // plain relaxed atomics with no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        note(layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        note(layout.size(), layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
+        note(
+            new_size.saturating_sub(layout.size()),
+            new_size as i64 - layout.size() as i64,
         );
         System.realloc(ptr, layout, new_size)
     }
@@ -64,14 +76,34 @@ pub fn totals() -> (u64, u64) {
     )
 }
 
-/// Run `f` and return `(result, alloc ops, bytes requested)` for the
-/// allocations made during the call. Exact only when no other thread
-/// allocates concurrently (true in the single-threaded `repro` binary).
-pub fn section<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+/// Allocator traffic of one [`section`].
+#[derive(Debug, Clone, Copy)]
+pub struct SectionCost {
+    /// Allocation calls.
+    pub ops: u64,
+    /// Bytes requested.
+    pub bytes: u64,
+    /// Peak of live bytes above the live level at entry.
+    pub peak_live_bytes: u64,
+}
+
+/// Run `f` and return its result with the allocator traffic of the call.
+/// Exact only when no other thread allocates concurrently (true in the
+/// single-threaded `repro` binary). Peak tracking restarts at entry, so
+/// sections must not nest.
+pub fn section<T>(f: impl FnOnce() -> T) -> (T, SectionCost) {
     let (ops0, bytes0) = totals();
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_LIVE_BYTES.store(base, Ordering::Relaxed);
     let out = f();
     let (ops1, bytes1) = totals();
-    (out, ops1 - ops0, bytes1 - bytes0)
+    let peak = PEAK_LIVE_BYTES.load(Ordering::Relaxed);
+    let cost = SectionCost {
+        ops: ops1 - ops0,
+        bytes: bytes1 - bytes0,
+        peak_live_bytes: (peak - base).max(0) as u64,
+    };
+    (out, cost)
 }
 
 #[cfg(test)]
@@ -82,9 +114,15 @@ mod tests {
     fn section_counts_move_on_allocation() {
         // Other test threads may allocate concurrently, so only assert
         // the lower bound the section itself guarantees.
-        let (v, ops, bytes) = section(|| vec![0u8; 4096]);
+        let (v, cost) = section(|| vec![0u8; 4096]);
         assert_eq!(v.len(), 4096);
-        assert!(ops >= 1, "vec allocation must be counted, got {ops}");
-        assert!(bytes >= 4096, "at least 4096 bytes requested, got {bytes}");
+        assert!(
+            cost.ops >= 1,
+            "vec allocation must be counted, got {cost:?}"
+        );
+        assert!(
+            cost.bytes >= 4096,
+            "at least 4096 bytes requested: {cost:?}"
+        );
     }
 }

@@ -92,6 +92,9 @@ pub struct CostProxy {
     /// Bytes requested from the allocator during the fleet case
     /// (`alloc` + `alloc_zeroed` + the grow side of `realloc`).
     pub fleet_alloc_bytes: u64,
+    /// Peak of live heap bytes during the fleet case: what the run holds
+    /// at its largest, including everything settled requests retain.
+    pub fleet_peak_live_bytes: u64,
 }
 
 impl CostProxy {
@@ -116,6 +119,7 @@ impl CostProxy {
             ("fleet_heap_pops", self.fleet_heap_pops),
             ("fleet_alloc_ops", self.fleet_alloc_ops),
             ("fleet_alloc_bytes", self.fleet_alloc_bytes),
+            ("fleet_peak_live_bytes", self.fleet_peak_live_bytes),
         ]
     }
 }
@@ -301,7 +305,7 @@ pub fn cost_proxy() -> CostProxy {
     let (fired, pushes, pops) = timer_events_instrumented(N);
     let (_, cancel_pops) = cancel_heavy_instrumented(N);
     let (_, arb_fired, calls, visited) = contended_arbitration_instrumented();
-    let (fleet, alloc_ops, alloc_bytes) =
+    let (fleet, heap) =
         crate::alloc::section(|| crate::fleet::run_fleet(4, 2_000, 42, true).sim.behavior);
     CostProxy {
         timer_events_fired: fired,
@@ -314,8 +318,9 @@ pub fn cost_proxy() -> CostProxy {
         fleet_events_fired: fleet.events_fired,
         fleet_heap_pushes: fleet.heap_pushes,
         fleet_heap_pops: fleet.heap_pops,
-        fleet_alloc_ops: alloc_ops,
-        fleet_alloc_bytes: alloc_bytes,
+        fleet_alloc_ops: heap.ops,
+        fleet_alloc_bytes: heap.bytes,
+        fleet_peak_live_bytes: heap.peak_live_bytes,
     }
 }
 

@@ -107,8 +107,9 @@ pub type BodyFactory = Rc<dyn Fn(&mut SimRng) -> Box<dyn TaskBody>>;
 
 /// One app invocation submitted to the DataFlowKernel.
 pub struct AppCall {
-    /// App (function) name; becomes the timeline track for Fig. 3-style
-    /// phase plots.
+    /// App (function) name. It names the timeline track each attempt's
+    /// span is recorded on (Fig. 3-style phase plots); the task record
+    /// keeps the one copy, so a span itself stores no name.
     pub app: String,
     /// Executor label this call is routed to (Parsl's `executors=[...]`).
     pub executor: String,

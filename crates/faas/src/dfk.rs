@@ -4,10 +4,16 @@
 //! each task's lifecycle, releases tasks whose dependencies completed, and
 //! re-queues failed tasks while retries remain. This module is the pure
 //! state machine; event wiring lives in [`crate::world`].
+//!
+//! A settled task keeps only its [`TaskRecord`]: its body factory is
+//! dropped when it reaches `Done` or `Failed`, and dependency edges live
+//! in a side table holding only unsettled tasks that still wait on a
+//! dependency or have dependents.
 
 use crate::app::{AppCall, BodyFactory, TaskId};
 use parfait_simcore::SimTime;
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 /// Task lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -53,10 +59,6 @@ pub struct TaskRecord {
     pub error: Option<String>,
     /// Dependencies.
     pub depends_on: Vec<TaskId>,
-    /// Unmet dependency count.
-    pending_deps: usize,
-    /// Reverse edges.
-    dependents: Vec<TaskId>,
     /// Serialized payload size for wire-dispatch latency.
     pub payload_bytes: usize,
     /// Per-attempt walltime limit.
@@ -69,8 +71,17 @@ pub struct TaskRecord {
     /// Caller-estimated single-attempt service time (queue-wait estimate,
     /// hedge trigger).
     pub est_service: Option<parfait_simcore::SimDuration>,
-    /// Recreates the body for each attempt.
-    pub(crate) factory: BodyFactory,
+    /// Recreates the body for each attempt; `None` once the task settled.
+    pub(crate) factory: Option<BodyFactory>,
+}
+
+/// Dependency edges of one unsettled task.
+#[derive(Default)]
+struct Edges {
+    /// Unmet dependency count.
+    pending: usize,
+    /// Tasks waiting on this one, in submission order.
+    dependents: Vec<TaskId>,
 }
 
 /// Outcome of reporting a task failure to the DFK.
@@ -89,6 +100,9 @@ pub enum FailureOutcome {
 #[derive(Default)]
 pub struct Dfk {
     tasks: Vec<TaskRecord>,
+    /// Edges of unsettled tasks with unmet dependencies or with
+    /// dependents. An entry is removed when its task settles.
+    edges: BTreeMap<TaskId, Edges>,
     done: u64,
     failed: u64,
 }
@@ -110,22 +124,25 @@ impl Dfk {
     ) -> (TaskId, bool) {
         let id = TaskId(self.tasks.len() as u64);
         let mut pending = 0;
+        let mut failed_dep = false;
         for dep in &call.depends_on {
-            let d = &mut self.tasks[dep.0 as usize];
-            match d.state {
+            match self.tasks[dep.0 as usize].state {
                 TaskState::Done => {}
-                TaskState::Failed => pending = usize::MAX, // can never run
+                TaskState::Failed => {
+                    // Can never run.
+                    failed_dep = true;
+                    break;
+                }
                 _ => {
-                    d.dependents.push(id);
+                    self.edges.entry(*dep).or_default().dependents.push(id);
                     pending += 1;
                 }
             }
-            if pending == usize::MAX {
-                break;
-            }
         }
-        let ready = pending == 0;
-        let failed_dep = pending == usize::MAX;
+        let ready = pending == 0 && !failed_dep;
+        if pending > 0 && !failed_dep {
+            self.edges.entry(id).or_default().pending = pending;
+        }
         self.tasks.push(TaskRecord {
             id,
             app: call.app,
@@ -146,19 +163,17 @@ impl Dfk {
             attempts: 0,
             error: failed_dep.then(|| "dependency failed before submission".to_string()),
             depends_on: call.depends_on,
-            pending_deps: if failed_dep { 0 } else { pending },
-            dependents: Vec::new(),
             payload_bytes: call.payload_bytes,
             walltime: call.walltime,
             deadline: call.deadline,
             priority: call.priority,
             est_service: call.est_service,
-            factory: call.make_body,
+            factory: (!failed_dep).then_some(call.make_body),
         });
         if failed_dep {
             self.failed += 1;
         }
-        (id, ready && !failed_dep)
+        (id, ready)
     }
 
     /// Borrow a record.
@@ -228,25 +243,39 @@ impl Dfk {
         }
     }
 
+    /// Settle `id` in `state`: drop its body factory and its edge entry.
+    /// Returns its dependents.
+    fn settle(&mut self, id: TaskId, state: TaskState, now: SimTime) -> Vec<TaskId> {
+        let t = self.task_mut(id);
+        t.state = state;
+        t.finished = Some(now);
+        t.factory = None;
+        self.edges
+            .remove(&id)
+            .map(|e| e.dependents)
+            .unwrap_or_default()
+    }
+
     /// Successful completion. Returns dependents that became ready.
     pub fn mark_done(&mut self, id: TaskId, now: SimTime) -> Vec<TaskId> {
-        let deps = {
-            let t = self.task_mut(id);
-            debug_assert!(matches!(t.state, TaskState::Running));
-            t.state = TaskState::Done;
-            t.finished = Some(now);
-            std::mem::take(&mut t.dependents)
-        };
+        debug_assert!(matches!(self.task(id).state, TaskState::Running));
+        let deps = self.settle(id, TaskState::Done, now);
         self.done += 1;
         let mut ready = Vec::new();
         for d in deps {
-            let t = self.task_mut(d);
-            if t.state == TaskState::Waiting {
-                t.pending_deps -= 1;
-                if t.pending_deps == 0 {
-                    t.state = TaskState::Ready;
-                    ready.push(d);
+            if self.task(d).state != TaskState::Waiting {
+                continue;
+            }
+            let Some(e) = self.edges.get_mut(&d) else {
+                continue;
+            };
+            e.pending -= 1;
+            if e.pending == 0 {
+                if e.dependents.is_empty() {
+                    self.edges.remove(&d);
                 }
+                self.task_mut(d).state = TaskState::Ready;
+                ready.push(d);
             }
         }
         ready
@@ -268,16 +297,11 @@ impl Dfk {
         let mut cascade = Vec::new();
         let mut stack = vec![(id, error.to_string())];
         while let Some((tid, err)) = stack.pop() {
-            let deps = {
-                let t = self.task_mut(tid);
-                if t.state == TaskState::Failed {
-                    continue;
-                }
-                t.state = TaskState::Failed;
-                t.finished = Some(now);
-                t.error = Some(err);
-                std::mem::take(&mut t.dependents)
-            };
+            if self.task(tid).state == TaskState::Failed {
+                continue;
+            }
+            self.task_mut(tid).error = Some(err);
+            let deps = self.settle(tid, TaskState::Failed, now);
             self.failed += 1;
             if tid != id {
                 cascade.push(tid);
@@ -307,13 +331,15 @@ impl Dfk {
         }
     }
 
-    /// Instantiate a fresh body for an attempt of `id`.
+    /// Instantiate a fresh body for an attempt of `id`. `None` for an
+    /// unknown or settled task: its factory is gone.
     pub fn make_body(
         &self,
         id: TaskId,
         rng: &mut parfait_simcore::SimRng,
-    ) -> Box<dyn crate::app::TaskBody> {
-        (self.task(id).factory)(rng)
+    ) -> Option<Box<dyn crate::app::TaskBody>> {
+        let factory = self.tasks.get(id.0 as usize)?.factory.as_ref()?;
+        Some(factory(rng))
     }
 }
 
@@ -415,6 +441,8 @@ mod tests {
         assert!(!ready);
         assert_eq!(dfk.task(b).state, TaskState::Failed);
         assert_eq!(dfk.failed_count(), 2);
+        let mut rng = SimRng::new(0);
+        assert!(dfk.make_body(b, &mut rng).is_none(), "factory dropped");
     }
 
     #[test]
@@ -455,11 +483,54 @@ mod tests {
     }
 
     #[test]
-    fn body_factory_runs_per_attempt() {
+    fn body_factory_runs_per_attempt_until_settled() {
         let mut dfk = Dfk::new();
         let (a, _) = dfk.submit(t(0), call("a"), 0, 3);
         let mut rng = SimRng::new(0);
-        let _b1 = dfk.make_body(a, &mut rng);
-        let _b2 = dfk.make_body(a, &mut rng);
+        assert!(dfk.make_body(a, &mut rng).is_some());
+        assert!(dfk.make_body(a, &mut rng).is_some());
+        dfk.mark_dispatched(a, t(0), 0);
+        dfk.mark_done(a, t(1));
+        assert!(dfk.make_body(a, &mut rng).is_none(), "settled: no body");
+        assert!(dfk.make_body(TaskId(99), &mut rng).is_none(), "unknown id");
+    }
+
+    /// a → {b, c} → d.
+    fn diamond(dfk: &mut Dfk) -> [TaskId; 4] {
+        let (a, _) = dfk.submit(t(0), call("a"), 0, 0);
+        let (b, _) = dfk.submit(t(0), call("b").after(&[a]), 0, 0);
+        let (c, _) = dfk.submit(t(0), call("c").after(&[a]), 0, 0);
+        let (d, _) = dfk.submit(t(0), call("d").after(&[b, c]), 0, 0);
+        [a, b, c, d]
+    }
+
+    #[test]
+    fn edge_table_empties_when_a_diamond_settles() {
+        let mut dfk = Dfk::new();
+        let [a, b, c, d] = diamond(&mut dfk);
+        assert_eq!(dfk.edges.len(), 4);
+        dfk.mark_dispatched(a, t(1), 0);
+        assert_eq!(dfk.mark_done(a, t(2)), vec![b, c]);
+        dfk.mark_dispatched(b, t(2), 0);
+        assert!(dfk.mark_done(b, t(3)).is_empty());
+        dfk.mark_dispatched(c, t(3), 0);
+        assert_eq!(dfk.mark_done(c, t(4)), vec![d]);
+        dfk.mark_dispatched(d, t(4), 0);
+        dfk.mark_done(d, t(5));
+        assert!(dfk.all_settled());
+        assert!(dfk.edges.is_empty(), "settled tasks keep no edges");
+    }
+
+    #[test]
+    fn edge_table_empties_after_a_cascade_failure() {
+        let mut dfk = Dfk::new();
+        let [a, ..] = diamond(&mut dfk);
+        dfk.mark_dispatched(a, t(1), 0);
+        assert!(matches!(
+            dfk.mark_failed(a, t(2), "boom"),
+            FailureOutcome::Fatal { .. }
+        ));
+        assert_eq!(dfk.failed_count(), 4);
+        assert!(dfk.edges.is_empty(), "settled tasks keep no edges");
     }
 }

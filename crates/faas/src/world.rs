@@ -34,7 +34,7 @@ use parfait_gpu::host::{launch_kernel, resync, GpuFleet, GpuHost};
 use parfait_gpu::mps::MPS_ENV_VAR;
 use parfait_gpu::{CtxBinding, CtxId, DeviceMode, GpuId, KernelDesc, KernelDone};
 use parfait_simcore::resource::{PsJobId, PsPool};
-use parfait_simcore::timeline::{SpanId, Timeline};
+use parfait_simcore::timeline::Timeline;
 use parfait_simcore::{streams, Engine, EventId, SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -90,7 +90,9 @@ pub enum WorkerState {
 struct Running {
     task: TaskId,
     body: Option<Box<dyn TaskBody>>,
-    span: Option<SpanId>,
+    /// When the body started; the attempt's timeline span runs from here
+    /// to its finish or cancellation.
+    span: Option<SimTime>,
     /// Bytes allocated by the task body, auto-released at task end.
     task_allocs: u64,
     /// Model load in progress for this profile.
@@ -1025,6 +1027,7 @@ fn assign_task(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, t
         w.idle_since = None;
         world.dfk.make_body(task, &mut w.rng)
     };
+    debug_assert!(body.is_some(), "a dispatched task is unsettled");
     // Guarded at the call site so the hot path skips the `format!` too.
     if world.monitor.record_worker_events {
         world.monitor.worker_event(
@@ -1036,7 +1039,7 @@ fn assign_task(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, t
     }
     world.workers[wid].current = Some(Running {
         task,
-        body: Some(body),
+        body,
         span: None,
         task_allocs: 0,
         loading: None,
@@ -1209,10 +1212,8 @@ fn start_body(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) {
             }
         });
     }
-    let app = world.dfk.task(task).app.clone();
-    let span = world.timeline.start(&app, &format!("task-{}", task.0), now);
     if let Some(r) = world.workers[wid].current.as_mut() {
-        r.span = Some(span);
+        r.span = Some(now);
         r.progress_mark = Some(now);
         r.last_progress = now;
     }
@@ -1800,6 +1801,7 @@ fn dispatch_hedge(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize
         w.idle_since = None;
         world.dfk.make_body(task, &mut w.rng)
     };
+    debug_assert!(body.is_some(), "a dispatched task is unsettled");
     if world.monitor.record_worker_events {
         world.monitor.worker_event(
             now,
@@ -1810,7 +1812,7 @@ fn dispatch_hedge(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize
     }
     world.workers[wid].current = Some(Running {
         task,
-        body: Some(body),
+        body,
         span: None,
         task_allocs: 0,
         loading: None,
@@ -1881,8 +1883,10 @@ fn cancel_attempt(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize
     let Some(run) = world.workers[wid].current.take() else {
         return;
     };
-    if let Some(span) = run.span {
-        world.timeline.end(span, now);
+    if let Some(start) = run.span {
+        world
+            .timeline
+            .add(&world.dfk.task(run.task).app, start, now);
     }
     if run.task_allocs > 0 {
         if let Some((gpu, ctx)) = world.workers[wid].gpu {
@@ -1923,8 +1927,10 @@ fn finish_task(
     let Some(run) = world.workers[wid].current.take() else {
         return;
     };
-    if let Some(span) = run.span {
-        world.timeline.end(span, now);
+    if let Some(start) = run.span {
+        world
+            .timeline
+            .add(&world.dfk.task(run.task).app, start, now);
     }
     // Release the task's scratch allocations (a well-behaved function
     // frees per-request tensors; the worker enforces it on failure too).
@@ -2349,6 +2355,9 @@ pub fn auto_respawn(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usi
             Some(wid),
             format!("{used}/{budget} restarts used; worker stays down"),
         );
+        // The worker is gone for good: its executor's queue would wait on
+        // it forever.
+        fail_over_queues(world, eng);
         return false;
     }
     world.workers[wid].restarts_used = used + 1;

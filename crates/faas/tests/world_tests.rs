@@ -71,6 +71,64 @@ fn unknown_executor_label_fails_terminally_instead_of_panicking() {
     assert_eq!(w.dfk.task(ok).state, TaskState::Done);
 }
 
+/// A settled task drops its body factory, and with it everything the
+/// factory captured: after Done, after a fatal failure with retries
+/// exhausted, and after `cancel`. A pending retry keeps it.
+#[test]
+fn settled_tasks_release_their_body_factory() {
+    let config = Config::new(vec![ExecutorConfig::cpu("cpu", 1)]);
+    let mut w = FaasWorld::new(config, GpuFleet::new(), 21);
+    let mut eng = Engine::new();
+    boot(&mut w, &mut eng);
+    let marker = std::rc::Rc::new(());
+    let call = |secs: u64| {
+        let m = std::rc::Rc::clone(&marker);
+        AppCall::new("a", "cpu", move |_| {
+            let _ = std::rc::Rc::clone(&m);
+            Box::new(CpuBurn::new(SimDuration::from_secs(secs)))
+        })
+    };
+
+    let ok = submit(&mut w, &mut eng, call(1));
+    assert_eq!(std::rc::Rc::strong_count(&marker), 2);
+    eng.run(&mut w);
+    assert_eq!(w.dfk.task(ok).state, TaskState::Done);
+    assert_eq!(std::rc::Rc::strong_count(&marker), 1, "released at Done");
+
+    // A 5 s body under a 1 s walltime fails every attempt (retries: 1).
+    let doomed = submit(
+        &mut w,
+        &mut eng,
+        call(5).with_walltime(SimDuration::from_secs(1)),
+    );
+    while w.dfk.task(doomed).error.is_none() {
+        assert!(eng.step(&mut w), "the first attempt must fail");
+    }
+    assert_eq!(w.dfk.task(doomed).state, TaskState::Ready);
+    assert_eq!(
+        std::rc::Rc::strong_count(&marker),
+        2,
+        "a pending retry keeps its factory"
+    );
+    eng.run(&mut w);
+    assert_eq!(w.dfk.task(doomed).state, TaskState::Failed);
+    assert_eq!(
+        std::rc::Rc::strong_count(&marker),
+        1,
+        "released at fatal failure"
+    );
+
+    // One worker: the second task waits in the queue until cancelled.
+    let running = submit(&mut w, &mut eng, call(1));
+    let queued = submit(&mut w, &mut eng, call(1));
+    assert_eq!(std::rc::Rc::strong_count(&marker), 3);
+    assert!(cancel(&mut w, &mut eng, queued));
+    assert_eq!(std::rc::Rc::strong_count(&marker), 2, "released at cancel");
+    eng.run(&mut w);
+    assert_eq!(w.dfk.task(running).state, TaskState::Done);
+    assert_eq!(std::rc::Rc::strong_count(&marker), 1);
+}
+
 #[test]
 fn cold_start_precedes_first_task() {
     let config = Config::new(vec![ExecutorConfig::cpu("cpu", 1)]);

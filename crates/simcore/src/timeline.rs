@@ -3,50 +3,22 @@
 //! The paper's Fig. 3 is a Gantt-style plot of when *simulation*, *training*
 //! and *inference* tasks were running during the molecular-design campaign,
 //! with the white gaps exposing GPU idle time. [`Timeline`] records exactly
-//! that: labelled spans on named tracks, with queries for busy time, union
-//! coverage, utilization, and an ASCII rendering for the repro harness.
+//! that: spans on named tracks, with queries for busy time, union coverage,
+//! utilization, and an ASCII rendering for the repro harness.
+//!
+//! Storage is one column of `(start, end)` pairs per track name. A span
+//! carries no label and owns no string: a track's name is stored once,
+//! with its first span, and recording on a known track is a scan over the
+//! few track names plus a push. A fleet run records one span per request,
+//! so this layout keeps the timeline at 16 bytes a request.
 
 use crate::time::{SimDuration, SimTime};
-use serde::Serialize;
-use std::collections::BTreeMap;
 
-/// Handle to a span opened with [`Timeline::start`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanId(usize);
-
-/// One closed interval on a track.
-#[derive(Debug, Clone, Serialize)]
-pub struct Span {
-    /// Track (category) name, e.g. `"simulation"`, `"training"`.
-    pub track: String,
-    /// Free-form label, e.g. a task id.
-    pub label: String,
-    /// Span start.
-    pub start: SimTime,
-    /// Span end (`>= start`).
-    pub end: SimTime,
-}
-
-impl Span {
-    /// Span length.
-    pub fn duration(&self) -> SimDuration {
-        self.end.duration_since(self.start)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct OpenSpan {
-    track: String,
-    label: String,
-    start: SimTime,
-}
-
-/// Recorder of labelled spans on named tracks.
+/// Recorder of spans on named tracks.
 #[derive(Debug, Default, Clone)]
 pub struct Timeline {
-    spans: Vec<Span>,
-    open: BTreeMap<usize, OpenSpan>,
-    next_id: usize,
+    /// One column per track, in first-use order.
+    tracks: Vec<(String, Vec<(SimTime, SimTime)>)>,
 }
 
 impl Timeline {
@@ -55,81 +27,54 @@ impl Timeline {
         Timeline::default()
     }
 
-    /// Open a span at `t`; close it later with [`Timeline::end`].
-    pub fn start(&mut self, track: &str, label: &str, t: SimTime) -> SpanId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.open.insert(
-            id,
-            OpenSpan {
-                track: track.to_string(),
-                label: label.to_string(),
-                start: t,
-            },
-        );
-        SpanId(id)
-    }
-
-    /// Close an open span at `t`. Returns `false` if the id is unknown or
-    /// already closed. `t` earlier than the span start is clamped.
-    pub fn end(&mut self, id: SpanId, t: SimTime) -> bool {
-        match self.open.remove(&id.0) {
-            Some(o) => {
-                self.spans.push(Span {
-                    track: o.track,
-                    label: o.label,
-                    start: o.start,
-                    end: t.max(o.start),
-                });
-                true
-            }
-            None => false,
+    /// Record a span on `track`. An `end` earlier than `start` is clamped
+    /// to a zero-length span.
+    pub fn add(&mut self, track: &str, start: SimTime, end: SimTime) {
+        let span = (start, end.max(start));
+        match self.tracks.iter_mut().find(|(name, _)| name == track) {
+            Some((_, col)) => col.push(span),
+            None => self.tracks.push((track.to_string(), vec![span])),
         }
     }
 
-    /// Record a complete span directly.
-    pub fn add(&mut self, track: &str, label: &str, start: SimTime, end: SimTime) {
-        self.spans.push(Span {
-            track: track.to_string(),
-            label: label.to_string(),
-            start,
-            end: end.max(start),
-        });
+    /// Spans on one track as `(start, end)` pairs, in insertion order
+    /// (empty for an unknown track).
+    pub fn track_spans(&self, track: &str) -> &[(SimTime, SimTime)] {
+        self.tracks
+            .iter()
+            .find(|(name, _)| name == track)
+            .map_or(&[], |(_, col)| col)
     }
 
-    /// All closed spans, in insertion order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Closed spans on one track.
-    pub fn track_spans<'a>(&'a self, track: &'a str) -> impl Iterator<Item = &'a Span> + 'a {
-        self.spans.iter().filter(move |s| s.track == track)
-    }
-
-    /// Names of all tracks with at least one closed span (sorted, deduped).
+    /// Names of all tracks with at least one span, sorted.
     pub fn tracks(&self) -> Vec<String> {
-        let mut ts: Vec<String> = self.spans.iter().map(|s| s.track.clone()).collect();
+        let mut ts: Vec<String> = self.tracks.iter().map(|(name, _)| name.clone()).collect();
         ts.sort();
-        ts.dedup();
         ts
+    }
+
+    /// The track's spans clipped to `[from, to]` as sorted nanosecond
+    /// pairs, empty intersections dropped.
+    fn clipped(&self, track: &str, from: SimTime, to: SimTime) -> Vec<(u64, u64)> {
+        let mut iv: Vec<(u64, u64)> = self
+            .track_spans(track)
+            .iter()
+            .filter_map(|&(start, end)| {
+                let lo = start.max(from).as_nanos();
+                let hi = end.min(to).as_nanos();
+                (hi > lo).then_some((lo, hi))
+            })
+            .collect();
+        iv.sort_unstable();
+        iv
     }
 
     /// Total busy time on a track within `[from, to]`, counting overlapping
     /// spans once (union of intervals).
     pub fn union_busy(&self, track: &str, from: SimTime, to: SimTime) -> SimDuration {
-        let mut iv: Vec<(u64, u64)> = self
-            .track_spans(track)
-            .filter_map(|s| {
-                let lo = s.start.max(from).as_nanos();
-                let hi = s.end.min(to).as_nanos();
-                (hi > lo).then_some((lo, hi))
-            })
-            .collect();
-        iv.sort_unstable();
         let mut total = 0u64;
         let mut cur: Option<(u64, u64)> = None;
-        for (lo, hi) in iv {
+        for (lo, hi) in self.clipped(track, from, to) {
             match cur {
                 Some((clo, chi)) if lo <= chi => cur = Some((clo, chi.max(hi))),
                 Some((clo, chi)) => {
@@ -157,24 +102,18 @@ impl Timeline {
     /// Sum of span durations on a track (overlaps counted multiply).
     pub fn total_busy(&self, track: &str) -> SimDuration {
         self.track_spans(track)
-            .fold(SimDuration::ZERO, |acc, s| acc + s.duration())
+            .iter()
+            .fold(SimDuration::ZERO, |acc, &(start, end)| {
+                acc + end.duration_since(start)
+            })
     }
 
     /// Idle gaps (in the union sense) on a track within `[from, to]`,
     /// returned as `(start, end)` pairs.
     pub fn gaps(&self, track: &str, from: SimTime, to: SimTime) -> Vec<(SimTime, SimTime)> {
-        let mut iv: Vec<(u64, u64)> = self
-            .track_spans(track)
-            .filter_map(|s| {
-                let lo = s.start.max(from).as_nanos();
-                let hi = s.end.min(to).as_nanos();
-                (hi > lo).then_some((lo, hi))
-            })
-            .collect();
-        iv.sort_unstable();
         let mut gaps = Vec::new();
         let mut cursor = from.as_nanos();
-        for (lo, hi) in iv {
+        for (lo, hi) in self.clipped(track, from, to) {
             if lo > cursor {
                 gaps.push((SimTime::from_nanos(cursor), SimTime::from_nanos(lo)));
             }
@@ -186,11 +125,11 @@ impl Timeline {
         gaps
     }
 
-    /// Latest end time over all closed spans (`t = 0` when empty).
+    /// Latest end time over all spans (`t = 0` when empty).
     pub fn horizon(&self) -> SimTime {
-        self.spans
+        self.tracks
             .iter()
-            .map(|s| s.end)
+            .flat_map(|(_, col)| col.iter().map(|&(_, end)| end))
             .max()
             .unwrap_or(SimTime::ZERO)
     }
@@ -202,22 +141,16 @@ impl Timeline {
         if end == SimTime::ZERO || width == 0 {
             return String::new();
         }
-        let name_w = self
-            .tracks()
-            .iter()
-            .map(|t| t.len())
-            .max()
-            .unwrap_or(0)
-            .max(8);
+        let tracks = self.tracks();
+        let name_w = tracks.iter().map(|t| t.len()).max().unwrap_or(0).max(8);
+        let column =
+            |t: SimTime| (t.as_nanos() as u128 * width as u128 / end.as_nanos() as u128) as usize;
         let mut out = String::new();
-        for track in self.tracks() {
+        for track in tracks {
             let mut row = vec!['·'; width];
-            for s in self.track_spans(&track) {
-                let lo =
-                    (s.start.as_nanos() as u128 * width as u128 / end.as_nanos() as u128) as usize;
-                let hi =
-                    (s.end.as_nanos() as u128 * width as u128 / end.as_nanos() as u128) as usize;
-                let hi = hi.max(lo + 1).min(width);
+            for &(start, stop) in self.track_spans(&track) {
+                let lo = column(start);
+                let hi = column(stop).max(lo + 1).min(width);
                 for c in row.iter_mut().take(hi).skip(lo.min(width - 1)) {
                     *c = '█';
                 }
@@ -246,29 +179,28 @@ mod tests {
     }
 
     #[test]
-    fn start_end_records_span() {
+    fn add_records_span_on_its_track() {
         let mut tl = Timeline::new();
-        let id = tl.start("gpu", "task-1", s(1));
-        assert!(tl.end(id, s(4)));
-        assert!(!tl.end(id, s(5)), "double close rejected");
-        assert_eq!(tl.spans().len(), 1);
-        assert_eq!(tl.spans()[0].duration(), SimDuration::from_secs(3));
+        tl.add("gpu", s(1), s(4));
+        assert_eq!(tl.track_spans("gpu"), &[(s(1), s(4))]);
+        assert_eq!(tl.total_busy("gpu"), SimDuration::from_secs(3));
+        assert!(tl.track_spans("cpu").is_empty());
     }
 
     #[test]
-    fn end_clamps_backwards_time() {
+    fn add_clamps_backwards_time() {
         let mut tl = Timeline::new();
-        let id = tl.start("t", "x", s(5));
-        tl.end(id, s(3));
-        assert_eq!(tl.spans()[0].duration(), SimDuration::ZERO);
+        tl.add("t", s(5), s(3));
+        assert_eq!(tl.track_spans("t"), &[(s(5), s(5))]);
+        assert_eq!(tl.total_busy("t"), SimDuration::ZERO);
     }
 
     #[test]
     fn union_busy_merges_overlaps() {
         let mut tl = Timeline::new();
-        tl.add("cpu", "a", s(0), s(10));
-        tl.add("cpu", "b", s(5), s(15));
-        tl.add("cpu", "c", s(20), s(25));
+        tl.add("cpu", s(0), s(10));
+        tl.add("cpu", s(5), s(15));
+        tl.add("cpu", s(20), s(25));
         assert_eq!(
             tl.union_busy("cpu", s(0), s(30)),
             SimDuration::from_secs(20)
@@ -279,7 +211,7 @@ mod tests {
     #[test]
     fn utilization_fraction() {
         let mut tl = Timeline::new();
-        tl.add("gpu", "k", s(0), s(5));
+        tl.add("gpu", s(0), s(5));
         let u = tl.utilization("gpu", s(0), s(10));
         assert!((u - 0.5).abs() < 1e-12);
         assert_eq!(tl.utilization("gpu", s(3), s(3)), 0.0);
@@ -288,8 +220,8 @@ mod tests {
     #[test]
     fn gaps_found_between_spans() {
         let mut tl = Timeline::new();
-        tl.add("gpu", "a", s(1), s(3));
-        tl.add("gpu", "b", s(6), s(8));
+        tl.add("gpu", s(1), s(3));
+        tl.add("gpu", s(6), s(8));
         let gaps = tl.gaps("gpu", s(0), s(10));
         assert_eq!(gaps, vec![(s(0), s(1)), (s(3), s(6)), (s(8), s(10))]);
     }
@@ -297,17 +229,17 @@ mod tests {
     #[test]
     fn tracks_sorted_unique() {
         let mut tl = Timeline::new();
-        tl.add("train", "1", s(0), s(1));
-        tl.add("infer", "2", s(0), s(1));
-        tl.add("train", "3", s(2), s(3));
+        tl.add("train", s(0), s(1));
+        tl.add("infer", s(0), s(1));
+        tl.add("train", s(2), s(3));
         assert_eq!(tl.tracks(), vec!["infer".to_string(), "train".to_string()]);
     }
 
     #[test]
     fn ascii_render_shape() {
         let mut tl = Timeline::new();
-        tl.add("sim", "a", s(0), s(5));
-        tl.add("train", "b", s(5), s(10));
+        tl.add("sim", s(0), s(5));
+        tl.add("train", s(5), s(10));
         let art = tl.render_ascii(20);
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 3); // two tracks + axis
@@ -319,8 +251,8 @@ mod tests {
     fn horizon_tracks_latest_end() {
         let mut tl = Timeline::new();
         assert_eq!(tl.horizon(), SimTime::ZERO);
-        tl.add("t", "a", s(2), s(9));
-        tl.add("t", "b", s(1), s(4));
+        tl.add("t", s(2), s(9));
+        tl.add("t", s(1), s(4));
         assert_eq!(tl.horizon(), s(9));
     }
 }

@@ -155,7 +155,7 @@ proptest! {
         let mut sum = 0u64;
         for &(a, b) in &spans {
             let (lo, hi) = (a.min(b), a.max(b));
-            tl.add("t", "x", SimTime::from_secs(lo), SimTime::from_secs(hi));
+            tl.add("t", SimTime::from_secs(lo), SimTime::from_secs(hi));
             sum += hi - lo;
         }
         let window_end = SimTime::from_secs(1000);
@@ -185,6 +185,124 @@ proptest! {
         let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(avg >= lo - 1e-9 && avg <= hi + 1e-9, "avg {avg} outside [{lo}, {hi}]");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Per-track timeline vs a flat list of spans.
+//
+// The timeline stores one column per track. The model is the flat
+// `(track, start, end)` list with whole-second spans, so busy time and
+// gaps reduce to counting covered seconds, and the rendering to asking,
+// per column, whether any span paints it.
+
+const TRACKS: [&str; 3] = ["train", "infer", "simulation"];
+
+/// Whole-second spans `(track, start, end)`, `end` already clamped.
+struct FlatSpans(Vec<(&'static str, u64, u64)>);
+
+impl FlatSpans {
+    fn on<'a>(&'a self, track: &'a str) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.0
+            .iter()
+            .filter(move |s| s.0 == track)
+            .map(|s| (s.1, s.2))
+    }
+
+    fn tracks(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.0.iter().map(|s| s.0.to_string()).collect();
+        names.sort();
+        names.dedup();
+        names
+    }
+
+    fn horizon(&self) -> u64 {
+        self.0.iter().map(|s| s.2).max().unwrap_or(0)
+    }
+
+    fn busy_at(&self, track: &str, second: u64) -> bool {
+        self.on(track).any(|(a, b)| a <= second && second < b)
+    }
+
+    /// Maximal runs of idle seconds in `[from, to)`.
+    fn gaps(&self, track: &str, from: u64, to: u64) -> Vec<(u64, u64)> {
+        let mut gaps: Vec<(u64, u64)> = Vec::new();
+        for s in from..to {
+            if self.busy_at(track, s) {
+                continue;
+            }
+            match gaps.last_mut() {
+                Some(g) if g.1 == s => g.1 = s + 1,
+                _ => gaps.push((s, s + 1)),
+            }
+        }
+        gaps
+    }
+
+    fn render(&self, width: usize) -> String {
+        let end = self.horizon();
+        if end == 0 {
+            return String::new();
+        }
+        let names = self.tracks();
+        let name_w = names.iter().map(|n| n.len()).max().unwrap_or(0).max(8);
+        let column = |t: u64| (t as u128 * width as u128 / end as u128) as usize;
+        let mut out = String::new();
+        for name in &names {
+            out.push_str(&format!("{name:<name_w$} |"));
+            for c in 0..width {
+                let painted = self.on(name).any(|(a, b)| {
+                    let lo = column(a);
+                    let hi = column(b).max(lo + 1).min(width);
+                    lo.min(width - 1) <= c && c < hi
+                });
+                out.push(if painted { '█' } else { '·' });
+            }
+            out.push_str("|\n");
+        }
+        let axis = format!("{:.1}s", end as f64);
+        out.push_str(&format!("{:<name_w$} 0s{axis:>width$}\n", ""));
+        out
+    }
+}
+
+proptest! {
+    /// Every timeline query agrees with the flat model, including
+    /// zero-length spans and spans whose end precedes their start.
+    #[test]
+    fn timeline_matches_flat_span_list(
+        spans in proptest::collection::vec((0usize..3, 0u64..200, 0u64..200), 0..40),
+        window in (0u64..220, 0u64..220),
+        width in 1usize..60,
+    ) {
+        let mut tl = Timeline::new();
+        let mut flat = FlatSpans(Vec::new());
+        for &(k, a, b) in &spans {
+            tl.add(TRACKS[k], SimTime::from_secs(a), SimTime::from_secs(b));
+            flat.0.push((TRACKS[k], a, b.max(a)));
+        }
+        prop_assert_eq!(tl.tracks(), flat.tracks());
+        prop_assert_eq!(tl.horizon(), SimTime::from_secs(flat.horizon()));
+        prop_assert_eq!(tl.render_ascii(width), flat.render(width));
+        let (from, to) = (window.0.min(window.1), window.0.max(window.1));
+        for track in TRACKS {
+            let total: u64 = flat.on(track).map(|(a, b)| b - a).sum();
+            prop_assert_eq!(tl.total_busy(track), SimDuration::from_secs(total));
+            let busy = (from..to).filter(|&s| flat.busy_at(track, s)).count() as u64;
+            prop_assert_eq!(
+                tl.union_busy(track, SimTime::from_secs(from), SimTime::from_secs(to)),
+                SimDuration::from_secs(busy)
+            );
+            let gaps: Vec<(SimTime, SimTime)> = flat
+                .gaps(track, from, to)
+                .into_iter()
+                .map(|(a, b)| (SimTime::from_secs(a), SimTime::from_secs(b)))
+                .collect();
+            prop_assert_eq!(
+                tl.gaps(track, SimTime::from_secs(from), SimTime::from_secs(to)),
+                gaps
+            );
+        }
     }
 }
 
