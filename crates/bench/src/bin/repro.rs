@@ -1131,6 +1131,15 @@ fn run_chaos(opts: &Opts) {
     }
 }
 
+/// The numeric value `args[i]` of `flag`; a missing or malformed value
+/// exits with status 2, like an unknown artifact name.
+fn number_arg<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
+    args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+        eprintln!("repro: {flag} expects a number");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
@@ -1151,29 +1160,26 @@ fn main() {
             "--csv" => opts.csv = true,
             "--completions" => {
                 i += 1;
-                opts.completions = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--completions N");
+                opts.completions = number_arg(&args, i, "--completions");
             }
             "--seed" => {
                 i += 1;
-                opts.seed = args.get(i).and_then(|s| s.parse().ok()).expect("--seed N");
+                opts.seed = number_arg(&args, i, "--seed");
             }
             "--gpus" => {
                 i += 1;
-                opts.gpus = args.get(i).and_then(|s| s.parse().ok()).expect("--gpus N");
+                opts.gpus = number_arg(&args, i, "--gpus");
                 opts.gpus_set = true;
             }
             "--tasks" => {
                 i += 1;
-                opts.tasks = args.get(i).and_then(|s| s.parse().ok()).expect("--tasks N");
+                opts.tasks = number_arg(&args, i, "--tasks");
                 opts.tasks_set = true;
             }
             "--record-cost" => opts.record_cost = true,
             "--seeds" => {
                 i += 1;
-                opts.seeds = args.get(i).and_then(|s| s.parse().ok()).expect("--seeds N");
+                opts.seeds = number_arg(&args, i, "--seeds");
             }
             other => which.push(other.to_string()),
         }

@@ -220,6 +220,33 @@ impl FaultPlan {
     }
 }
 
+/// Append Poisson arrivals at `rate_per_hour` over `[0, horizon)` (offset
+/// by `base`), drawing each arrival's fault with `mk`. The draw order —
+/// gap, fault, gap, ... — is frozen: recorded schedules depend on it.
+fn poisson(
+    out: &mut Vec<FaultEvent>,
+    rate_per_hour: f64,
+    horizon: SimDuration,
+    base: SimTime,
+    rng: &mut SimRng,
+    mut mk: impl FnMut(&mut SimRng) -> FaultKind,
+) {
+    if rate_per_hour <= 0.0 {
+        return;
+    }
+    let horizon = horizon.as_secs_f64();
+    let mean_gap = 3600.0 / rate_per_hour;
+    let mut t = rng.exp(mean_gap);
+    while t < horizon {
+        let kind = mk(rng);
+        out.push(FaultEvent {
+            at: base + SimDuration::from_secs_f64(t),
+            kind,
+        });
+        t += rng.exp(mean_gap);
+    }
+}
+
 fn realize_stochastic(
     s: &StochasticFaults,
     rng: &mut SimRng,
@@ -228,51 +255,35 @@ fn realize_stochastic(
     gpus: usize,
 ) -> Vec<FaultEvent> {
     let mut out = Vec::new();
-    let horizon = s.horizon.as_secs_f64();
-    let mut draw = |rate_per_hour: f64,
-                    rng: &mut SimRng,
-                    mk: &mut dyn FnMut(&mut SimRng) -> Option<FaultKind>| {
-        if rate_per_hour <= 0.0 {
-            return;
-        }
-        let mean_gap = 3600.0 / rate_per_hour;
-        let mut t = rng.exp(mean_gap);
-        while t < horizon {
-            if let Some(kind) = mk(rng) {
-                out.push(FaultEvent {
-                    at: base + SimDuration::from_secs_f64(t),
-                    kind,
-                });
-            }
-            t += rng.exp(mean_gap);
-        }
-    };
+    let h = s.horizon;
     if workers > 0 {
-        draw(s.crash_rate_per_hour, rng, &mut |r| {
-            Some(FaultKind::WorkerCrash {
-                worker: r.below(workers as u64) as usize,
-            })
+        let n = workers as u64;
+        poisson(&mut out, s.crash_rate_per_hour, h, base, rng, |r| {
+            FaultKind::WorkerCrash {
+                worker: r.below(n) as usize,
+            }
         });
-        draw(s.client_fault_rate_per_hour, rng, &mut |r| {
-            Some(FaultKind::GpuClientFault {
-                worker: r.below(workers as u64) as usize,
-            })
+        poisson(&mut out, s.client_fault_rate_per_hour, h, base, rng, |r| {
+            FaultKind::GpuClientFault {
+                worker: r.below(n) as usize,
+            }
         });
     }
     if gpus > 0 {
-        draw(s.device_fault_rate_per_hour, rng, &mut |r| {
-            Some(FaultKind::DeviceFault {
-                gpu: r.below(gpus as u64) as u32,
-            })
+        let n = gpus as u64;
+        poisson(&mut out, s.device_fault_rate_per_hour, h, base, rng, |r| {
+            FaultKind::DeviceFault {
+                gpu: r.below(n) as u32,
+            }
         });
         let factor = s.straggler_factor;
         let duration = s.straggler_duration;
-        draw(s.straggler_rate_per_hour, rng, &mut |r| {
-            Some(FaultKind::Straggler {
-                gpu: r.below(gpus as u64) as u32,
+        poisson(&mut out, s.straggler_rate_per_hour, h, base, rng, |r| {
+            FaultKind::Straggler {
+                gpu: r.below(n) as u32,
                 factor,
                 duration,
-            })
+            }
         });
     }
     out
@@ -290,32 +301,16 @@ fn realize_correlated(
     racks: u64,
 ) -> Vec<FaultEvent> {
     let mut out = Vec::new();
-    let horizon = s.horizon.as_secs_f64();
-    let mut draw =
-        |rate_per_hour: f64, rng: &mut SimRng, mk: &mut dyn FnMut(&mut SimRng) -> FaultKind| {
-            if rate_per_hour <= 0.0 {
-                return;
-            }
-            let mean_gap = 3600.0 / rate_per_hour;
-            let mut t = rng.exp(mean_gap);
-            while t < horizon {
-                let kind = mk(rng);
-                out.push(FaultEvent {
-                    at: base + SimDuration::from_secs_f64(t),
-                    kind,
-                });
-                t += rng.exp(mean_gap);
-            }
-        };
+    let h = s.horizon;
     if hosts > 0 {
-        draw(s.host_reboot_rate_per_hour, rng, &mut |r| {
+        poisson(&mut out, s.host_reboot_rate_per_hour, h, base, rng, |r| {
             FaultKind::HostReboot {
                 host: r.below(hosts) as u32,
             }
         });
     }
     if racks > 0 {
-        draw(s.rack_power_rate_per_hour, rng, &mut |r| {
+        poisson(&mut out, s.rack_power_rate_per_hour, h, base, rng, |r| {
             FaultKind::RackPower {
                 rack: r.below(racks) as u32,
             }
@@ -335,25 +330,9 @@ fn realize_gray(
     gpus: usize,
 ) -> Vec<FaultEvent> {
     let mut out = Vec::new();
-    let horizon = s.horizon.as_secs_f64();
-    let mut draw =
-        |rate_per_hour: f64, rng: &mut SimRng, mk: &mut dyn FnMut(&mut SimRng) -> FaultKind| {
-            if rate_per_hour <= 0.0 {
-                return;
-            }
-            let mean_gap = 3600.0 / rate_per_hour;
-            let mut t = rng.exp(mean_gap);
-            while t < horizon {
-                let kind = mk(rng);
-                out.push(FaultEvent {
-                    at: base + SimDuration::from_secs_f64(t),
-                    kind,
-                });
-                t += rng.exp(mean_gap);
-            }
-        };
+    let h = s.horizon;
     if workers > 0 {
-        draw(s.zombie_rate_per_hour, rng, &mut |r| {
+        poisson(&mut out, s.zombie_rate_per_hour, h, base, rng, |r| {
             FaultKind::ZombieWorker {
                 worker: r.below(workers as u64) as usize,
             }
@@ -362,7 +341,7 @@ fn realize_gray(
     if gpus > 0 {
         let factor = s.flaky_link_factor;
         let duration = s.flaky_link_duration;
-        draw(s.flaky_link_rate_per_hour, rng, &mut |r| {
+        poisson(&mut out, s.flaky_link_rate_per_hour, h, base, rng, |r| {
             FaultKind::FlakyLink {
                 gpu: r.below(gpus as u64) as u32,
                 factor,

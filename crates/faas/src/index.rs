@@ -20,18 +20,22 @@
 //!   `queue_push`/`queue_pop_front`/`queue_remove` helpers in `world` —
 //!   so the index cannot silently drift from the ground truth.
 //! * **Always maintained, separately consumed.** The index is updated
-//!   even when `enabled` is false; the flag only selects whether the hot
-//!   paths consult it or run the original full scans (kept verbatim as
-//!   the reference implementation and the A/B baseline for the fleet
-//!   bench). `FaasWorld::check_index_consistency` recomputes everything
-//!   from scratch and asserts equality in debug builds.
+//!   even when `enabled` is false; the flag only selects whether a query
+//!   consults it or runs the original full scan (kept verbatim as the
+//!   reference implementation and the A/B baseline for the fleet bench).
+//!   The query methods on `FaasWorld` at the bottom of this module are
+//!   the only readers of `enabled`, so each index-or-scan choice is made
+//!   in exactly one place. `FaasWorld::check_index_consistency`
+//!   recomputes everything from scratch and asserts equality in debug
+//!   builds.
 //!
 //! Determinism: iteration over the [`BTreeSet`]s is ascending by worker
 //! id, which is exactly the order the replaced `Vec` scans produced, so
 //! picks (dispatch target, hedge target, watchdog detection order) are
 //! bit-identical with the index on or off.
 
-use crate::world::WorkerState;
+use crate::world::{dispatch_blocked, FaasWorld, WorkerState};
+use parfait_gpu::GpuId;
 use parfait_simcore::SimDuration;
 use std::collections::BTreeSet;
 
@@ -222,5 +226,199 @@ impl WorldIndex {
     /// (`Provisioning | ColdStart | Busy` — crashes don't).
     pub(crate) fn spinning_or_busy(&self) -> usize {
         self.state_counts[0] + self.state_counts[1] + self.state_counts[3]
+    }
+}
+
+/// An index lookup or its reference full scan, as one iterator type, so
+/// queries on the hot paths neither box nor collect.
+enum Lookup<I, S> {
+    Indexed(I),
+    Scan(S),
+}
+
+impl<I: Iterator<Item = usize>, S: Iterator<Item = usize>> Iterator for Lookup<I, S> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Lookup::Indexed(i) => i.next(),
+            Lookup::Scan(s) => s.next(),
+        }
+    }
+}
+
+/// The questions the platform asks about its workers and queues, each
+/// answered from the index when it is enabled and by the original full
+/// scan otherwise. Worker ids come out ascending either way.
+impl FaasWorld {
+    /// `Idle` workers of executor `exec`.
+    pub(crate) fn idle_workers(&self, exec: usize) -> impl Iterator<Item = usize> + '_ {
+        if self.index.enabled {
+            Lookup::Indexed(self.index.idle[exec].iter().copied())
+        } else {
+            Lookup::Scan(
+                self.workers
+                    .iter()
+                    .filter(move |w| w.executor == exec && w.state == WorkerState::Idle)
+                    .map(|w| w.id),
+            )
+        }
+    }
+
+    /// `Busy` workers (progress-watchdog scan order).
+    pub(crate) fn busy_workers(&self) -> impl Iterator<Item = usize> + '_ {
+        if self.index.enabled {
+            Lookup::Indexed(self.index.busy.iter().copied())
+        } else {
+            Lookup::Scan(
+                self.workers
+                    .iter()
+                    .filter(|w| w.state == WorkerState::Busy)
+                    .map(|w| w.id),
+            )
+        }
+    }
+
+    /// `Crashed` workers (heartbeat-watchdog detection order).
+    pub(crate) fn crashed_workers(&self) -> impl Iterator<Item = usize> + '_ {
+        if self.index.enabled {
+            Lookup::Indexed(self.index.crashed.iter().copied())
+        } else {
+            Lookup::Scan(
+                self.workers
+                    .iter()
+                    .filter(|w| w.state == WorkerState::Crashed)
+                    .map(|w| w.id),
+            )
+        }
+    }
+
+    /// `Dead` workers (the parking and re-admission scans).
+    pub(crate) fn dead_workers(&self) -> impl Iterator<Item = usize> + '_ {
+        if self.index.enabled {
+            Lookup::Indexed(self.index.dead.iter().copied())
+        } else {
+            Lookup::Scan(
+                self.workers
+                    .iter()
+                    .filter(|w| w.state == WorkerState::Dead)
+                    .map(|w| w.id),
+            )
+        }
+    }
+
+    /// Workers holding a context on `gpu` (fence blast-radius order).
+    pub(crate) fn residents(&self, gpu: GpuId) -> impl Iterator<Item = usize> + '_ {
+        if self.index.enabled {
+            Lookup::Indexed(
+                self.index
+                    .residents
+                    .get(gpu.0 as usize)
+                    .into_iter()
+                    .flatten()
+                    .copied(),
+            )
+        } else {
+            Lookup::Scan(
+                self.workers
+                    .iter()
+                    .filter(move |w| w.gpu.map(|(g, _)| g) == Some(gpu))
+                    .map(|w| w.id),
+            )
+        }
+    }
+
+    /// Workers of `exec` neither `Dead` nor `Crashed` (the admission and
+    /// fail-over notion of "live").
+    pub(crate) fn live_workers(&self, exec: usize) -> usize {
+        if self.index.enabled {
+            return self.index.live[exec];
+        }
+        self.workers
+            .iter()
+            .filter(|w| {
+                w.executor == exec && !matches!(w.state, WorkerState::Dead | WorkerState::Crashed)
+            })
+            .count()
+    }
+
+    /// Workers of `exec` not `Dead` (the scaling controllers' notion of
+    /// "live").
+    pub(crate) fn not_dead_workers(&self, exec: usize) -> usize {
+        if self.index.enabled {
+            return self.index.not_dead[exec];
+        }
+        self.workers
+            .iter()
+            .filter(|w| w.executor == exec && w.state != WorkerState::Dead)
+            .count()
+    }
+
+    /// Does any worker keep the monitoring sampler and the fail-slow
+    /// detector alive (provisioning, cold starting, busy, or crashed and
+    /// awaiting the watchdog)?
+    pub(crate) fn any_active(&self) -> bool {
+        if self.index.enabled {
+            return self.index.active_workers() > 0;
+        }
+        self.workers.iter().any(|w| {
+            matches!(
+                w.state,
+                WorkerState::Provisioning
+                    | WorkerState::ColdStart
+                    | WorkerState::Busy
+                    | WorkerState::Crashed
+            )
+        })
+    }
+
+    /// Does any worker keep the scaling controllers alive (provisioning,
+    /// cold starting, or busy — crashes don't; the watchdog owns those)?
+    pub(crate) fn any_spinning_or_busy(&self) -> bool {
+        if self.index.enabled {
+            return self.index.spinning_or_busy() > 0;
+        }
+        self.workers.iter().any(|w| {
+            matches!(
+                w.state,
+                WorkerState::Provisioning | WorkerState::ColdStart | WorkerState::Busy
+            )
+        })
+    }
+
+    /// Seconds of work queued on `exec`, pricing a task without a service
+    /// estimate at `est` (the deadline-admission wait estimate).
+    pub(crate) fn queued_work(&self, exec: usize, est: SimDuration) -> f64 {
+        if self.index.enabled {
+            return self.index.queued_known_nanos[exec] as f64 / 1e9
+                + self.index.queued_unknown[exec] as f64 * est.as_secs_f64();
+        }
+        self.queues[exec]
+            .iter()
+            .map(|q| self.dfk.task(*q).est_service.unwrap_or(est).as_secs_f64())
+            .sum()
+    }
+
+    /// The worker dispatch hands `exec`'s next task to: the lowest-id idle
+    /// worker not blocked by a staged drain or a fail-slow probation. The
+    /// ordered idle set yields exactly what the linear `position` scan
+    /// finds, and its `first()` answers in O(1) while nothing is blocked,
+    /// which keeps dispatch cheap when every completion kicks every
+    /// executor.
+    pub(crate) fn dispatch_target(&self, exec: usize) -> Option<usize> {
+        if self.index.enabled {
+            if self.reconfig.draining.is_empty() && self.recovery.probations_active == 0 {
+                self.index.idle[exec].first().copied()
+            } else {
+                self.index.idle[exec]
+                    .iter()
+                    .copied()
+                    .find(|wid| !dispatch_blocked(self, *wid))
+            }
+        } else {
+            self.workers.iter().position(|w| {
+                w.executor == exec && w.state == WorkerState::Idle && !dispatch_blocked(self, w.id)
+            })
+        }
     }
 }

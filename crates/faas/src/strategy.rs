@@ -60,35 +60,10 @@ pub fn enable_elastic(
     tick(world, eng, exec, policy);
 }
 
-fn live_workers(world: &FaasWorld, exec: usize) -> usize {
-    if world.index_enabled() {
-        return world.index.not_dead[exec];
-    }
-    world
-        .workers
-        .iter()
-        .filter(|w| w.executor == exec && w.state != WorkerState::Dead)
-        .count()
-}
-
-/// Does any worker keep the controller loops alive (provisioning, cold
-/// starting, or busy — crashes don't; the watchdog owns those)?
-fn any_spinning_or_busy(world: &FaasWorld) -> bool {
-    if world.index_enabled() {
-        return world.index.spinning_or_busy() > 0;
-    }
-    world.workers.iter().any(|w| {
-        matches!(
-            w.state,
-            WorkerState::Provisioning | WorkerState::ColdStart | WorkerState::Busy
-        )
-    })
-}
-
 fn tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, exec: usize, policy: ElasticPolicy) {
     let now = eng.now();
     let queue = world.queues[exec].len();
-    let live = live_workers(world, exec);
+    let live = world.not_dead_workers(exec);
 
     if queue > policy.queue_high * live.max(1) && live < policy.max_workers {
         let add = policy.scale_out_step.min(policy.max_workers - live).max(1);
@@ -96,45 +71,21 @@ fn tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, exec: usize, policy:
             add_worker(world, eng, exec, None);
         }
     } else if queue == 0 && live > policy.min_workers {
-        // Retire the longest-idle worker past its TTL, one per tick. The
-        // idle free list bounds the candidate set; ties keep the lowest
-        // id like the full scan's first-minimum did.
-        let victim = if world.index_enabled() {
-            let mut best: Option<(SimTime, usize)> = None;
-            for &wid in &world.index.idle[exec] {
-                let Some(t) = world.workers[wid].idle_since else {
-                    continue;
-                };
-                if now.duration_since(t) < policy.idle_ttl {
-                    continue;
-                }
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, wid));
-                }
-            }
-            best.map(|(_, wid)| wid)
-        } else {
-            world
-                .workers
-                .iter()
-                .filter(|w| {
-                    w.executor == exec
-                        && w.state == WorkerState::Idle
-                        && w.idle_since
-                            .map(|t| now.duration_since(t) >= policy.idle_ttl)
-                            .unwrap_or(false)
-                })
-                .min_by_key(|w| w.idle_since.expect("filtered on Some"))
-                .map(|w| w.id)
-        };
-        if let Some(wid) = victim {
+        // Retire the longest-idle worker past its TTL, one per tick; ties
+        // keep the lowest id (`min_by_key` returns the first minimum).
+        let victim = world
+            .idle_workers(exec)
+            .filter_map(|wid| world.workers[wid].idle_since.map(|t| (t, wid)))
+            .filter(|&(t, _)| now.duration_since(t) >= policy.idle_ttl)
+            .min_by_key(|&(t, _)| t);
+        if let Some((_, wid)) = victim {
             kill_worker(world, eng, wid, "elastic scale-in");
         }
     }
 
     // Keep looping while there could be future work; stop once everything
     // settled (mirrors the monitoring sampler's lifetime).
-    let active = !world.dfk.all_settled() || any_spinning_or_busy(world);
+    let active = !world.dfk.all_settled() || world.any_spinning_or_busy();
     if active {
         let p = policy.clone();
         eng.schedule_in(policy.period, move |w: &mut FaasWorld, e| {
@@ -218,7 +169,7 @@ fn brownout_tick(
 ) {
     let now = eng.now();
     let queue = world.queues[exec].len();
-    let live = live_workers(world, exec);
+    let live = world.not_dead_workers(exec);
     let pressure = queue as f64 / live.max(1) as f64;
 
     if st.engaged_at.is_none() {
@@ -263,7 +214,7 @@ fn brownout_tick(
         drain_degraded(world, eng, &mut st);
     }
 
-    let active = !world.dfk.all_settled() || any_spinning_or_busy(world);
+    let active = !world.dfk.all_settled() || world.any_spinning_or_busy();
     if active {
         let p = policy.clone();
         eng.schedule_in(policy.period, move |w: &mut FaasWorld, e| {

@@ -18,6 +18,22 @@
 //! [`crate::app::ModelProfile`] is not yet resident on the worker —
 //! subsequent tasks reuse the warm model exactly like a warmed serverless
 //! function instance.
+//!
+//! ## One function per lifecycle job
+//!
+//! - Build a worker: `Worker::new` (index registration stays in
+//!   [`FaasWorld::new`] and [`add_worker`]).
+//! - Start an attempt, primary or hedge: `start_attempt`.
+//! - Run body steps: `next_step` and `apply_mem_step`, driven live by
+//!   `advance_worker` and on checkpoint replay by `fast_forward`.
+//! - Guard an attempt timer: `Worker::on_attempt`.
+//! - End an attempt: `release_attempt`, after `abort_kernel` when the
+//!   attempt is cut short; `finish_task` then settles the task and
+//!   `cancel_attempt` discards a hedge loser.
+//! - End an incarnation, killed or silently crashed: `end_incarnation`.
+//! - Leave probation, by verdict or fence: `clear_probation`.
+//! - Answer an index-or-scan question: the query methods in the `index`
+//!   module.
 
 use crate::app::{AppCall, ModelProfile, TaskBody, TaskCtx, TaskId, TaskStep};
 use crate::cache::WeightCache;
@@ -186,6 +202,52 @@ pub struct Worker {
 }
 
 impl Worker {
+    /// A fresh worker in `Provisioning`. The caller registers it with the
+    /// world index.
+    fn new(
+        id: usize,
+        executor: usize,
+        label: String,
+        accel: Option<AcceleratorSpec>,
+        spawned_at: SimTime,
+        rng: SimRng,
+    ) -> Self {
+        Worker {
+            id,
+            executor,
+            label,
+            accel,
+            gpu: None,
+            env: BTreeMap::new(),
+            state: WorkerState::Provisioning,
+            cold_breakdown: None,
+            spawned_at,
+            ready_at: None,
+            tasks_completed: 0,
+            loaded_models: BTreeSet::new(),
+            model_bytes: 0,
+            current: None,
+            idle_since: None,
+            kernel_seq: 0,
+            awaiting_kernel: None,
+            epoch: 0,
+            rng,
+            crashed_at: None,
+            restarts_used: 0,
+            recovering: false,
+            provision_poisoned: false,
+            model_load_poisoned: false,
+            zombie: false,
+        }
+    }
+
+    /// Is this worker still in incarnation `epoch` and busy on `task`?
+    /// Attempt timers (walltime, checkpoint, restore, hedge) die with the
+    /// attempt they were armed for.
+    fn on_attempt(&self, epoch: u64, task: TaskId) -> bool {
+        self.epoch == epoch && self.state == WorkerState::Busy && self.current_task() == Some(task)
+    }
+
     /// Task currently running, if any.
     pub fn current_task(&self) -> Option<TaskId> {
         self.current.as_ref().map(|r| r.task)
@@ -304,33 +366,14 @@ impl FaasWorld {
             queues.push(VecDeque::new());
             for wi in 0..ex.max_workers {
                 let id = workers.len();
-                workers.push(Worker {
+                workers.push(Worker::new(
                     id,
-                    executor: ei,
-                    label: format!("{}.w{}", ex.label, wi),
-                    accel: ex.accelerator_for(wi).cloned(),
-                    gpu: None,
-                    env: BTreeMap::new(),
-                    state: WorkerState::Provisioning,
-                    cold_breakdown: None,
-                    spawned_at: SimTime::ZERO,
-                    ready_at: None,
-                    tasks_completed: 0,
-                    loaded_models: BTreeSet::new(),
-                    model_bytes: 0,
-                    current: None,
-                    idle_since: None,
-                    kernel_seq: 0,
-                    awaiting_kernel: None,
-                    epoch: 0,
-                    rng: rng.split(streams::WORKER_BASE + id as u64),
-                    crashed_at: None,
-                    restarts_used: 0,
-                    recovering: false,
-                    provision_poisoned: false,
-                    model_load_poisoned: false,
-                    zombie: false,
-                });
+                    ei,
+                    format!("{}.w{}", ex.label, wi),
+                    ex.accelerator_for(wi).cloned(),
+                    SimTime::ZERO,
+                    rng.split(streams::WORKER_BASE + id as u64),
+                ));
             }
         }
         let retry_rng = rng.split(streams::RETRY_JITTER);
@@ -375,11 +418,6 @@ impl FaasWorld {
     /// full scans — the A/B baseline for the fleet benchmark.
     pub fn set_index_enabled(&mut self, on: bool) {
         self.index.enabled = on;
-    }
-
-    /// Are the indexed fast paths in use?
-    pub fn index_enabled(&self) -> bool {
-        self.index.enabled
     }
 
     /// Apply a worker state change, keeping the index in sync. Every
@@ -496,13 +534,7 @@ impl FaasWorld {
 
     /// Are all workers of an executor dead?
     pub fn executor_dead(&self, exec: usize) -> bool {
-        if self.index.enabled {
-            return self.index.not_dead[exec] == 0;
-        }
-        self.workers
-            .iter()
-            .filter(|w| w.executor == exec)
-            .all(|w| w.state == WorkerState::Dead)
+        self.not_dead_workers(exec) == 0
     }
 
     fn with_driver(
@@ -807,29 +839,8 @@ fn admit(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: TaskId, exec:
     if ov.deadline_admission {
         let t = world.dfk.task(task);
         if let (Some(deadline), Some(est)) = (t.deadline, t.est_service) {
-            let live = if world.index.enabled {
-                world.index.live[exec].max(1)
-            } else {
-                world
-                    .workers
-                    .iter()
-                    .filter(|w| {
-                        w.executor == exec
-                            && !matches!(w.state, WorkerState::Dead | WorkerState::Crashed)
-                    })
-                    .count()
-                    .max(1)
-            };
-            let queued_work: f64 = if world.index.enabled {
-                world.index.queued_known_nanos[exec] as f64 / 1e9
-                    + world.index.queued_unknown[exec] as f64 * est.as_secs_f64()
-            } else {
-                world.queues[exec]
-                    .iter()
-                    .map(|q| world.dfk.task(*q).est_service.unwrap_or(est).as_secs_f64())
-                    .sum()
-            };
-            let wait_est = queued_work / live as f64;
+            let live = world.live_workers(exec).max(1);
+            let wait_est = world.queued_work(exec, est) / live as f64;
             if wait_est + est.as_secs_f64() > deadline.as_secs_f64() {
                 world.overload.stats.tasks_rejected += 1;
                 world.monitor.fault_event(
@@ -978,36 +989,17 @@ pub fn kick_executor(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, exec: u
         if world.queues[exec].is_empty() {
             return;
         }
-        // The index's ordered idle set yields the lowest-id idle worker —
-        // exactly what the linear `position` scan found. Workers under an
-        // active staged drain or on a device in fail-slow probation are
-        // excluded on both paths identically (stop-dispatch; see the
-        // `drain` module and the probation gate).
-        let pick = if world.index.enabled {
-            if world.reconfig.draining.is_empty() && world.recovery.probations_active == 0 {
-                world.index.idle[exec].first().copied()
-            } else {
-                world.index.idle[exec]
-                    .iter()
-                    .copied()
-                    .find(|wid| !dispatch_blocked(world, *wid))
-            }
-        } else {
-            world.workers.iter().position(|w| {
-                w.executor == exec && w.state == WorkerState::Idle && !dispatch_blocked(world, w.id)
-            })
-        };
-        let Some(wid) = pick else {
+        let Some(wid) = world.dispatch_target(exec) else {
             return;
         };
         let task = queue_pop_front(world, exec).expect("non-empty");
-        assign_task(world, eng, wid, task);
+        start_attempt(world, eng, wid, task, false);
     }
 }
 
 /// Is dispatch to `wid` blocked — by an active staged drain, or because
 /// its device is under fail-slow probation (evacuated, canary pending)?
-fn dispatch_blocked(world: &FaasWorld, wid: usize) -> bool {
+pub(crate) fn dispatch_blocked(world: &FaasWorld, wid: usize) -> bool {
     if world.reconfig.draining.contains(&wid) {
         return true;
     }
@@ -1018,9 +1010,26 @@ fn dispatch_blocked(world: &FaasWorld, wid: usize) -> bool {
             .is_some_and(|s| s.probation != Probation::Clear)
 }
 
-fn assign_task(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, task: TaskId) {
+/// Start an attempt of `task` on idle worker `wid`: make its body, mark
+/// the worker Busy, and deliver it after the wire dispatch latency. A
+/// speculative hedge (`is_hedge`) leaves the DFK untouched — the task is
+/// already `Running`, and hedge launches must not perturb the
+/// dispatch/attempt accounting retries key off — and arms no gray-failure
+/// detector. Either way the attempt flows through the normal
+/// model-load/start-body path, including a checkpoint restore when the
+/// task has a committed snapshot, so a hedge resumes instead of
+/// cold-starting.
+fn start_attempt(
+    world: &mut FaasWorld,
+    eng: &mut Engine<FaasWorld>,
+    wid: usize,
+    task: TaskId,
+    is_hedge: bool,
+) {
     let now = eng.now();
-    world.dfk.mark_dispatched(task, now, wid);
+    if !is_hedge {
+        world.dfk.mark_dispatched(task, now, wid);
+    }
     world.transition(wid, WorkerState::Busy);
     let body = {
         let w = &mut world.workers[wid];
@@ -1030,11 +1039,12 @@ fn assign_task(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, t
     debug_assert!(body.is_some(), "a dispatched task is unsettled");
     // Guarded at the call site so the hot path skips the `format!` too.
     if world.monitor.record_worker_events {
+        let hedge = if is_hedge { " (hedge)" } else { "" };
         world.monitor.worker_event(
             now,
             wid,
             WorkerEventKind::TaskStart,
-            format!("task {}", task.0),
+            format!("task {}{hedge}", task.0),
         );
     }
     world.workers[wid].current = Some(Running {
@@ -1046,14 +1056,16 @@ fn assign_task(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, t
         steps_issued: 0,
         ckpt_pending: false,
         progress_mark: None,
-        is_hedge: false,
+        is_hedge,
         last_progress: now,
         link_busy: false,
     });
-    // Gray-failure detection rides on dispatch: both are cheap no-ops
-    // (one flag test) unless their config knobs are set.
-    arm_progress_watchdog(world, eng);
-    arm_failslow(world, eng);
+    if !is_hedge {
+        // Gray-failure detection rides on dispatch: both are cheap no-ops
+        // (one flag test) unless their config knobs are set.
+        arm_progress_watchdog(world, eng);
+        arm_failslow(world, eng);
+    }
     // Wire dispatch (interchange -> manager -> worker serialization).
     let delay = world
         .config
@@ -1193,21 +1205,8 @@ fn start_body(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) {
     if let Some(limit) = world.dfk.task(task).walltime {
         let epoch = world.workers[wid].epoch;
         eng.schedule_in(limit, move |w: &mut FaasWorld, e| {
-            let still_on_it = w.workers[wid].epoch == epoch
-                && w.workers[wid].state == WorkerState::Busy
-                && w.workers[wid].current_task() == Some(task);
-            if still_on_it {
-                // Abort the in-flight kernel so it stops burning SMs and
-                // its completion can never fire.
-                if let (Some((gpu, _ctx)), Some(seq)) =
-                    (w.workers[wid].gpu, w.workers[wid].awaiting_kernel)
-                {
-                    w.fleet
-                        .device_mut(gpu)
-                        .abort_tagged(e.now(), pack_kernel_tag(wid, seq));
-                    resync(w, e, gpu);
-                }
-                w.workers[wid].awaiting_kernel = None;
+            if w.workers[wid].on_attempt(epoch, task) {
+                abort_kernel(w, e, wid);
                 finish_task(w, e, wid, Err("walltime exceeded".into()));
             }
         });
@@ -1260,10 +1259,7 @@ fn start_body(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) {
                 eng.schedule_in(
                     SimDuration::from_secs_f64(secs),
                     move |w: &mut FaasWorld, e| {
-                        let on_it = w.workers[wid].epoch == epoch
-                            && w.workers[wid].state == WorkerState::Busy
-                            && w.workers[wid].current_task() == Some(task);
-                        if !on_it {
+                        if !w.workers[wid].on_attempt(epoch, task) {
                             return;
                         }
                         if let Some(r) = w.workers[wid].current.as_mut() {
@@ -1311,10 +1307,7 @@ fn arm_checkpoint(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize
     eng.schedule_in(
         SimDuration::from_secs_f64(interval.as_secs_f64() * mult),
         move |w: &mut FaasWorld, _e| {
-            let on_it = w.workers[wid].epoch == epoch
-                && w.workers[wid].state == WorkerState::Busy
-                && w.workers[wid].current_task() == Some(task);
-            if !on_it {
+            if !w.workers[wid].on_attempt(epoch, task) {
                 return; // attempt ended; the timer dies with it
             }
             if let Some(r) = w.workers[wid].current.as_mut() {
@@ -1363,10 +1356,7 @@ fn begin_checkpoint(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usi
         r.last_progress = now;
     }
     eng.schedule_in(stall, move |w: &mut FaasWorld, e| {
-        let on_it = w.workers[wid].epoch == epoch
-            && w.workers[wid].state == WorkerState::Busy
-            && w.workers[wid].current_task() == Some(task);
-        if !on_it {
+        if !w.workers[wid].on_attempt(epoch, task) {
             return; // died mid-write: the previous snapshot stands
         }
         w.checkpoints.insert(
@@ -1409,76 +1399,26 @@ fn fast_forward(
     steps: u64,
 ) -> bool {
     let now = eng.now();
-    let mut done = 0u64;
-    while done < steps {
-        let mut body = match world.workers[wid]
-            .current
-            .as_mut()
-            .and_then(|r| r.body.take())
-        {
-            Some(b) => b,
-            None => return false,
+    for _ in 0..steps {
+        let Some(step) = next_step(world, wid, now) else {
+            return false;
         };
-        let step = {
-            let w = &mut world.workers[wid];
-            let mut ctx = TaskCtx {
-                rng: &mut w.rng,
-                now,
-            };
-            body.next(&mut ctx)
-        };
-        if let Some(r) = world.workers[wid].current.as_mut() {
-            r.body = Some(body);
-        }
         match step {
-            TaskStep::Cpu(_) | TaskStep::Gpu(_) => done += 1,
-            TaskStep::AllocGpu(bytes) => {
-                let Some((gpu, ctx)) = world.workers[wid].gpu else {
-                    finish_task(world, eng, wid, Err("GPU alloc on CPU-only worker".into()));
-                    return false;
-                };
-                match world.fleet.device_mut(gpu).alloc_memory(ctx, bytes) {
-                    Ok(()) => {
-                        if let Some(r) = world.workers[wid].current.as_mut() {
-                            r.task_allocs += bytes;
-                        }
-                        resync(world, eng, gpu);
-                        done += 1;
-                    }
-                    Err(e) => {
+            TaskStep::Cpu(_) | TaskStep::Gpu(_) => {}
+            TaskStep::AllocGpu(_) | TaskStep::FreeGpu(_) => {
+                let alloc = matches!(step, TaskStep::AllocGpu(_));
+                if let Err(e) =
+                    apply_mem_step(world, eng, wid, step, "checkpoint restore alloc failed")
+                {
+                    if alloc {
                         // The restored state no longer fits; drop the
                         // snapshot so the next attempt re-executes.
-                        let task = world.workers[wid].current.as_ref().map(|r| r.task);
-                        if let Some(t) = task {
+                        if let Some(t) = world.workers[wid].current_task() {
                             world.checkpoints.remove(&t);
                         }
-                        finish_task(
-                            world,
-                            eng,
-                            wid,
-                            Err(format!("checkpoint restore alloc failed: {e}")),
-                        );
-                        return false;
                     }
-                }
-            }
-            TaskStep::FreeGpu(bytes) => {
-                let Some((gpu, ctx)) = world.workers[wid].gpu else {
-                    finish_task(world, eng, wid, Err("GPU free on CPU-only worker".into()));
+                    finish_task(world, eng, wid, Err(e));
                     return false;
-                };
-                match world.fleet.device_mut(gpu).free_memory(ctx, bytes) {
-                    Ok(()) => {
-                        if let Some(r) = world.workers[wid].current.as_mut() {
-                            r.task_allocs = r.task_allocs.saturating_sub(bytes);
-                        }
-                        resync(world, eng, gpu);
-                        done += 1;
-                    }
-                    Err(e) => {
-                        finish_task(world, eng, wid, Err(format!("free failed: {e}")));
-                        return false;
-                    }
                 }
             }
             TaskStep::Done => {
@@ -1490,10 +1430,58 @@ fn fast_forward(
             }
         }
     }
-    if let Some(r) = world.workers[wid].current.as_mut() {
-        r.steps_issued = done;
-    }
     true
+}
+
+/// Pull the attempt's next body step, counting every step but `Done` in
+/// `steps_issued` (so at a step boundary it equals the completed steps).
+/// `None` when the worker holds no body (a spurious resume).
+fn next_step(world: &mut FaasWorld, wid: usize, now: SimTime) -> Option<TaskStep> {
+    let Worker { current, rng, .. } = &mut world.workers[wid];
+    let r = current.as_mut()?;
+    let step = r.body.as_mut()?.next(&mut TaskCtx { rng, now });
+    if !matches!(step, TaskStep::Done) {
+        r.steps_issued += 1;
+    }
+    Some(step)
+}
+
+/// Apply an `AllocGpu`/`FreeGpu` step to the worker's context, tracking
+/// the attempt's scratch bytes. `Err` carries the attempt's failure
+/// message; a refused allocation reads `"{alloc_failed}: {error}"`.
+fn apply_mem_step(
+    world: &mut FaasWorld,
+    eng: &mut Engine<FaasWorld>,
+    wid: usize,
+    step: TaskStep,
+    alloc_failed: &str,
+) -> Result<(), String> {
+    let (bytes, alloc) = match step {
+        TaskStep::AllocGpu(bytes) => (bytes, true),
+        TaskStep::FreeGpu(bytes) => (bytes, false),
+        _ => return Ok(()),
+    };
+    let Some((gpu, ctx)) = world.workers[wid].gpu else {
+        let op = if alloc { "alloc" } else { "free" };
+        return Err(format!("GPU {op} on CPU-only worker"));
+    };
+    let dev = world.fleet.device_mut(gpu);
+    if alloc {
+        dev.alloc_memory(ctx, bytes)
+            .map_err(|e| format!("{alloc_failed}: {e}"))?;
+    } else {
+        dev.free_memory(ctx, bytes)
+            .map_err(|e| format!("free failed: {e}"))?;
+    }
+    if let Some(r) = world.workers[wid].current.as_mut() {
+        r.task_allocs = if alloc {
+            r.task_allocs + bytes
+        } else {
+            r.task_allocs.saturating_sub(bytes)
+        };
+    }
+    resync(world, eng, gpu);
+    Ok(())
 }
 
 /// Drive the current task body until it blocks or finishes.
@@ -1520,28 +1508,9 @@ fn advance_worker(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize
         {
             return; // resumed by the snapshot commit
         }
-        let mut body = match world.workers[wid]
-            .current
-            .as_mut()
-            .and_then(|r| r.body.take())
-        {
-            Some(b) => b,
-            None => return, // spurious resume
+        let Some(step) = next_step(world, wid, now) else {
+            return; // spurious resume
         };
-        let step = {
-            let w = &mut world.workers[wid];
-            let mut ctx = TaskCtx {
-                rng: &mut w.rng,
-                now,
-            };
-            body.next(&mut ctx)
-        };
-        if let Some(r) = world.workers[wid].current.as_mut() {
-            r.body = Some(body);
-            if !matches!(step, TaskStep::Done) {
-                r.steps_issued += 1;
-            }
-        }
         match step {
             TaskStep::Cpu(d) => {
                 // Core contention via exact egalitarian processor
@@ -1575,40 +1544,10 @@ fn advance_worker(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize
                     }
                 }
             }
-            TaskStep::AllocGpu(bytes) => {
-                let Some((gpu, ctx)) = world.workers[wid].gpu else {
-                    finish_task(world, eng, wid, Err("GPU alloc on CPU-only worker".into()));
+            TaskStep::AllocGpu(_) | TaskStep::FreeGpu(_) => {
+                if let Err(e) = apply_mem_step(world, eng, wid, step, "allocation failed") {
+                    finish_task(world, eng, wid, Err(e));
                     return;
-                };
-                match world.fleet.device_mut(gpu).alloc_memory(ctx, bytes) {
-                    Ok(()) => {
-                        if let Some(r) = world.workers[wid].current.as_mut() {
-                            r.task_allocs += bytes;
-                        }
-                        resync(world, eng, gpu);
-                    }
-                    Err(e) => {
-                        finish_task(world, eng, wid, Err(format!("allocation failed: {e}")));
-                        return;
-                    }
-                }
-            }
-            TaskStep::FreeGpu(bytes) => {
-                let Some((gpu, ctx)) = world.workers[wid].gpu else {
-                    finish_task(world, eng, wid, Err("GPU free on CPU-only worker".into()));
-                    return;
-                };
-                match world.fleet.device_mut(gpu).free_memory(ctx, bytes) {
-                    Ok(()) => {
-                        if let Some(r) = world.workers[wid].current.as_mut() {
-                            r.task_allocs = r.task_allocs.saturating_sub(bytes);
-                        }
-                        resync(world, eng, gpu);
-                    }
-                    Err(e) => {
-                        finish_task(world, eng, wid, Err(format!("free failed: {e}")));
-                        return;
-                    }
                 }
             }
             TaskStep::Done => {
@@ -1702,10 +1641,7 @@ fn schedule_hedge_timer(
 ) {
     let epoch = world.workers[wid].epoch;
     eng.schedule_in(delay, move |w: &mut FaasWorld, e| {
-        let still_on_it = w.workers[wid].epoch == epoch
-            && w.workers[wid].state == WorkerState::Busy
-            && w.workers[wid].current_task() == Some(task);
-        if !still_on_it || w.overload.hedges.contains_key(&task) {
+        if !w.workers[wid].on_attempt(epoch, task) || w.overload.hedges.contains_key(&task) {
             return;
         }
         try_launch_hedge(w, e, wid, task, delay);
@@ -1729,39 +1665,23 @@ fn try_launch_hedge(
         return;
     }
     let my_gpu = world.workers[wid].gpu.map(|(g, _)| g);
-    // Prefer a different GPU; ties to the lowest id — the ordered idle
-    // set reproduces the `min_by_key((same_gpu, id))` scan exactly: the
-    // first id on another device wins, else the first id overall.
-    let pick = if world.index.enabled {
-        let mut same_gpu = None;
-        let mut other_gpu = None;
-        for &cand in &world.index.idle[exec] {
-            if cand == wid || dispatch_blocked(world, cand) {
-                continue;
-            }
-            if world.workers[cand].gpu.map(|(g, _)| g) != my_gpu {
-                other_gpu = Some(cand);
-                break;
-            }
-            if same_gpu.is_none() {
-                same_gpu = Some(cand);
-            }
+    // Prefer a different GPU; ties to the lowest id: the first idle id on
+    // another device wins, else the first idle id overall.
+    let mut same_gpu = None;
+    let mut other_gpu = None;
+    for cand in world.idle_workers(exec) {
+        if cand == wid || dispatch_blocked(world, cand) {
+            continue;
         }
-        other_gpu.or(same_gpu)
-    } else {
-        world
-            .workers
-            .iter()
-            .filter(|w| {
-                w.executor == exec
-                    && w.state == WorkerState::Idle
-                    && w.id != wid
-                    && !dispatch_blocked(world, w.id)
-            })
-            .min_by_key(|w| (w.gpu.map(|(g, _)| g) == my_gpu, w.id))
-            .map(|w| w.id)
-    };
-    let Some(hw) = pick else {
+        if world.workers[cand].gpu.map(|(g, _)| g) != my_gpu {
+            other_gpu = Some(cand);
+            break;
+        }
+        if same_gpu.is_none() {
+            same_gpu = Some(cand);
+        }
+    }
+    let Some(hw) = other_gpu.or(same_gpu) else {
         schedule_hedge_timer(world, eng, wid, task, delay);
         return;
     };
@@ -1784,56 +1704,7 @@ fn try_launch_hedge(
             task.0
         ),
     );
-    dispatch_hedge(world, eng, hw, task);
-}
-
-/// Dispatch the speculative duplicate. Mirrors `assign_task` but leaves
-/// the DFK untouched: the task is already `Running`, and hedge launches
-/// must not perturb the dispatch/attempt accounting retries key off.
-/// The duplicate then flows through the normal model-load/start-body
-/// path — including a checkpoint restore when the task has a committed
-/// snapshot, so a hedge resumes instead of cold-starting.
-fn dispatch_hedge(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, task: TaskId) {
-    let now = eng.now();
-    world.transition(wid, WorkerState::Busy);
-    let body = {
-        let w = &mut world.workers[wid];
-        w.idle_since = None;
-        world.dfk.make_body(task, &mut w.rng)
-    };
-    debug_assert!(body.is_some(), "a dispatched task is unsettled");
-    if world.monitor.record_worker_events {
-        world.monitor.worker_event(
-            now,
-            wid,
-            WorkerEventKind::TaskStart,
-            format!("task {} (hedge)", task.0),
-        );
-    }
-    world.workers[wid].current = Some(Running {
-        task,
-        body,
-        span: None,
-        task_allocs: 0,
-        loading: None,
-        steps_issued: 0,
-        ckpt_pending: false,
-        progress_mark: None,
-        is_hedge: true,
-        last_progress: now,
-        link_busy: false,
-    });
-    let delay = world
-        .config
-        .wire
-        .dispatch_latency(world.dfk.task(task).payload_bytes);
-    let epoch = world.workers[wid].epoch;
-    eng.schedule_in(delay, move |w: &mut FaasWorld, e| {
-        if w.workers[wid].epoch != epoch || w.workers[wid].state != WorkerState::Busy {
-            return;
-        }
-        after_dispatch(w, e, wid);
-    });
+    start_attempt(world, eng, hw, task, true);
 }
 
 /// After a hedged task's winner completes, tear the loser down one
@@ -1852,10 +1723,7 @@ fn schedule_hedge_cancel(
         .unwrap_or(SimDuration::ZERO);
     let epoch = world.workers[wid].epoch;
     eng.schedule_in(latency, move |w: &mut FaasWorld, e| {
-        let still_on_it = w.workers[wid].epoch == epoch
-            && w.workers[wid].state == WorkerState::Busy
-            && w.workers[wid].current_task() == Some(task);
-        if still_on_it {
+        if w.workers[wid].on_attempt(epoch, task) {
             cancel_attempt(w, e, wid);
         }
     });
@@ -1868,46 +1736,9 @@ fn schedule_hedge_cancel(
 /// cancelled loser is the designed cost of speculation (counted in
 /// `hedges_wasted`/`hedges_won`), not failure-induced loss.
 fn cancel_attempt(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) {
-    let now = eng.now();
-    if let (Some((gpu, _ctx)), Some(seq)) =
-        (world.workers[wid].gpu, world.workers[wid].awaiting_kernel)
-    {
-        world
-            .fleet
-            .device_mut(gpu)
-            .abort_tagged(now, pack_kernel_tag(wid, seq));
-        resync(world, eng, gpu);
-    }
-    world.workers[wid].awaiting_kernel = None;
-    cancel_cpu_jobs(world, eng, wid);
-    let Some(run) = world.workers[wid].current.take() else {
+    abort_kernel(world, eng, wid);
+    if release_attempt(world, eng, wid, "cancelled (hedge loser)").is_none() {
         return;
-    };
-    if let Some(start) = run.span {
-        world
-            .timeline
-            .add(&world.dfk.task(run.task).app, start, now);
-    }
-    if run.task_allocs > 0 {
-        if let Some((gpu, ctx)) = world.workers[wid].gpu {
-            let _ = world
-                .fleet
-                .device_mut(gpu)
-                .free_memory(ctx, run.task_allocs);
-            resync(world, eng, gpu);
-        }
-    }
-    if world.monitor.record_worker_events {
-        world.monitor.worker_event(
-            now,
-            wid,
-            WorkerEventKind::TaskEnd,
-            format!("task {} cancelled (hedge loser)", run.task.0),
-        );
-    }
-    if world.workers[wid].state == WorkerState::Busy {
-        world.transition(wid, WorkerState::Idle);
-        world.workers[wid].idle_since = Some(now);
     }
     if world.reconfig.is_draining(wid) {
         note_drained(world, eng, wid);
@@ -1915,18 +1746,34 @@ fn cancel_attempt(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize
     kick_executor(world, eng, world.workers[wid].executor);
 }
 
-fn finish_task(
+/// Abort the worker's in-flight kernel so it stops burning SMs and its
+/// completion can never resume the attempt.
+fn abort_kernel(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) {
+    if let (Some((gpu, _ctx)), Some(seq)) =
+        (world.workers[wid].gpu, world.workers[wid].awaiting_kernel)
+    {
+        world
+            .fleet
+            .device_mut(gpu)
+            .abort_tagged(eng.now(), pack_kernel_tag(wid, seq));
+        resync(world, eng, gpu);
+    }
+}
+
+/// Unwind the worker side of an attempt: drop its CPU jobs, record its
+/// timeline span, free its scratch allocations, log `TaskEnd` with
+/// `outcome`, and return a Busy worker to Idle. Returns the attempt, or
+/// `None` when the worker held none.
+fn release_attempt(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     wid: usize,
-    result: Result<(), String>,
-) {
+    outcome: &str,
+) -> Option<Running> {
     let now = eng.now();
     world.workers[wid].awaiting_kernel = None;
     cancel_cpu_jobs(world, eng, wid);
-    let Some(run) = world.workers[wid].current.take() else {
-        return;
-    };
+    let run = world.workers[wid].current.take()?;
     if let Some(start) = run.span {
         world
             .timeline
@@ -1948,11 +1795,7 @@ fn finish_task(
             now,
             wid,
             WorkerEventKind::TaskEnd,
-            format!(
-                "task {} {}",
-                run.task.0,
-                if result.is_ok() { "ok" } else { "failed" }
-            ),
+            format!("task {} {outcome}", run.task.0),
         );
     }
     // Only a live worker returns to Idle; a worker being torn down
@@ -1962,6 +1805,20 @@ fn finish_task(
         world.transition(wid, WorkerState::Idle);
         world.workers[wid].idle_since = Some(now);
     }
+    Some(run)
+}
+
+fn finish_task(
+    world: &mut FaasWorld,
+    eng: &mut Engine<FaasWorld>,
+    wid: usize,
+    result: Result<(), String>,
+) {
+    let now = eng.now();
+    let outcome = if result.is_ok() { "ok" } else { "failed" };
+    let Some(run) = release_attempt(world, eng, wid, outcome) else {
+        return;
+    };
     // Completion is idempotent per task id: a hedge loser finishing (or
     // failing) after its partner already settled the task must not touch
     // the DFK, the counters, or the driver a second time.
@@ -2066,26 +1923,44 @@ pub fn kill_worker(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usiz
     if world.workers[wid].current.is_some() {
         finish_task(world, eng, wid, Err(format!("worker killed: {reason}")));
     }
+    debug_assert!(
+        world.workers[wid].current.is_none(),
+        "teardown leaves no task behind"
+    );
+    end_incarnation(world, eng, wid, None);
+    world
+        .monitor
+        .worker_event(now, wid, WorkerEventKind::Killed, reason.to_string());
+}
+
+/// Tear down a worker's process: bump the epoch (timers of the old
+/// incarnation go stale), forget its resident models, and destroy its
+/// GPU context. `crashed_at` is the crash instant of a silent crash and
+/// `None` for a kill.
+fn end_incarnation(
+    world: &mut FaasWorld,
+    eng: &mut Engine<FaasWorld>,
+    wid: usize,
+    crashed_at: Option<SimTime>,
+) {
+    let now = eng.now();
     {
         let w = &mut world.workers[wid];
-        debug_assert!(w.current.is_none(), "teardown leaves no task behind");
         w.epoch += 1;
+        w.awaiting_kernel = None;
         w.loaded_models.clear();
         w.model_bytes = 0;
         w.ready_at = None;
         w.idle_since = None;
-        w.crashed_at = None;
+        w.crashed_at = crashed_at;
         w.zombie = false;
     }
-    let gpu_binding = world.workers[wid].gpu;
+    let binding = world.workers[wid].gpu;
     world.bind_gpu(wid, None);
-    if let Some((gpu, ctx)) = gpu_binding {
+    if let Some((gpu, ctx)) = binding {
         let _ = world.fleet.device_mut(gpu).destroy_context(now, ctx);
         resync(world, eng, gpu);
     }
-    world
-        .monitor
-        .worker_event(now, wid, WorkerEventKind::Killed, reason.to_string());
 }
 
 /// Why [`respawn_worker`] refused to act.
@@ -2164,33 +2039,14 @@ pub fn add_worker(
     let within = world.index.total[exec];
     let slot = accel.or_else(|| ex.accelerator_for(within).cloned());
     let rng = world.rng.split(streams::WORKER_BASE + id as u64);
-    world.workers.push(Worker {
+    world.workers.push(Worker::new(
         id,
-        executor: exec,
-        label: format!("{}.w{}", ex.label, within),
-        accel: slot,
-        gpu: None,
-        env: BTreeMap::new(),
-        state: WorkerState::Provisioning,
-        cold_breakdown: None,
-        spawned_at: eng.now(),
-        ready_at: None,
-        tasks_completed: 0,
-        loaded_models: BTreeSet::new(),
-        model_bytes: 0,
-        current: None,
-        idle_since: None,
-        kernel_seq: 0,
-        awaiting_kernel: None,
-        epoch: 0,
+        exec,
+        format!("{}.w{}", ex.label, within),
+        slot,
+        eng.now(),
         rng,
-        crashed_at: None,
-        restarts_used: 0,
-        recovering: false,
-        provision_poisoned: false,
-        model_load_poisoned: false,
-        zombie: false,
-    });
+    ));
     world
         .index
         .register_worker(id, exec, WorkerState::Provisioning);
@@ -2227,23 +2083,7 @@ pub fn crash_worker(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usi
     // still believes the worker is alive — the task table is untouched.
     cancel_cpu_jobs(world, eng, wid);
     world.transition(wid, WorkerState::Crashed);
-    {
-        let w = &mut world.workers[wid];
-        w.crashed_at = Some(now);
-        w.epoch += 1; // pending timers of the dead incarnation are stale
-        w.awaiting_kernel = None;
-        w.loaded_models.clear();
-        w.model_bytes = 0;
-        w.ready_at = None;
-        w.idle_since = None;
-        w.zombie = false;
-    }
-    let crash_binding = world.workers[wid].gpu;
-    world.bind_gpu(wid, None);
-    if let Some((gpu, ctx)) = crash_binding {
-        let _ = world.fleet.device_mut(gpu).destroy_context(now, ctx);
-        resync(world, eng, gpu);
-    }
+    end_incarnation(world, eng, wid, Some(now));
     world.recovery.stats.workers_lost += 1;
     world
         .monitor
@@ -2266,44 +2106,18 @@ pub(crate) fn arm_watchdog(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
 fn watchdog_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
     let now = eng.now();
     let timeout = world.config.recovery.heartbeat_timeout;
-    // The crashed set iterates ascending by id — the same detection
-    // order the full scan produced.
-    let expired: Vec<usize> = if world.index.enabled {
-        world
-            .index
-            .crashed
-            .iter()
-            .copied()
-            .filter(|&wid| {
-                world.workers[wid]
-                    .crashed_at
-                    .is_some_and(|t0| now.duration_since(t0) >= timeout)
-            })
-            .collect()
-    } else {
-        world
-            .workers
-            .iter()
-            .filter(|w| {
-                w.state == WorkerState::Crashed
-                    && w.crashed_at
-                        .is_some_and(|t0| now.duration_since(t0) >= timeout)
-            })
-            .map(|w| w.id)
-            .collect()
-    };
+    let expired: Vec<usize> = world
+        .crashed_workers()
+        .filter(|&wid| {
+            world.workers[wid]
+                .crashed_at
+                .is_some_and(|t0| now.duration_since(t0) >= timeout)
+        })
+        .collect();
     for wid in expired {
         detect_worker_death(world, eng, wid);
     }
-    let any_crashed = if world.index.enabled {
-        !world.index.crashed.is_empty()
-    } else {
-        world
-            .workers
-            .iter()
-            .any(|w| w.state == WorkerState::Crashed)
-    };
-    if any_crashed {
+    if world.crashed_workers().next().is_some() {
         eng.schedule_in(world.config.recovery.heartbeat_period, watchdog_tick);
     } else {
         world.recovery.watchdog_armed = false;
@@ -2441,18 +2255,7 @@ fn progress_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
         world.recovery.progress_watchdog_armed = false;
         return;
     };
-    // The busy set iterates ascending by id — the same detection order a
-    // full scan produces.
-    let busy: Vec<usize> = if world.index.enabled {
-        world.index.busy.iter().copied().collect()
-    } else {
-        world
-            .workers
-            .iter()
-            .filter(|w| w.state == WorkerState::Busy)
-            .map(|w| w.id)
-            .collect()
-    };
+    let busy: Vec<usize> = world.busy_workers().collect();
     for wid in busy {
         if world.workers[wid].state != WorkerState::Busy {
             continue; // torn down earlier this tick (blast radius)
@@ -2490,12 +2293,7 @@ fn progress_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
         }
         auto_respawn(world, eng, wid);
     }
-    let any_busy = if world.index.enabled {
-        world.index.state_counts[3] > 0
-    } else {
-        world.workers.iter().any(|w| w.state == WorkerState::Busy)
-    };
-    if any_busy {
+    if world.busy_workers().next().is_some() {
         eng.schedule_in(world.config.recovery.heartbeat_period, progress_tick);
     } else {
         world.recovery.progress_watchdog_armed = false;
@@ -2599,20 +2397,7 @@ fn failslow_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
     for (g, why) in suspects {
         try_start_probation(world, eng, GpuId(g), &why);
     }
-    let active = !world.dfk.all_settled()
-        || if world.index.enabled {
-            world.index.active_workers() > 0
-        } else {
-            world.workers.iter().any(|w| {
-                matches!(
-                    w.state,
-                    WorkerState::Provisioning
-                        | WorkerState::ColdStart
-                        | WorkerState::Busy
-                        | WorkerState::Crashed
-                )
-            })
-        };
+    let active = !world.dfk.all_settled() || world.any_active();
     if active {
         eng.schedule_in(fs.check_period, failslow_tick);
     } else {
@@ -2647,21 +2432,7 @@ fn try_start_probation(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, gpu: 
         None,
         format!("device on probation: {why}"),
     );
-    let members: Vec<usize> = if world.index.enabled {
-        world
-            .index
-            .residents
-            .get(gpu.0 as usize)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    } else {
-        world
-            .workers
-            .iter()
-            .filter(|w| w.gpu.map(|(g, _)| g) == Some(gpu))
-            .map(|w| w.id)
-            .collect()
-    };
+    let members: Vec<usize> = world.residents(gpu).collect();
     let started = begin_drain(
         world,
         eng,
@@ -2719,23 +2490,8 @@ fn launch_canary(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, gpu: GpuId)
         );
         return;
     }
-    let residents: Vec<usize> = if world.index.enabled {
-        world
-            .index
-            .residents
-            .get(gpu.0 as usize)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    } else {
-        world
-            .workers
-            .iter()
-            .filter(|w| w.gpu.map(|(g, _)| g) == Some(gpu))
-            .map(|w| w.id)
-            .collect()
-    };
-    let lender = residents
-        .into_iter()
+    let lender = world
+        .residents(gpu)
         .find(|&wid| {
             !matches!(
                 world.workers[wid].state,
@@ -2866,23 +2622,9 @@ fn settle_probation(
         .as_ref()
         .map(|fs| fs.cooldown)
         .unwrap_or(SimDuration::ZERO);
-    let probe = {
-        let slot = world.recovery.gray_mut(gpu);
-        if slot.probation == Probation::Clear {
-            return;
-        }
-        slot.probation = Probation::Clear;
-        slot.canary_started = None;
-        slot.step_ewma = None;
-        slot.step_samples = 0;
-        slot.link_ewma = None;
-        slot.cooldown_until = Some(now + cooldown);
-        slot.canary_probe_ctx.take()
-    };
-    if let Some(ctx) = probe {
-        let _ = world.fleet.device_mut(gpu).destroy_context(now, ctx);
+    if !clear_probation(world, now, gpu, Some(now + cooldown)) {
+        return;
     }
-    world.recovery.probations_active = world.recovery.probations_active.saturating_sub(1);
     if pass {
         world.recovery.gray.readmits += 1;
         world.monitor.fault_event(
@@ -2896,22 +2638,10 @@ fn settle_probation(
         // Members force-killed at the drain timeout are Dead; bring them
         // back before kicking the queues (no fence ran, so nobody else
         // will). Budgeted like any other automatic restart.
-        let dead: Vec<usize> = if world.index.enabled {
-            world
-                .index
-                .dead
-                .iter()
-                .copied()
-                .filter(|&wid| worker_target_gpu(world, wid) == Some(gpu))
-                .collect()
-        } else {
-            (0..world.workers.len())
-                .filter(|&wid| {
-                    world.workers[wid].state == WorkerState::Dead
-                        && worker_target_gpu(world, wid) == Some(gpu)
-                })
-                .collect()
-        };
+        let dead: Vec<usize> = world
+            .dead_workers()
+            .filter(|&wid| worker_target_gpu(world, wid) == Some(gpu))
+            .collect();
         for wid in dead {
             auto_respawn(world, eng, wid);
         }
@@ -2932,19 +2662,25 @@ fn settle_probation(
     }
 }
 
-/// Clear an in-flight probation without a verdict. Used by the fence
-/// path: the device is being taken out of service by something stronger
-/// than a fail-slow suspicion, so the probation's evidence is moot. The
-/// post-verdict cooldown is *not* started (the fence has its own
-/// re-admission schedule) and no readmit/park counter moves.
-fn abort_probation(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, gpu: GpuId) {
-    let now = eng.now();
+/// Leave probation: drop the evidence the probation consumed (EWMAs,
+/// canary start), destroy a dedicated probe context, and release the
+/// dispatch gate. A verdict passes its re-probe `cooldown_until`; a fence
+/// clears without one — the device is leaving service for something
+/// stronger than a fail-slow suspicion and has its own re-admission
+/// schedule, and no readmit/park counter moves. Returns whether a
+/// probation was in flight.
+fn clear_probation(
+    world: &mut FaasWorld,
+    now: SimTime,
+    gpu: GpuId,
+    cooldown_until: Option<SimTime>,
+) -> bool {
     if world
         .recovery
         .gray_state(gpu)
         .is_none_or(|s| s.probation == Probation::Clear)
     {
-        return;
+        return false;
     }
     let probe = {
         let slot = world.recovery.gray_mut(gpu);
@@ -2953,12 +2689,16 @@ fn abort_probation(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, gpu: GpuI
         slot.step_ewma = None;
         slot.step_samples = 0;
         slot.link_ewma = None;
+        if cooldown_until.is_some() {
+            slot.cooldown_until = cooldown_until;
+        }
         slot.canary_probe_ctx.take()
     };
     if let Some(ctx) = probe {
         let _ = world.fleet.device_mut(gpu).destroy_context(now, ctx);
     }
     world.recovery.probations_active = world.recovery.probations_active.saturating_sub(1);
+    true
 }
 
 /// Re-queue a failed-but-retryable task after exponential backoff with
@@ -3011,9 +2751,29 @@ fn schedule_retry(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: Task
                 return;
             }
             queue_push(w, exec, task);
+            // The executor may have been lost for good while the task
+            // backed off (its restart budgets ran out after the last
+            // fail-over), and nothing would drain its queue again.
+            if executor_lost(w, exec) {
+                fail_over_queues(w, e);
+            }
             kick_executor(w, e, exec);
         },
     );
+}
+
+/// Is `exec` gone for good: every worker `Dead`, and none parked behind a
+/// fenced GPU (parked workers respawn at re-admission)?
+fn executor_lost(world: &FaasWorld, exec: usize) -> bool {
+    world.executor_dead(exec)
+        && (0..world.fleet.len() as u32).all(|g| {
+            world.recovery.health(GpuId(g)).is_none_or(|h| {
+                h.open_until.is_none()
+                    || h.parked
+                        .iter()
+                        .all(|&wid| world.workers[wid].executor != exec)
+            })
+        })
 }
 
 /// Kill a worker as collateral of a GPU-side fault, recording the loss.
@@ -3114,7 +2874,7 @@ pub(crate) fn fence_gpu(
     // device is leaving service anyway, and an aborted canary kernel
     // would otherwise never complete and leave the dispatch gate and
     // `probations_active` stuck.
-    abort_probation(world, eng, gpu);
+    clear_probation(world, now, gpu, None);
     let already = gpu_quarantined(world, gpu);
     let new_until = {
         let h = world.recovery.health_mut(gpu);
@@ -3135,21 +2895,7 @@ pub(crate) fn fence_gpu(
         None,
         reason.to_string(),
     );
-    let residents: Vec<usize> = if world.index.enabled {
-        world
-            .index
-            .residents
-            .get(gpu.0 as usize)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    } else {
-        world
-            .workers
-            .iter()
-            .filter(|w| w.gpu.map(|(g, _)| g) == Some(gpu))
-            .map(|w| w.id)
-            .collect()
-    };
+    let residents: Vec<usize> = world.residents(gpu).collect();
     for wid in residents {
         fault_kill_worker(world, eng, wid, "gpu-blast-radius", reason);
     }
@@ -3158,22 +2904,10 @@ pub(crate) fn fence_gpu(
     // instead of failing cold start against an unhealthy device. The
     // dead set bounds the scan to actual casualties instead of the
     // whole fleet.
-    let parked: Vec<usize> = if world.index.enabled {
-        world
-            .index
-            .dead
-            .iter()
-            .copied()
-            .filter(|&wid| worker_target_gpu(world, wid) == Some(gpu))
-            .collect()
-    } else {
-        (0..world.workers.len())
-            .filter(|&wid| {
-                world.workers[wid].state == WorkerState::Dead
-                    && worker_target_gpu(world, wid) == Some(gpu)
-            })
-            .collect()
-    };
+    let parked: Vec<usize> = world
+        .dead_workers()
+        .filter(|&wid| worker_target_gpu(world, wid) == Some(gpu))
+        .collect();
     world.recovery.health_mut(gpu).parked = parked;
     fail_over_queues(world, eng);
     eng.schedule_at(new_until, move |w: &mut FaasWorld, e| {
@@ -3280,22 +3014,9 @@ fn readmit_gpu(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, gpu: GpuId) {
 /// healthiest surviving executor (most idle workers, ties to the lowest
 /// index). Tasks keep their identity; only their placement changes.
 fn fail_over_queues(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
-    let live_counts: Vec<usize> = if world.index.enabled {
-        world.index.live.clone()
-    } else {
-        (0..world.queues.len())
-            .map(|e| {
-                world
-                    .workers
-                    .iter()
-                    .filter(|w| {
-                        w.executor == e
-                            && !matches!(w.state, WorkerState::Dead | WorkerState::Crashed)
-                    })
-                    .count()
-            })
-            .collect()
-    };
+    let live_counts: Vec<usize> = (0..world.queues.len())
+        .map(|e| world.live_workers(e))
+        .collect();
     let Some(target) = (0..world.queues.len())
         .filter(|&e| live_counts[e] > 0)
         .max_by(|&a, &b| live_counts[a].cmp(&live_counts[b]).then(b.cmp(&a)))
@@ -3361,20 +3082,7 @@ fn sample_monitors(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
     // Keep sampling while work remains or workers are still coming up
     // (or silently crashed — the watchdog will generate more events).
     world.check_index_consistency();
-    let active = !world.dfk.all_settled()
-        || if world.index.enabled {
-            world.index.active_workers() > 0
-        } else {
-            world.workers.iter().any(|w| {
-                matches!(
-                    w.state,
-                    WorkerState::Provisioning
-                        | WorkerState::ColdStart
-                        | WorkerState::Busy
-                        | WorkerState::Crashed
-                )
-            })
-        };
+    let active = !world.dfk.all_settled() || world.any_active();
     if active {
         eng.schedule_in(period, |w: &mut FaasWorld, e| sample_monitors(w, e));
     } else {

@@ -584,3 +584,232 @@ fn overlapping_drain_is_refused_then_allowed_after_completion() {
     );
     eng.run(&mut w);
 }
+
+/// A checkpointable GPU body that holds scratch memory across its
+/// kernels, so attempts and checkpoint replays both allocate and free.
+struct ScratchSeq {
+    steps: std::vec::IntoIter<TaskStep>,
+    model: Option<ModelProfile>,
+}
+
+impl TaskBody for ScratchSeq {
+    fn model(&self) -> Option<ModelProfile> {
+        self.model
+    }
+    fn checkpointable(&self) -> bool {
+        true
+    }
+    fn next(&mut self, _ctx: &mut TaskCtx<'_>) -> TaskStep {
+        self.steps.next().unwrap_or(TaskStep::Done)
+    }
+}
+
+/// Arrival `i` of the faulty-fleet scenario: 2–5 kernels of half a
+/// whole-device second, host time before each, and 2 GiB of scratch
+/// held throughout; every third call needs a model, every seventh has a
+/// tight walltime.
+fn scratch_call(i: usize) -> AppCall {
+    let kernels = 2 + i % 4;
+    let model = i
+        .is_multiple_of(3)
+        .then(|| ModelProfile::private(i as u64 % 2, 4 * GIB));
+    let executor = if i.is_multiple_of(2) { "mps" } else { "ts" };
+    let call = AppCall::new(format!("app{}", i % 3), executor, move |_| {
+        let mut steps = vec![TaskStep::AllocGpu(2 * GIB)];
+        for _ in 0..kernels {
+            steps.push(TaskStep::Cpu(SimDuration::from_millis(20)));
+            steps.push(TaskStep::Gpu(KernelDesc::new(
+                "k", 54.0, 75_600, 75_600, 0.0,
+            )));
+        }
+        steps.push(TaskStep::FreeGpu(2 * GIB));
+        Box::new(ScratchSeq {
+            steps: steps.into_iter(),
+            model,
+        })
+    })
+    .with_est_service(SimDuration::from_secs(kernels as u64))
+    .with_deadline(SimDuration::from_secs(40));
+    if i.is_multiple_of(7) {
+        call.with_walltime(SimDuration::from_secs(4))
+    } else {
+        call
+    }
+}
+
+/// One run of the faulty-fleet scenario: 4 A100s (2 MPS-partitioned,
+/// 2 time-sharing) on 2 hosts, an executor per sharing mode, every
+/// protection on, elastic scaling on the time-sharing executor, 600
+/// bursty arrivals and a stochastic plan with every fault kind. Returns
+/// the drained world and its fired-event count.
+fn faulty_fleet_run(seed: u64, fast_paths: bool) -> (FaasWorld, u64) {
+    let mut fleet = GpuFleet::new();
+    for mode in [
+        DeviceMode::MpsPartitioned,
+        DeviceMode::MpsPartitioned,
+        DeviceMode::TimeSharing,
+        DeviceMode::TimeSharing,
+    ] {
+        let g = fleet.add(GpuSpec::a100_80gb());
+        let d = fleet.device_mut(g);
+        if mode == DeviceMode::MpsPartitioned {
+            d.mps.start();
+        }
+        d.set_mode(mode).unwrap();
+    }
+    let mut config = Config::new(vec![
+        ExecutorConfig::gpu(
+            "mps",
+            vec![
+                AcceleratorSpec::GpuPercentage(0, 50),
+                AcceleratorSpec::GpuPercentage(0, 50),
+                AcceleratorSpec::GpuPercentage(1, 50),
+                AcceleratorSpec::GpuPercentage(1, 50),
+            ],
+        ),
+        ExecutorConfig::gpu(
+            "ts",
+            vec![
+                AcceleratorSpec::Gpu(2),
+                AcceleratorSpec::Gpu(2),
+                AcceleratorSpec::Gpu(3),
+                AcceleratorSpec::Gpu(3),
+            ],
+        ),
+    ]);
+    config.retries = 3;
+    config.topology = Topology {
+        gpus_per_host: 2,
+        hosts_per_rack: 2,
+    };
+    config.checkpoint.interval = Some(SimDuration::from_secs(2));
+    config.overload.queue_cap = Some(12);
+    config.overload.shed_policy = ShedPolicy::ShedOldest;
+    config.overload.deadline_admission = true;
+    config.overload.retry_budget = Some(RetryBudget {
+        ratio: 0.3,
+        burst: 4.0,
+    });
+    config.overload.hedge = Some(HedgePolicy::default());
+    config.recovery.progress_timeout = Some(SimDuration::from_secs(20));
+    config.recovery.fail_slow = Some(FailSlowConfig::default());
+    let mut w = FaasWorld::new(config, fleet, seed);
+    w.set_index_enabled(fast_paths);
+    w.fleet.set_dirty_tracking(fast_paths);
+    let mut eng = Engine::new();
+    boot(&mut w, &mut eng);
+    enable_elastic(
+        &mut w,
+        &mut eng,
+        1,
+        ElasticPolicy {
+            max_workers: 6,
+            min_workers: 2,
+            idle_ttl: SimDuration::from_secs(20),
+            ..ElasticPolicy::default()
+        },
+    );
+    // Bursts of 24 arrivals every 8 s overflow the queue caps.
+    for i in 0..600 {
+        let at = SimTime::ZERO
+            + SimDuration::from_millis((i / 24) as u64 * 8_000 + (i % 24) as u64 * 50);
+        eng.schedule_at(at, move |w: &mut FaasWorld, e| {
+            submit(w, e, scratch_call(i));
+        });
+    }
+    let plan = FaultPlan {
+        events: vec![
+            FaultEvent {
+                at: SimTime::from_secs(3),
+                kind: FaultKind::ModelLoadOom { worker: 1 },
+            },
+            FaultEvent {
+                at: SimTime::from_secs(30),
+                kind: FaultKind::ProvisioningFailure { worker: 5 },
+            },
+            FaultEvent {
+                at: SimTime::from_secs(31),
+                kind: FaultKind::WorkerCrash { worker: 5 },
+            },
+            FaultEvent {
+                at: SimTime::from_secs(60),
+                kind: FaultKind::ReconfigFail { gpu: 0 },
+            },
+        ],
+        stochastic: Some(StochasticFaults {
+            horizon: SimDuration::from_secs(200),
+            crash_rate_per_hour: 60.0,
+            client_fault_rate_per_hour: 40.0,
+            device_fault_rate_per_hour: 10.0,
+            straggler_rate_per_hour: 60.0,
+            straggler_factor: 0.3,
+            straggler_duration: SimDuration::from_secs(20),
+            host_reboot_rate_per_hour: 10.0,
+            rack_power_rate_per_hour: 5.0,
+            zombie_rate_per_hour: 40.0,
+            flaky_link_rate_per_hour: 40.0,
+            flaky_link_factor: 0.3,
+            flaky_link_duration: SimDuration::from_secs(20),
+        }),
+    };
+    install_faults(&mut w, &mut eng, &plan);
+    eng.run(&mut w);
+    let fired = eng.events_fired();
+    (w, fired)
+}
+
+/// The index-off reference run on a faulty fleet. The world index and
+/// dirty tracking are fast paths over full scans and full recomputes; a
+/// run with both off must match a run with both on exactly. `repro
+/// fleet` checks this on a fault-free fleet only; here the fault
+/// handlers' crashed, dead, resident, busy and live queries run on both
+/// sides.
+#[test]
+fn index_off_reference_run_matches_on_a_faulty_fleet() {
+    let stats = |w: &FaasWorld| {
+        format!(
+            "{:?}\n{:?}\n{:?}\n{:?}",
+            w.recovery.stats, w.recovery.gray, w.overload.stats, w.reconfig.stats
+        )
+    };
+    // Quarantines, fail-overs, probations, parks, hedges, drain forced
+    // kills, deadline rejections, suppressed retries: summed over seeds,
+    // so the scenario provably reaches each fault path.
+    let mut reached = [0u64; 8];
+    for seed in 1..=6 {
+        let (fast, fast_fired) = faulty_fleet_run(seed, true);
+        let (reference, reference_fired) = faulty_fleet_run(seed, false);
+        assert_eq!(stats(&fast), stats(&reference), "seed {seed}: stats differ");
+        assert_eq!(
+            fast_fired, reference_fired,
+            "seed {seed}: events_fired differ"
+        );
+        assert!(
+            export_json(&fast.dfk, &fast.monitor)
+                == export_json(&reference.dfk, &reference.monitor),
+            "seed {seed}: monitoring exports differ"
+        );
+        let (r, g, o) = (
+            &fast.recovery.stats,
+            &fast.recovery.gray,
+            &fast.overload.stats,
+        );
+        let counts = [
+            r.quarantines,
+            r.failovers,
+            g.probations,
+            g.parks,
+            o.hedges_launched,
+            fast.reconfig.stats.drains_forced_kills,
+            o.tasks_rejected,
+            o.retries_suppressed,
+        ];
+        for (sum, n) in reached.iter_mut().zip(counts) {
+            *sum += n;
+        }
+    }
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "the scenario no longer reaches every fault path: {reached:?}"
+    );
+}
