@@ -30,13 +30,13 @@
 //! metric, and with 20 % of commits failing it stays within 15 % of its
 //! own no-fault attainment.
 
+use crate::report::write_report;
+use crate::scenarios::chain_arrivals;
 use parfait_core::{apply_plan, enable_slo_autoscaler, plan, GpuTenancy, SloPolicy, Strategy};
-use parfait_faas::{
-    boot, submit, AcceleratorSpec, AppCall, Config, ExecutorConfig, FaasWorld, TaskState,
-};
+use parfait_faas::{boot, AcceleratorSpec, AppCall, Config, ExecutorConfig, FaasWorld, TaskState};
 use parfait_gpu::host::GpuFleet;
 use parfait_gpu::{GpuSpec, KernelDesc};
-use parfait_simcore::{streams, Engine, SimDuration, SimRng, SimTime};
+use parfait_simcore::{streams, Engine, SimDuration, SimRng};
 use parfait_workloads::trace::{self, FleetShape};
 use serde::Serialize;
 
@@ -214,19 +214,6 @@ fn tenant_call(t: usize) -> AppCall {
     })
 }
 
-/// Schedule arrival `i` of tenant `t`, chaining the next on fire (the
-/// same O(1)-heap idiom as the fleet driver).
-fn chain_arrival(eng: &mut Engine<FaasWorld>, arrivals: Vec<SimTime>, i: usize, tenant: usize) {
-    if i >= arrivals.len() {
-        return;
-    }
-    let at = arrivals[i];
-    eng.schedule_at(at, move |w: &mut FaasWorld, e| {
-        submit(w, e, tenant_call(tenant));
-        chain_arrival(e, arrivals, i + 1, tenant);
-    });
-}
-
 /// Run one cell and reduce it to a [`CellReport`].
 pub fn run_cell(
     mode: Mode,
@@ -278,8 +265,9 @@ pub fn run_cell(
             },
         );
     }
-    chain_arrival(&mut eng, lat.arrivals, 0, 0);
-    chain_arrival(&mut eng, bat.arrivals, 0, 1);
+    for (tenant, tr) in [lat, bat].into_iter().enumerate() {
+        chain_arrivals(&mut eng, tr.arrivals, 0, move |_| tenant_call(tenant));
+    }
     eng.run(&mut world);
 
     let slo_ns = SLO.as_nanos();
@@ -390,8 +378,7 @@ pub fn run_and_write(
     seed: u64,
 ) -> std::io::Result<AutoscaleReport> {
     let report = measure(gpus, tasks_per_tenant, seed);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(dir.join("BENCH_autoscale.json"), json + "\n")?;
+    write_report(dir, "BENCH_autoscale.json", &report)?;
     Ok(report)
 }
 
@@ -427,6 +414,8 @@ mod tests {
     #[test]
     fn stale_telemetry_holds_the_controller() {
         use parfait_core::SloAction;
+        use parfait_faas::submit;
+        use parfait_simcore::SimTime;
 
         let (mut world, mut eng) = build_platform(Mode::ClosedLoop, 1, 13, 0.0);
         boot(&mut world, &mut eng);

@@ -1075,9 +1075,8 @@ fn run_gray(opts: &Opts) {
 }
 
 fn run_chaos(opts: &Opts) {
-    use parfait_bench::chaos::SEARCH_SEED;
     let report =
-        parfait_bench::chaos::run_and_write(std::path::Path::new("."), SEARCH_SEED, opts.seeds)
+        parfait_bench::chaos::run_and_write(std::path::Path::new("."), opts.seed, opts.seeds)
             .expect("write BENCH_chaos.json");
     let s = &report.search;
     let rows = s
@@ -1130,6 +1129,32 @@ fn run_chaos(opts: &Opts) {
         std::process::exit(1);
     }
 }
+
+/// One `repro` artifact: its name, whether `all` runs it, and its driver.
+type Artifact = (&'static str, bool, fn(&Opts));
+
+/// Every artifact, in the order `repro` runs them. Substrate timing, fault
+/// replay and the other development artifacts are not paper figures, so
+/// they run only on explicit request and `repro all` output stays stable.
+const ARTIFACTS: &[Artifact] = &[
+    ("table1", true, run_table1),
+    ("fig1", true, run_fig1),
+    ("fig2", true, run_fig2),
+    ("fig3", true, run_fig3),
+    ("fig4", true, run_fig4),
+    ("fig5", true, run_fig5),
+    ("overheads", true, run_overheads),
+    ("ablation", true, run_ablation),
+    ("extension", true, run_extension),
+    ("substrate", false, run_substrate),
+    ("faults", false, run_faults),
+    ("overload", false, run_overload),
+    ("lint", false, run_lint),
+    ("fleet", false, run_fleet),
+    ("autoscale", false, run_autoscale),
+    ("gray", false, run_gray),
+    ("chaos", false, run_chaos),
+];
 
 /// The numeric value `args[i]` of `flag`; a missing or malformed value
 /// exits with status 2, like an unknown artifact name.
@@ -1185,90 +1210,20 @@ fn main() {
         }
         i += 1;
     }
-    const KNOWN: &[&str] = &[
-        "all",
-        "table1",
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "overheads",
-        "ablation",
-        "extension",
-        "substrate",
-        "faults",
-        "overload",
-        "lint",
-        "fleet",
-        "autoscale",
-        "gray",
-        "chaos",
-    ];
-    if let Some(bad) = which.iter().find(|w| !KNOWN.contains(&w.as_str())) {
+    let known: Vec<&str> = std::iter::once("all")
+        .chain(ARTIFACTS.iter().map(|a| a.0))
+        .collect();
+    if let Some(bad) = which.iter().find(|w| !known.contains(&w.as_str())) {
         eprintln!(
             "repro: unknown artifact `{bad}` (known: {})",
-            KNOWN.join(", ")
+            known.join(", ")
         );
         std::process::exit(2);
     }
-    if which.is_empty() {
-        which.push("all".into());
-    }
-    let all = which.iter().any(|w| w == "all");
-    let want = |name: &str| all || which.iter().any(|w| w == name);
-    if want("table1") {
-        run_table1(&opts);
-    }
-    if want("fig1") {
-        run_fig1(&opts);
-    }
-    if want("fig2") {
-        run_fig2(&opts);
-    }
-    if want("fig3") {
-        run_fig3(&opts);
-    }
-    if want("fig4") {
-        run_fig4(&opts);
-    }
-    if want("fig5") {
-        run_fig5(&opts);
-    }
-    if want("overheads") {
-        run_overheads(&opts);
-    }
-    if want("ablation") {
-        run_ablation(&opts);
-    }
-    if want("extension") {
-        run_extension(&opts);
-    }
-    // Substrate timing and fault replay are development artifacts, not
-    // paper figures: only on explicit request, so `repro all` output
-    // stays stable.
-    if which.iter().any(|w| w == "substrate") {
-        run_substrate(&opts);
-    }
-    if which.iter().any(|w| w == "faults") {
-        run_faults(&opts);
-    }
-    if which.iter().any(|w| w == "overload") {
-        run_overload(&opts);
-    }
-    if which.iter().any(|w| w == "lint") {
-        run_lint(&opts);
-    }
-    if which.iter().any(|w| w == "fleet") {
-        run_fleet(&opts);
-    }
-    if which.iter().any(|w| w == "autoscale") {
-        run_autoscale(&opts);
-    }
-    if which.iter().any(|w| w == "gray") {
-        run_gray(&opts);
-    }
-    if which.iter().any(|w| w == "chaos") {
-        run_chaos(&opts);
+    let all = which.is_empty() || which.iter().any(|w| w == "all");
+    for &(name, in_all, run) in ARTIFACTS {
+        if (all && in_all) || which.iter().any(|w| w == name) {
+            run(&opts);
+        }
     }
 }

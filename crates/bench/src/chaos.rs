@@ -14,6 +14,7 @@
 //! catch → shrink → replay pipeline end to end on code where the
 //! healthy search rightly finds nothing.
 
+use crate::report::write_report;
 use parfait_core::{
     begin_reconfigure_mig, begin_resize_mps, enable_slo_autoscaler, GpuTenancy, SloPolicy,
 };
@@ -363,8 +364,7 @@ pub fn run_and_write(
         },
         search: report,
     };
-    let json = serde_json::to_string_pretty(&artifact).expect("artifact serializes");
-    std::fs::write(dir.join("BENCH_chaos.json"), json + "\n")?;
+    write_report(dir, "BENCH_chaos.json", &artifact)?;
     Ok(artifact)
 }
 

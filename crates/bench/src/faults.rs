@@ -11,15 +11,17 @@
 //! to one worker. The whole schedule is seeded, so `BENCH_faults.json`
 //! is bit-identical across runs of the same build.
 
-use crate::scenarios::{build_llama_platform, build_session_platform, chat_call, mode_label};
+use crate::report::write_report;
+use crate::scenarios::{
+    build_platform, chat_call, makespan_since, mode_label, outcomes, session_call, trace_rows,
+    warm_up,
+};
 use parfait_core::Strategy;
 use parfait_faas::{
-    boot, install_faults, resume_sampling, submit, AppCall, CheckpointPolicy, FaasWorld, FaultKind,
-    FaultPlan, RecoveryStats, TaskState, Topology,
+    install_faults, resume_sampling, submit, CheckpointPolicy, FaasWorld, FaultKind, FaultPlan,
+    RecoveryStats, Topology,
 };
-use parfait_gpu::GpuSpec;
 use parfait_simcore::{SimDuration, SimTime};
-use parfait_workloads::{CompletionBody, LlmSpec};
 use serde::Serialize;
 
 /// Offsets (from measurement start) of the injected fault schedule. The
@@ -71,17 +73,6 @@ fn correlated_plan(base: SimTime) -> FaultPlan {
             base + SimDuration::from_secs(CORR_HOST_REBOOT_AT_S),
             FaultKind::HostReboot { host: 0 },
         )
-}
-
-/// A long-running chat session (~35 s of decode): 96 prompt tokens,
-/// 220 generated. Long enough that a mid-flight host reboot costs real
-/// work, which is what checkpointing is for.
-fn session_call(llm: &LlmSpec, gpu_spec: &GpuSpec, app: &str) -> AppCall {
-    let llm = llm.clone();
-    let gpu_spec = gpu_spec.clone();
-    AppCall::new(app, "gpu", move |_| {
-        Box::new(CompletionBody::new(llm.clone(), gpu_spec.clone(), 96, 220))
-    })
 }
 
 /// One mode's clean-vs-faulted comparison.
@@ -160,7 +151,7 @@ pub struct FaultsReport {
 }
 
 /// Warm the platform and run `completions` chat requests, optionally
-/// under the fault schedule. Returns (makespan_s, world).
+/// under the fault schedule. Returns (makespan_s, world, events_fired).
 fn run_phase(
     strategy: &Strategy,
     procs: usize,
@@ -168,16 +159,13 @@ fn run_phase(
     seed: u64,
     inject: bool,
 ) -> (f64, FaasWorld, u64) {
-    let (mut world, mut eng, llm, gpu_spec) = build_llama_platform(strategy, procs, seed);
+    let (mut world, mut eng, llm, gpu_spec) = build_platform(strategy, 1, procs, seed);
     // Faulted runs need headroom for re-execution and for workers lost
     // mid-flight; the clean run uses the same budget for comparability.
     world.config.retries = 4;
-    boot(&mut world, &mut eng);
-    for _ in 0..procs {
-        submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-    }
-    eng.run(&mut world);
-    assert_eq!(world.dfk.failed_count(), 0, "warmup must be clean");
+    warm_up(&mut world, &mut eng, procs, || {
+        chat_call(&llm, &gpu_spec, "warmup")
+    });
     let measure_start = eng.now();
     resume_sampling(&mut world, &mut eng);
     if inject {
@@ -187,17 +175,8 @@ fn run_phase(
         submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "chat"));
     }
     eng.run(&mut world);
-    let makespan = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "chat")
-        .filter_map(|t| t.finished)
-        .max()
-        .map(|end| end.duration_since(measure_start).as_secs_f64())
-        .unwrap_or(0.0);
-    let fired = eng.events_fired();
-    (makespan, world, fired)
+    let makespan = makespan_since(&world, "chat", measure_start);
+    (makespan, world, eng.events_fired())
 }
 
 /// Warm the session platform and run the long-session phase, optionally
@@ -210,7 +189,7 @@ fn run_correlated_phase(
     inject: bool,
 ) -> (f64, FaasWorld, u64) {
     let (mut world, mut eng, llm, gpu_spec) =
-        build_session_platform(strategy, SESSION_GPUS, SESSION_PROCS_PER_GPU, seed);
+        build_platform(strategy, SESSION_GPUS, SESSION_PROCS_PER_GPU, seed);
     world.config.retries = 4;
     // Both GPUs live on host 0: a host reboot is a whole-fleet outage.
     world.config.topology = Topology {
@@ -225,13 +204,12 @@ fn run_correlated_phase(
         Some(i) => CheckpointPolicy::every(i),
         None => CheckpointPolicy::default(),
     };
-    boot(&mut world, &mut eng);
-    let workers = SESSION_GPUS * SESSION_PROCS_PER_GPU;
-    for _ in 0..workers {
-        submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-    }
-    eng.run(&mut world);
-    assert_eq!(world.dfk.failed_count(), 0, "warmup must be clean");
+    warm_up(
+        &mut world,
+        &mut eng,
+        SESSION_GPUS * SESSION_PROCS_PER_GPU,
+        || chat_call(&llm, &gpu_spec, "warmup"),
+    );
     let measure_start = eng.now();
     resume_sampling(&mut world, &mut eng);
     if inject {
@@ -245,42 +223,23 @@ fn run_correlated_phase(
         );
     }
     eng.run(&mut world);
-    let makespan = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "session")
-        .filter_map(|t| t.finished)
-        .max()
-        .map(|end| end.duration_since(measure_start).as_secs_f64())
-        .unwrap_or(0.0);
-    let fired = eng.events_fired();
-    (makespan, world, fired)
+    let makespan = makespan_since(&world, "session", measure_start);
+    (makespan, world, eng.events_fired())
 }
 
-/// Run the clean/faulted pair for one (mode, checkpoint interval) cell.
+/// Run the clean/faulted pair for one (mode, checkpoint interval) cell;
+/// returns the report and the faulted run's world.
 pub fn correlated_mode_run(
     strategy: &Strategy,
     ckpt_interval_s: Option<u64>,
     seed: u64,
-) -> CorrelatedOutageReport {
+) -> (CorrelatedOutageReport, FaasWorld) {
     let interval = ckpt_interval_s.map(SimDuration::from_secs);
     let (clean_makespan_s, _, _) = run_correlated_phase(strategy, interval, seed, false);
     let (faulted_makespan_s, world, events_fired) =
         run_correlated_phase(strategy, interval, seed, true);
-    let completed = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "session" && t.state == TaskState::Done)
-        .count();
-    let failed = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "session" && t.state == TaskState::Failed)
-        .count();
-    CorrelatedOutageReport {
+    let (completed, failed) = outcomes(&world, "session");
+    let report = CorrelatedOutageReport {
         mode: mode_label(strategy),
         checkpoint_interval_s: ckpt_interval_s,
         clean_makespan_s,
@@ -291,7 +250,8 @@ pub fn correlated_mode_run(
         mttr_s: world.monitor.mttr_s(),
         recovery: world.recovery.stats,
         events_fired,
-    }
+    };
+    (report, world)
 }
 
 /// Faulted correlated run plus a line-oriented trace (fault records +
@@ -301,26 +261,15 @@ pub fn traced_correlated_run(
     ckpt_interval_s: Option<u64>,
     seed: u64,
 ) -> (CorrelatedOutageReport, String) {
-    let report = correlated_mode_run(strategy, ckpt_interval_s, seed);
-    let interval = ckpt_interval_s.map(SimDuration::from_secs);
-    let (_, world, events_fired) = run_correlated_phase(strategy, interval, seed, true);
-    let mut trace = String::new();
-    trace.push_str(&format!(
-        "mode={} ckpt={:?} seed={} events_fired={}\n",
-        report.mode, ckpt_interval_s, seed, events_fired
-    ));
-    for r in &world.monitor.fault_records {
-        trace.push_str(&format!(
-            "fault t={:?} phase={:?} kind={} gpu={:?} worker={:?} detail={}\n",
-            r.t, r.phase, r.kind, r.gpu, r.worker, r.detail
-        ));
-    }
-    for t in world.dfk.tasks() {
-        trace.push_str(&format!(
-            "task id={:?} app={} state={:?} submitted={:?} finished={:?} attempts={}\n",
-            t.id, t.app, t.state, t.submitted, t.finished, t.attempts
-        ));
-    }
+    let (report, world) = correlated_mode_run(strategy, ckpt_interval_s, seed);
+    let trace = format!(
+        "mode={} ckpt={:?} seed={} events_fired={}\n{}",
+        report.mode,
+        ckpt_interval_s,
+        seed,
+        report.events_fired,
+        trace_rows(&world)
+    );
     (report, trace)
 }
 
@@ -330,7 +279,7 @@ pub fn measure_correlated(seed: u64) -> Vec<CorrelatedOutageReport> {
     let mut out = Vec::new();
     for strategy in [Strategy::MpsEqual, Strategy::MigEqual] {
         for interval in [None, Some(10), Some(30)] {
-            out.push(correlated_mode_run(&strategy, interval, seed));
+            out.push(correlated_mode_run(&strategy, interval, seed).0);
         }
     }
     out
@@ -348,58 +297,35 @@ pub fn traced_mode_run(
     completions: usize,
     seed: u64,
 ) -> (ModeFaultReport, String) {
-    let report = mode_report(strategy, procs, completions, seed);
-    // Re-run the faulted phase to harvest the world; run_phase is a pure
-    // function of (strategy, procs, completions, seed, inject).
-    let (_, world, events_fired) = run_phase(strategy, procs, completions, seed, true);
-    let mut trace = String::new();
-    trace.push_str(&format!(
-        "mode={} seed={} events_fired={}\n",
-        report.mode, seed, events_fired
-    ));
-    for r in &world.monitor.fault_records {
-        trace.push_str(&format!(
-            "fault t={:?} phase={:?} kind={} gpu={:?} worker={:?} detail={}\n",
-            r.t, r.phase, r.kind, r.gpu, r.worker, r.detail
-        ));
-    }
-    for t in world.dfk.tasks() {
-        trace.push_str(&format!(
-            "task id={:?} app={} state={:?} submitted={:?} finished={:?} attempts={}\n",
-            t.id, t.app, t.state, t.submitted, t.finished, t.attempts
-        ));
-    }
+    let (report, world) = mode_report(strategy, procs, completions, seed);
+    let trace = format!(
+        "mode={} seed={} events_fired={}\n{}",
+        report.mode,
+        seed,
+        report.events_fired,
+        trace_rows(&world)
+    );
     (report, trace)
 }
 
-/// Run the clean/faulted pair for one mode.
+/// Run the clean/faulted pair for one mode; returns the report and the
+/// faulted run's world.
 pub fn mode_report(
     strategy: &Strategy,
     procs: usize,
     completions: usize,
     seed: u64,
-) -> ModeFaultReport {
+) -> (ModeFaultReport, FaasWorld) {
     let (clean_makespan_s, _, _) = run_phase(strategy, procs, completions, seed, false);
     let (faulted_makespan_s, world, events_fired) =
         run_phase(strategy, procs, completions, seed, true);
-    let completed = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "chat" && t.state == TaskState::Done)
-        .count();
-    let failed = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "chat" && t.state == TaskState::Failed)
-        .count();
+    let (completed, failed) = outcomes(&world, "chat");
     let loss_pct = if clean_makespan_s > 0.0 {
         (faulted_makespan_s / clean_makespan_s - 1.0) * 100.0
     } else {
         0.0
     };
-    ModeFaultReport {
+    let report = ModeFaultReport {
         mode: mode_label(strategy),
         clean_makespan_s,
         faulted_makespan_s,
@@ -415,7 +341,8 @@ pub fn mode_report(
         },
         recovery: world.recovery.stats,
         events_fired,
-    }
+    };
+    (report, world)
 }
 
 /// Run all three modes with the same seed and schedule.
@@ -426,7 +353,7 @@ pub fn measure(procs: usize, completions: usize, seed: u64) -> FaultsReport {
         Strategy::TimeSharing,
     ]
     .iter()
-    .map(|s| mode_report(s, procs, completions, seed))
+    .map(|s| mode_report(s, procs, completions, seed).0)
     .collect();
     FaultsReport {
         seed,
@@ -446,8 +373,7 @@ pub fn run_and_write(
     seed: u64,
 ) -> std::io::Result<FaultsReport> {
     let report = measure(procs, completions, seed);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(dir.join("BENCH_faults.json"), json + "\n")?;
+    write_report(dir, "BENCH_faults.json", &report)?;
     Ok(report)
 }
 
@@ -468,8 +394,8 @@ mod tests {
     /// time-sharing lose one.
     #[test]
     fn mps_blast_radius_exceeds_mig() {
-        let mps = mode_report(&Strategy::MpsEqual, 4, 6, 99);
-        let mig = mode_report(&Strategy::MigEqual, 4, 6, 99);
+        let (mps, _) = mode_report(&Strategy::MpsEqual, 4, 6, 99);
+        let (mig, _) = mode_report(&Strategy::MigEqual, 4, 6, 99);
         assert!(
             mps.recovery.workers_lost >= 4,
             "MPS client fault takes all residents: {:?}",
@@ -498,8 +424,8 @@ mod tests {
     #[test]
     fn checkpointing_bounds_work_lost() {
         for strategy in [Strategy::MpsEqual, Strategy::MigEqual] {
-            let none = correlated_mode_run(&strategy, None, 99);
-            let ckpt = correlated_mode_run(&strategy, Some(10), 99);
+            let (none, _) = correlated_mode_run(&strategy, None, 99);
+            let (ckpt, _) = correlated_mode_run(&strategy, Some(10), 99);
             assert_eq!(none.recovery.tasks_resumed, 0, "{none:?}");
             assert_eq!(none.recovery.checkpoints_committed, 0, "{none:?}");
             assert!(ckpt.recovery.checkpoints_committed > 0, "{ckpt:?}");
@@ -523,8 +449,8 @@ mod tests {
     /// levels both at four workers.
     #[test]
     fn host_reboot_blast_radius_mps_vs_mig() {
-        let mps = correlated_mode_run(&Strategy::MpsEqual, None, 99);
-        let mig = correlated_mode_run(&Strategy::MigEqual, None, 99);
+        let (mps, _) = correlated_mode_run(&Strategy::MpsEqual, None, 99);
+        let (mig, _) = correlated_mode_run(&Strategy::MigEqual, None, 99);
         assert_eq!(mps.recovery.domain_outages, 1, "{mps:?}");
         assert_eq!(mig.recovery.domain_outages, 1, "{mig:?}");
         assert!(

@@ -29,8 +29,10 @@
 //! and periodic flash crowds (1 s every 7 s at 1.6×), so the fleet
 //! sweeps through under-load, saturation and queue-drain phases.
 
+use crate::report::write_report;
+use crate::scenarios::chain_arrivals;
 use parfait_core::{apply_plan, plan, Strategy};
-use parfait_faas::{boot, submit, AppCall, Config, ExecutorConfig, FaasWorld, TaskState};
+use parfait_faas::{boot, AppCall, Config, ExecutorConfig, FaasWorld, TaskState};
 use parfait_gpu::host::{GpuFleet, GpuHost};
 use parfait_gpu::{GpuSpec, KernelDesc};
 use parfait_simcore::{streams, Engine, SimDuration, SimRng};
@@ -178,28 +180,6 @@ fn fleet_call(pool: usize) -> AppCall {
     })
 }
 
-/// Schedule arrival `i` and, when it fires, the next one — the heap
-/// holds one pending arrival at a time instead of all of them. With
-/// ~10⁶ requests, preloading every boxed arrival closure costs hundreds
-/// of MB and makes every heap push/pop a cache miss; chaining keeps the
-/// heap at O(active devices + in-service work) so per-event cost stays
-/// independent of the *total* request count too.
-fn chain_arrival(
-    eng: &mut Engine<FaasWorld>,
-    arrivals: Vec<parfait_simcore::SimTime>,
-    i: usize,
-    pools: usize,
-) {
-    if i >= arrivals.len() {
-        return;
-    }
-    let at = arrivals[i];
-    eng.schedule_at(at, move |w: &mut FaasWorld, e| {
-        submit(w, e, fleet_call(i % pools));
-        chain_arrival(e, arrivals, i + 1, pools);
-    });
-}
-
 /// Run the fleet scenario once and reduce it to [`FleetRun`].
 pub fn run_fleet(gpus: usize, tasks: usize, seed: u64, optimized: bool) -> FleetRun {
     let (mut world, mut eng, pools) = build_platform(gpus, seed);
@@ -215,7 +195,7 @@ pub fn run_fleet(gpus: usize, tasks: usize, seed: u64, optimized: bool) -> Fleet
     let mut rng = SimRng::new(seed).split(streams::FLEET_ARRIVALS);
     let tr = trace::fleet(&mut rng, &arrival_shape(workers), tasks);
     boot(&mut world, &mut eng);
-    chain_arrival(&mut eng, tr.arrivals, 0, pools);
+    chain_arrivals(&mut eng, tr.arrivals, 0, move |i| fleet_call(i % pools));
     let t = Instant::now();
     eng.run(&mut world);
     let wall_s = t.elapsed().as_secs_f64();
@@ -308,8 +288,7 @@ pub fn run_and_write(
     seed: u64,
 ) -> std::io::Result<FleetReport> {
     let report = measure(gpus, tasks, seed);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(dir.join("BENCH_fleet.json"), json + "\n")?;
+    write_report(dir, "BENCH_fleet.json", &report)?;
     Ok(report)
 }
 

@@ -12,15 +12,17 @@
 //! the goodput the gray schedule costs. Every run is seeded, so
 //! `BENCH_gray.json` is bit-identical across runs of the same build.
 
-use crate::scenarios::{build_session_platform, mode_label};
+use crate::report::write_report;
+use crate::scenarios::{
+    app_tasks, build_platform, makespan_since, mode_label, outcomes, session_call, trace_rows,
+    warm_up,
+};
 use parfait_core::Strategy;
 use parfait_faas::{
-    boot, install_faults, resume_sampling, submit, AppCall, CheckpointPolicy, FaasWorld,
-    FailSlowConfig, FaultKind, FaultPhase, FaultPlan, GrayStats, TaskState,
+    install_faults, resume_sampling, submit, CheckpointPolicy, FaasWorld, FailSlowConfig,
+    FaultKind, FaultPhase, FaultPlan, GrayStats, TaskState,
 };
-use parfait_gpu::GpuSpec;
 use parfait_simcore::{SimDuration, SimTime};
-use parfait_workloads::{CompletionBody, LlmSpec};
 use serde::Serialize;
 
 /// Deployment shape: two GPUs, two workers per GPU, eight long chat
@@ -89,16 +91,6 @@ fn gray_plan(base: SimTime) -> FaultPlan {
                 duration: SimDuration::from_secs(FLAKY_DURATION_S),
             },
         )
-}
-
-/// A long-running chat session (~35 s of decode): 96 prompt tokens, 220
-/// generated. Long enough that an undetected zombie costs real goodput.
-fn session_call(llm: &LlmSpec, gpu_spec: &GpuSpec, app: &str) -> AppCall {
-    let llm = llm.clone();
-    let gpu_spec = gpu_spec.clone();
-    AppCall::new(app, "gpu", move |_| {
-        Box::new(CompletionBody::new(llm.clone(), gpu_spec.clone(), 96, 220))
-    })
 }
 
 /// The detection arms the benchmark sweeps.
@@ -211,7 +203,8 @@ pub struct GrayReport {
 
 /// Warm the session platform and run the measured phase under one
 /// detection arm, optionally with the gray schedule injected. Pure
-/// function of its arguments. Returns (world, events_fired).
+/// function of its arguments. Returns (world, events_fired,
+/// measurement start).
 fn run_gray_phase(
     strategy: &Strategy,
     detection: Detection,
@@ -219,21 +212,13 @@ fn run_gray_phase(
     inject: bool,
 ) -> (FaasWorld, u64, SimTime) {
     let (mut world, mut eng, llm, gpu_spec) =
-        build_session_platform(strategy, GRAY_GPUS, GRAY_PROCS_PER_GPU, seed);
+        build_platform(strategy, GRAY_GPUS, GRAY_PROCS_PER_GPU, seed);
     world.config.retries = 4;
     world.config.checkpoint = CheckpointPolicy::every(SimDuration::from_secs(CKPT_INTERVAL_S));
     detection.apply(&mut world);
-    boot(&mut world, &mut eng);
-    let workers = GRAY_GPUS * GRAY_PROCS_PER_GPU;
-    for _ in 0..workers {
-        submit(
-            &mut world,
-            &mut eng,
-            session_call(&llm, &gpu_spec, "warmup"),
-        );
-    }
-    eng.run(&mut world);
-    assert_eq!(world.dfk.failed_count(), 0, "warmup must be clean");
+    warm_up(&mut world, &mut eng, GRAY_GPUS * GRAY_PROCS_PER_GPU, || {
+        session_call(&llm, &gpu_spec, "warmup")
+    });
     let measure_start = eng.now();
     resume_sampling(&mut world, &mut eng);
     if inject {
@@ -256,28 +241,10 @@ fn run_gray_phase(
     (world, fired, measure_start)
 }
 
-/// Last session completion relative to `start` (s); 0 when none finished.
-fn makespan_s(world: &FaasWorld, start: SimTime) -> f64 {
-    world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "session")
-        .filter_map(|t| t.finished)
-        .max()
-        .map(|end| end.duration_since(start).as_secs_f64())
-        .unwrap_or(0.0)
-}
-
 /// Fraction of sessions done within the turnaround SLO.
 fn slo_attainment(world: &FaasWorld) -> f64 {
     let slo = SimDuration::from_secs(SLO_TURNAROUND_S);
-    let sessions: Vec<_> = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "session")
-        .collect();
+    let sessions: Vec<_> = app_tasks(world, "session").collect();
     if sessions.is_empty() {
         return 0.0;
     }
@@ -327,28 +294,25 @@ fn time_to_detect(
     best
 }
 
-/// Run the clean/faulted pair for one (mode × detection) cell.
-pub fn gray_cell(strategy: &Strategy, detection: Detection, seed: u64) -> GrayCellReport {
+/// Run the clean/faulted pair for one (mode × detection) cell; returns
+/// the report and the faulted run's world.
+pub fn gray_cell(
+    strategy: &Strategy,
+    detection: Detection,
+    seed: u64,
+) -> (GrayCellReport, FaasWorld) {
     let (clean_world, _, clean_start) = run_gray_phase(strategy, detection, seed, false);
     let (world, events_fired, start) = run_gray_phase(strategy, detection, seed, true);
-    let clean_makespan_s = makespan_s(&clean_world, clean_start);
-    let faulted_makespan_s = makespan_s(&world, start);
-    let sessions = |w: &FaasWorld, st: TaskState| {
-        w.dfk
-            .tasks()
-            .iter()
-            .filter(|t| t.app == "session" && t.state == st)
-            .count()
-    };
-    let completed = sessions(&world, TaskState::Done);
-    let failed = sessions(&world, TaskState::Failed);
+    let clean_makespan_s = makespan_since(&clean_world, "session", clean_start);
+    let faulted_makespan_s = makespan_since(&world, "session", start);
+    let (completed, failed) = outcomes(&world, "session");
     let unfinished = GRAY_SESSIONS - completed - failed;
     let window_s = if unfinished > 0 {
         HORIZON_S as f64
     } else {
         faulted_makespan_s
     };
-    GrayCellReport {
+    let report = GrayCellReport {
         mode: mode_label(strategy),
         detection: detection.label().to_string(),
         clean_makespan_s,
@@ -381,7 +345,8 @@ pub fn gray_cell(strategy: &Strategy, detection: Detection, seed: u64) -> GrayCe
         goodput_recovered_fraction: None, // filled in by `measure`
         gray: world.recovery.gray,
         events_fired,
-    }
+    };
+    (report, world)
 }
 
 /// Faulted gray run plus a line-oriented trace (fault records + task
@@ -391,31 +356,16 @@ pub fn traced_gray_run(
     detection: Detection,
     seed: u64,
 ) -> (GrayCellReport, String) {
-    let report = gray_cell(strategy, detection, seed);
-    // Re-run the faulted phase to harvest the world; run_gray_phase is a
-    // pure function of (strategy, detection, seed, inject).
-    let (world, events_fired, _) = run_gray_phase(strategy, detection, seed, true);
-    let mut trace = String::new();
-    trace.push_str(&format!(
-        "mode={} detection={} seed={} events_fired={}\n",
+    let (report, world) = gray_cell(strategy, detection, seed);
+    let trace = format!(
+        "mode={} detection={} seed={} events_fired={}\ngray={:?}\n{}",
         report.mode,
         detection.label(),
         seed,
-        events_fired
-    ));
-    trace.push_str(&format!("gray={:?}\n", world.recovery.gray));
-    for r in &world.monitor.fault_records {
-        trace.push_str(&format!(
-            "fault t={:?} phase={:?} kind={} gpu={:?} worker={:?} detail={}\n",
-            r.t, r.phase, r.kind, r.gpu, r.worker, r.detail
-        ));
-    }
-    for t in world.dfk.tasks() {
-        trace.push_str(&format!(
-            "task id={:?} app={} state={:?} submitted={:?} finished={:?} attempts={}\n",
-            t.id, t.app, t.state, t.submitted, t.finished, t.attempts
-        ));
-    }
+        report.events_fired,
+        world.recovery.gray,
+        trace_rows(&world)
+    );
     (report, trace)
 }
 
@@ -425,7 +375,7 @@ pub fn traced_gray_run(
 pub fn measure(seed: u64) -> GrayReport {
     let mut cells = Vec::new();
     for strategy in [Strategy::MpsEqual, Strategy::MigEqual] {
-        let arm = |d| gray_cell(&strategy, d, seed);
+        let arm = |d| gray_cell(&strategy, d, seed).0;
         let none = arm(Detection::NoDetection);
         let silence = arm(Detection::SilenceOnly);
         let mut pp = arm(Detection::ProgressPeer);
@@ -448,8 +398,7 @@ pub fn measure(seed: u64) -> GrayReport {
 /// Run the benchmark and write `BENCH_gray.json` into `dir`.
 pub fn run_and_write(dir: &std::path::Path, seed: u64) -> std::io::Result<GrayReport> {
     let report = measure(seed);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(dir.join("BENCH_gray.json"), json + "\n")?;
+    write_report(dir, "BENCH_gray.json", &report)?;
     Ok(report)
 }
 
@@ -472,7 +421,7 @@ mod tests {
     fn silence_only_watchdog_misses_zombies() {
         for strategy in [Strategy::MpsEqual, Strategy::MigEqual] {
             for d in [Detection::NoDetection, Detection::SilenceOnly] {
-                let cell = gray_cell(&strategy, d, 99);
+                let (cell, _) = gray_cell(&strategy, d, 99);
                 assert!(cell.gray.zombies_injected >= 1, "{cell:?}");
                 assert_eq!(cell.gray.progress_kills, 0, "{cell:?}");
                 assert_eq!(cell.gray.probations, 0, "{cell:?}");
@@ -526,7 +475,7 @@ mod tests {
     #[test]
     fn straggler_is_not_misread_as_worker_deaths() {
         for strategy in [Strategy::MpsEqual, Strategy::MigEqual] {
-            let cell = gray_cell(&strategy, Detection::ProgressPeer, 99);
+            let (cell, _) = gray_cell(&strategy, Detection::ProgressPeer, 99);
             assert_eq!(
                 cell.gray.progress_kills, 1,
                 "exactly the zombie, nothing else: {cell:?}"

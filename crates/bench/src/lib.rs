@@ -3,9 +3,9 @@
 //! # parfait-bench
 //!
 //! The benchmark harness: scenario builders regenerating every table and
-//! figure of the paper ([`scenarios`]), plus text/CSV rendering
-//! ([`report`]). The `repro` binary (`cargo run -p parfait-bench --bin
-//! repro -- <artifact>`) and the Criterion benches wrap these.
+//! figure of the paper ([`scenarios`]), plus text/CSV rendering and the
+//! `BENCH_*.json` writer ([`report`]). The `repro` binary (`cargo run -p
+//! parfait-bench --bin repro -- <artifact>`) wraps these.
 
 pub mod alloc;
 pub mod autoscale;

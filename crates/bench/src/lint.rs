@@ -5,6 +5,7 @@
 //! to the performance artifacts it protects: a BENCH number is only
 //! comparable across runs because these rules hold.
 
+use crate::report::write_report;
 use parfait_lint::{
     find_workspace_root, rules::CATALOG, run_workspace_opts, Baseline, LintOptions,
 };
@@ -141,8 +142,7 @@ pub fn measure(start: &Path) -> std::io::Result<LintReport> {
 /// Run the lint and write `BENCH_lint.json` into `dir`.
 pub fn run_and_write(dir: &Path) -> std::io::Result<LintReport> {
     let report = measure(dir)?;
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(dir.join("BENCH_lint.json"), json + "\n")?;
+    write_report(dir, "BENCH_lint.json", &report)?;
     Ok(report)
 }
 

@@ -19,15 +19,19 @@
 //! the same build; `tests/determinism.rs` byte-compares a protected
 //! cell across double runs.
 
-use crate::scenarios::{build_llama_platform, build_session_platform, chat_call, mode_label};
+use crate::report::write_report;
+use crate::scenarios::{
+    app_tasks, build_platform, chat_call, mean_service_s, mode_label, outcomes, trace_rows,
+    turnarounds, warm_up,
+};
 use parfait_core::Strategy;
 use parfait_faas::{
-    boot, enable_brownout, install_faults, resume_sampling, submit, AcceleratorSpec, AppCall,
-    BrownoutPolicy, FaasWorld, FaultKind, FaultPlan, HedgePolicy, OverloadStats, Percentiles,
-    RetryBudget, ShedPolicy, TaskState,
+    enable_brownout, install_faults, resume_sampling, submit, AcceleratorSpec, BrownoutPolicy,
+    FaasWorld, FaultKind, FaultPlan, HedgePolicy, OverloadStats, Percentiles, RetryBudget,
+    ShedPolicy,
 };
 use parfait_simcore::{streams, SimDuration, SimRng};
-use parfait_workloads::{trace, CompletionBody};
+use parfait_workloads::trace;
 use serde::Serialize;
 
 /// Workers sharing the A100 in the sweep (§5.2 deployment shape).
@@ -194,23 +198,11 @@ fn apply_protection(
 /// workers busy) from a warm run; the admission estimate and the
 /// deadline derive from this.
 pub fn measure_est(strategy: &Strategy, procs: usize, seed: u64) -> f64 {
-    let (mut world, mut eng, llm, gpu_spec) = build_llama_platform(strategy, procs, seed);
-    boot(&mut world, &mut eng);
-    for _ in 0..procs {
-        submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-    }
-    eng.run(&mut world);
-    assert_eq!(world.dfk.failed_count(), 0, "warmup must be clean");
-    let xs: Vec<f64> = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter_map(|t| match (t.started, t.finished) {
-            (Some(s), Some(f)) => Some(f.duration_since(s).as_secs_f64()),
-            _ => None,
-        })
-        .collect();
-    xs.iter().sum::<f64>() / xs.len() as f64
+    let (mut world, mut eng, llm, gpu_spec) = build_platform(strategy, 1, procs, seed);
+    warm_up(&mut world, &mut eng, procs, || {
+        chat_call(&llm, &gpu_spec, "warmup")
+    });
+    mean_service_s(&world)
 }
 
 /// Run one sweep cell: warm the platform, offer `requests` Poisson
@@ -225,15 +217,12 @@ fn run_cell(
     seed: u64,
 ) -> (OverloadCell, FaasWorld) {
     let procs = SWEEP_PROCS;
-    let (mut world, mut eng, llm, gpu_spec) = build_llama_platform(strategy, procs, seed);
+    let (mut world, mut eng, llm, gpu_spec) = build_platform(strategy, 1, procs, seed);
     world.config.retries = 2;
     let brownout = apply_protection(&mut world, protection, strategy, procs);
-    boot(&mut world, &mut eng);
-    for _ in 0..procs {
-        submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-    }
-    eng.run(&mut world);
-    assert_eq!(world.dfk.failed_count(), 0, "warmup must be clean");
+    warm_up(&mut world, &mut eng, procs, || {
+        chat_call(&llm, &gpu_spec, "warmup")
+    });
     let t0 = eng.now();
     resume_sampling(&mut world, &mut eng);
 
@@ -244,19 +233,12 @@ fn run_cell(
     let mut rng = SimRng::new(seed).split(streams::ARRIVAL_TRACE);
     let tr = trace::poisson(&mut rng, rate, requests);
     for a in &tr.arrivals {
-        let llm = llm.clone();
-        let gpu_spec = gpu_spec.clone();
+        let call = chat_call(&llm, &gpu_spec, "serve")
+            .with_deadline(deadline)
+            .with_est_service(est_service);
         let at = t0 + SimDuration::from_nanos(a.as_nanos());
         eng.schedule_at(at, move |w: &mut FaasWorld, e| {
-            submit(
-                w,
-                e,
-                AppCall::new("serve", "gpu", move |_| {
-                    Box::new(CompletionBody::paper_request(llm.clone(), gpu_spec.clone()))
-                })
-                .with_deadline(deadline)
-                .with_est_service(est_service),
-            );
+            submit(w, e, call);
         });
     }
     // The brownout controller winds down whenever everything is settled,
@@ -270,40 +252,18 @@ fn run_cell(
     eng.run(&mut world);
 
     let window = eng.now().duration_since(t0).as_secs_f64();
-    let serve: Vec<_> = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "serve")
-        .collect();
-    let latencies: Vec<f64> = serve
-        .iter()
-        .filter(|t| t.state == TaskState::Done)
-        .map(|t| {
-            t.finished
-                .expect("done")
-                .duration_since(t.submitted)
-                .as_secs_f64()
-        })
-        .collect();
+    let latencies = turnarounds(&world, "serve");
     let completed = latencies.len();
     let deadline_met = latencies
         .iter()
         .filter(|&&l| l <= deadline.as_secs_f64())
         .count();
-    let failed = serve
-        .iter()
-        .filter(|t| t.state == TaskState::Failed)
-        .count();
+    let (_, failed) = outcomes(&world, "serve");
     let stats = world.overload.stats;
     let admitted = requests - stats.tasks_rejected as usize;
     let time_in_queue_s = Percentiles::of(
-        serve
-            .iter()
-            .filter_map(|t| {
-                t.dispatched
-                    .map(|d| d.duration_since(t.submitted).as_secs_f64())
-            })
+        app_tasks(&world, "serve")
+            .filter_map(|t| Some(t.dispatched?.duration_since(t.submitted).as_secs_f64()))
             .collect(),
     );
     let cell = OverloadCell {
@@ -333,7 +293,7 @@ fn run_cell(
 /// 1/4 speed, eight spaced probes; hedging either off or on.
 pub fn straggler_run(strategy: &Strategy, hedged: bool, seed: u64) -> StragglerReport {
     let (mut world, mut eng, llm, gpu_spec) =
-        build_session_platform(strategy, STRAGGLER_GPUS, STRAGGLER_PROCS_PER_GPU, seed);
+        build_platform(strategy, STRAGGLER_GPUS, STRAGGLER_PROCS_PER_GPU, seed);
     world.config.retries = 2;
     if hedged {
         world.config.overload.hedge = Some(HedgePolicy {
@@ -342,23 +302,13 @@ pub fn straggler_run(strategy: &Strategy, hedged: bool, seed: u64) -> StragglerR
             cancel_latency: SimDuration::from_millis(50),
         });
     }
-    boot(&mut world, &mut eng);
-    let workers = STRAGGLER_GPUS * STRAGGLER_PROCS_PER_GPU;
-    for _ in 0..workers {
-        submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-    }
-    eng.run(&mut world);
-    assert_eq!(world.dfk.failed_count(), 0, "warmup must be clean");
-    let xs: Vec<f64> = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter_map(|t| match (t.started, t.finished) {
-            (Some(s), Some(f)) => Some(f.duration_since(s).as_secs_f64()),
-            _ => None,
-        })
-        .collect();
-    let est = xs.iter().sum::<f64>() / xs.len() as f64;
+    warm_up(
+        &mut world,
+        &mut eng,
+        STRAGGLER_GPUS * STRAGGLER_PROCS_PER_GPU,
+        || chat_call(&llm, &gpu_spec, "warmup"),
+    );
+    let est = mean_service_s(&world);
     let t0 = eng.now();
     resume_sampling(&mut world, &mut eng);
     install_faults(
@@ -380,33 +330,14 @@ pub fn straggler_run(strategy: &Strategy, hedged: bool, seed: u64) -> StragglerR
     // sweep covers that).
     let est_service = SimDuration::from_secs_f64(est);
     for i in 0..STRAGGLER_PROBES {
-        let llm = llm.clone();
-        let gpu_spec = gpu_spec.clone();
+        let call = chat_call(&llm, &gpu_spec, "probe").with_est_service(est_service);
         let at = t0 + SimDuration::from_secs_f64(1.2 * est * i as f64);
         eng.schedule_at(at, move |w: &mut FaasWorld, e| {
-            submit(
-                w,
-                e,
-                AppCall::new("probe", "gpu", move |_| {
-                    Box::new(CompletionBody::paper_request(llm.clone(), gpu_spec.clone()))
-                })
-                .with_est_service(est_service),
-            );
+            submit(w, e, call);
         });
     }
     eng.run(&mut world);
-    let latencies: Vec<f64> = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "probe" && t.state == TaskState::Done)
-        .map(|t| {
-            t.finished
-                .expect("done")
-                .duration_since(t.submitted)
-                .as_secs_f64()
-        })
-        .collect();
+    let latencies = turnarounds(&world, "probe");
     let completed = latencies.len();
     let p = Percentiles::of(latencies);
     StragglerReport {
@@ -461,24 +392,15 @@ pub fn traced_overload_run(seed: u64) -> (OverloadCell, String) {
     let strategy = Strategy::MpsEqual;
     let est = measure_est(&strategy, SWEEP_PROCS, seed);
     let (cell, world) = run_cell(&strategy, Protection::Full, 2.0, 40, est, seed);
-    let mut trace = String::new();
-    trace.push_str(&format!(
-        "mode={} protection={} load=2.0 seed={} events_fired={}\n",
-        cell.mode, cell.protection, seed, cell.events_fired
-    ));
-    trace.push_str(&format!("stats={:?}\n", world.overload.stats));
-    for r in &world.monitor.fault_records {
-        trace.push_str(&format!(
-            "fault t={:?} phase={:?} kind={} gpu={:?} worker={:?} detail={}\n",
-            r.t, r.phase, r.kind, r.gpu, r.worker, r.detail
-        ));
-    }
-    for t in world.dfk.tasks() {
-        trace.push_str(&format!(
-            "task id={:?} app={} state={:?} submitted={:?} finished={:?} attempts={}\n",
-            t.id, t.app, t.state, t.submitted, t.finished, t.attempts
-        ));
-    }
+    let trace = format!(
+        "mode={} protection={} load=2.0 seed={} events_fired={}\nstats={:?}\n{}",
+        cell.mode,
+        cell.protection,
+        seed,
+        cell.events_fired,
+        world.overload.stats,
+        trace_rows(&world)
+    );
     (cell, trace)
 }
 
@@ -489,8 +411,7 @@ pub fn run_and_write(
     seed: u64,
 ) -> std::io::Result<OverloadReport> {
     let report = measure(requests, seed);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(dir.join("BENCH_overload.json"), json + "\n")?;
+    write_report(dir, "BENCH_overload.json", &report)?;
     Ok(report)
 }
 

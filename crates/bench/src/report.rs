@@ -1,4 +1,18 @@
-//! Text-table and CSV rendering for the `repro` binary.
+//! Text-table and CSV rendering for the `repro` binary, and the one
+//! writer of its `BENCH_*.json` artifacts.
+
+use serde::Serialize;
+
+/// Write `report` as pretty-printed JSON (plus a trailing newline) to
+/// `dir/name`: the format of every committed `BENCH_*.json` artifact.
+pub fn write_report<T: Serialize>(
+    dir: &std::path::Path,
+    name: &str,
+    report: &T,
+) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(report).expect("report serializes");
+    std::fs::write(dir.join(name), json + "\n")
+}
 
 /// Render rows as an aligned text table.
 pub fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -3,19 +3,27 @@
 //! Every scenario constructs a fresh deterministic platform (fleet +
 //! executors + workloads), runs it to completion under the discrete-event
 //! engine, and reduces the run to the numbers the corresponding table or
-//! figure reports. The `repro` binary and the Criterion benches are thin
-//! wrappers over these functions.
+//! figure reports. The `repro` binary is a thin wrapper over these
+//! functions.
+//!
+//! The harness they share with the fault, gray-failure, overload, fleet
+//! and autoscale benchmarks has one function per job: [`build_platform`]
+//! builds the §5.2 deployment, [`warm_up`] warms its workers,
+//! [`chat_call`] and [`session_call`] are its two request shapes,
+//! [`app_tasks`], [`outcomes`], [`makespan_since`], [`turnarounds`] and
+//! [`mean_service_s`] reduce a finished run, [`trace_rows`] dumps it for
+//! the determinism tests, and [`chain_arrivals`] feeds an open-loop
+//! trace.
 
 use parfait_core::metrics::{self, ModeSummary};
 use parfait_core::{apply_plan, plan, resize_mps, weightcache, Strategy};
 use parfait_faas::{
     boot, resume_sampling, submit, AcceleratorSpec, AppCall, Config, ExecutorConfig, FaasWorld,
-    TaskState,
+    Percentiles, TaskRecord, TaskState,
 };
 use parfait_gpu::context::ColdStartModel;
 use parfait_gpu::host::GpuFleet;
 use parfait_gpu::{DeviceMode, GpuSpec, ShareConfig};
-use parfait_simcore::stats::OnlineStats;
 use parfait_simcore::{Engine, SimTime};
 use parfait_workloads::dnn::{exec, models};
 use parfait_workloads::llm::RequestProfile;
@@ -60,47 +68,19 @@ pub struct MultiplexResult {
     pub mean_utilization: f64,
 }
 
-/// Build the §5.2 deployment: `procs` LLaMa2-7B workers sharing one
-/// A100-80GB under `strategy`, ready to [`boot`]. Shared by the
-/// multiplexing scenarios and the fault-injection benchmark.
-pub fn build_llama_platform(
-    strategy: &Strategy,
-    procs: usize,
-    seed: u64,
-) -> (FaasWorld, Engine<FaasWorld>, LlmSpec, GpuSpec) {
-    let gpu_spec = GpuSpec::a100_80gb();
-    // §5.2 deployment: fp16 7B so four instances fit in 80 GB.
-    let llm = LlmSpec::llama2_7b(2);
-    let mut fleet = GpuFleet::new();
-    let g = fleet.add(gpu_spec.clone());
-    fleet
-        .device_mut(g)
-        .set_share_config(scenario_share_config());
-    let p = plan(&gpu_spec, 0, procs, strategy).expect("valid plan");
-    // A 4-way MIG split (1g.10gb) cannot hold a 16.6 GiB deployment; the
-    // paper reports numbers anyway, so we enable UVM oversubscription for
-    // MIG runs (documented in DESIGN.md §1, inconsistency 2).
-    if matches!(strategy, Strategy::MigEqual) {
-        fleet.device_mut(g).set_uvm(true);
-    }
-    let specs = apply_plan(&mut fleet, &p).expect("plan applies");
-    let config = Config::new(vec![ExecutorConfig::gpu("gpu", specs)]);
-    let world = FaasWorld::new(config, fleet, seed);
-    (world, Engine::new(), llm, gpu_spec)
-}
-
-/// Build the correlated-outage deployment: `gpus` A100-80GBs on one
-/// host, each partitioned into `procs_per_gpu` LLaMa2-7B workers under
-/// `strategy`, all feeding a single `"gpu"` executor. The fault-domain
-/// benchmark lays a [`parfait_faas::Topology`] over this fleet and
-/// reboots the host out from under it.
-pub fn build_session_platform(
+/// Build the §5.2 deployment: `gpus` A100-80GBs on one host, each
+/// partitioned into `procs_per_gpu` LLaMa2-7B workers under `strategy`,
+/// all feeding a single `"gpu"` executor, ready to [`warm_up`]. The
+/// multiplexing figures run it on one GPU; the correlated-outage, gray-
+/// failure and straggler benchmarks on two.
+pub fn build_platform(
     strategy: &Strategy,
     gpus: usize,
     procs_per_gpu: usize,
     seed: u64,
 ) -> (FaasWorld, Engine<FaasWorld>, LlmSpec, GpuSpec) {
     let gpu_spec = GpuSpec::a100_80gb();
+    // §5.2 deployment: fp16 7B so four instances fit in 80 GB.
     let llm = LlmSpec::llama2_7b(2);
     let mut fleet = GpuFleet::new();
     let mut specs = Vec::new();
@@ -110,8 +90,10 @@ pub fn build_session_platform(
             .device_mut(id)
             .set_share_config(scenario_share_config());
         let p = plan(&gpu_spec, g, procs_per_gpu, strategy).expect("valid plan");
-        // Same UVM concession as `build_llama_platform`: narrow MIG
-        // slices hold the deployment only with oversubscription.
+        // A 4-way MIG split (1g.10gb) cannot hold a 16.6 GiB deployment;
+        // the paper reports numbers anyway, so we enable UVM
+        // oversubscription for MIG runs (documented in DESIGN.md §1,
+        // inconsistency 2).
         if matches!(strategy, Strategy::MigEqual) {
             fleet.device_mut(id).set_uvm(true);
         }
@@ -122,6 +104,37 @@ pub fn build_session_platform(
     (world, Engine::new(), llm, gpu_spec)
 }
 
+/// Boot the platform and run `n` warm-up requests (`call()` each) to
+/// completion, so cold starts and model loads happen before measurement.
+/// Sampling is left paused: callers that measure utilization call
+/// [`resume_sampling`] themselves.
+///
+/// # Panics
+/// If any warm-up request failed; the message lists the task errors.
+pub fn warm_up(
+    world: &mut FaasWorld,
+    eng: &mut Engine<FaasWorld>,
+    n: usize,
+    call: impl Fn() -> AppCall,
+) {
+    boot(world, eng);
+    for _ in 0..n {
+        submit(world, eng, call());
+    }
+    eng.run(world);
+    assert_eq!(
+        world.dfk.failed_count(),
+        0,
+        "warm-up failed: {:?}",
+        world
+            .dfk
+            .tasks()
+            .iter()
+            .filter_map(|t| t.error.clone())
+            .collect::<Vec<_>>()
+    );
+}
+
 /// One paper-profile chat completion against the `"gpu"` executor.
 pub fn chat_call(llm: &LlmSpec, gpu_spec: &GpuSpec, app: &str) -> AppCall {
     let llm = llm.clone();
@@ -129,6 +142,140 @@ pub fn chat_call(llm: &LlmSpec, gpu_spec: &GpuSpec, app: &str) -> AppCall {
     AppCall::new(app, "gpu", move |_| {
         Box::new(CompletionBody::paper_request(llm.clone(), gpu_spec.clone()))
     })
+}
+
+/// A long-running chat session (~35 s of decode): 96 prompt tokens, 220
+/// generated. Long enough that a mid-flight host reboot or an undetected
+/// zombie costs real work.
+pub fn session_call(llm: &LlmSpec, gpu_spec: &GpuSpec, app: &str) -> AppCall {
+    let llm = llm.clone();
+    let gpu_spec = gpu_spec.clone();
+    AppCall::new(app, "gpu", move |_| {
+        Box::new(CompletionBody::new(llm.clone(), gpu_spec.clone(), 96, 220))
+    })
+}
+
+/// The tasks of `app`, in submission order.
+pub fn app_tasks<'w>(world: &'w FaasWorld, app: &'w str) -> impl Iterator<Item = &'w TaskRecord> {
+    world.dfk.tasks().iter().filter(move |t| t.app == app)
+}
+
+/// How many of `app`'s tasks are done, and how many failed.
+pub fn outcomes(world: &FaasWorld, app: &str) -> (usize, usize) {
+    let count = |st| app_tasks(world, app).filter(|t| t.state == st).count();
+    (count(TaskState::Done), count(TaskState::Failed))
+}
+
+/// Last finish among `app`'s tasks, in seconds after `start`; 0 when
+/// none finished.
+pub fn makespan_since(world: &FaasWorld, app: &str, start: SimTime) -> f64 {
+    app_tasks(world, app)
+        .filter_map(|t| t.finished)
+        .max()
+        .map_or(0.0, |end| end.duration_since(start).as_secs_f64())
+}
+
+/// Turnaround (submit → finish, s) of each of `app`'s done tasks, in
+/// submission order.
+pub fn turnarounds(world: &FaasWorld, app: &str) -> Vec<f64> {
+    app_tasks(world, app)
+        .filter(|t| t.state == TaskState::Done)
+        .map(|t| {
+            t.finished
+                .expect("done")
+                .duration_since(t.submitted)
+                .as_secs_f64()
+        })
+        .collect()
+}
+
+/// Mean service time (body start → finish, s) over every task that ran
+/// to an end. Read after [`warm_up`], it is the per-request estimate the
+/// overload benchmarks derive deadlines and hedge triggers from.
+pub fn mean_service_s(world: &FaasWorld) -> f64 {
+    let xs: Vec<f64> = world
+        .dfk
+        .tasks()
+        .iter()
+        .filter_map(|t| Some(t.finished?.duration_since(t.started?).as_secs_f64()))
+        .collect();
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// The fault records and task rows of a finished run, one line each —
+/// the body of every trace `tests/determinism.rs` byte-compares.
+pub fn trace_rows(world: &FaasWorld) -> String {
+    let mut trace = String::new();
+    for r in &world.monitor.fault_records {
+        trace.push_str(&format!(
+            "fault t={:?} phase={:?} kind={} gpu={:?} worker={:?} detail={}\n",
+            r.t, r.phase, r.kind, r.gpu, r.worker, r.detail
+        ));
+    }
+    for t in world.dfk.tasks() {
+        trace.push_str(&format!(
+            "task id={:?} app={} state={:?} submitted={:?} finished={:?} attempts={}\n",
+            t.id, t.app, t.state, t.submitted, t.finished, t.attempts
+        ));
+    }
+    trace
+}
+
+/// Schedule arrival `i` of an open-loop trace; when it fires it submits
+/// `call(i)` and chains arrival `i + 1`, so the heap holds one pending
+/// arrival at a time instead of all of them. With ~10⁶ requests,
+/// preloading every boxed arrival closure costs hundreds of MB and makes
+/// every heap push/pop a cache miss; chaining keeps the heap at
+/// O(active devices + in-service work), so per-event cost stays
+/// independent of the *total* request count too.
+pub fn chain_arrivals<F>(eng: &mut Engine<FaasWorld>, times: Vec<SimTime>, i: usize, call: F)
+where
+    F: Fn(usize) -> AppCall + 'static,
+{
+    if i >= times.len() {
+        return;
+    }
+    let at = times[i];
+    eng.schedule_at(at, move |w: &mut FaasWorld, e| {
+        submit(w, e, call(i));
+        chain_arrivals(e, times, i + 1, call);
+    });
+}
+
+/// One multiplexing cell: `procs` workers share one A100-80GB under
+/// `strategy`, are warmed with one request each, and then drain
+/// `requests` calls of `app` from the shared queue.
+fn multiplex(
+    strategy: &Strategy,
+    procs: usize,
+    requests: usize,
+    seed: u64,
+    app: &str,
+    call: impl Fn(&LlmSpec, &GpuSpec, &str) -> AppCall,
+) -> MultiplexResult {
+    let (mut world, mut eng, llm, gpu_spec) = build_platform(strategy, 1, procs, seed);
+    warm_up(&mut world, &mut eng, procs, || {
+        call(&llm, &gpu_spec, "warmup")
+    });
+    resume_sampling(&mut world, &mut eng);
+    for _ in 0..requests {
+        submit(&mut world, &mut eng, call(&llm, &gpu_spec, app));
+    }
+    eng.run(&mut world);
+    let lats = app_tasks(&world, app)
+        .filter(|t| t.state == TaskState::Done)
+        .filter_map(|t| Some(t.finished?.duration_since(t.started?).as_secs_f64()))
+        .collect();
+    MultiplexResult {
+        mode: mode_label(strategy),
+        procs,
+        completions: requests,
+        makespan_s: metrics::makespan(&world, app).map_or(0.0, |d| d.as_secs_f64()),
+        mean_latency_s: metrics::exec_latency(&world, app).mean(),
+        p95_latency_s: Percentiles::of(lats).map_or(0.0, |p| p.p95),
+        throughput: metrics::throughput(&world, app),
+        mean_utilization: world.monitor.mean_utilization(0),
+    }
 }
 
 /// Run the §5.2 multiplexing experiment: `procs` LLaMa2-7B chatbot
@@ -142,65 +289,7 @@ pub fn llama_multiplex(
     completions: usize,
     seed: u64,
 ) -> MultiplexResult {
-    let (mut world, mut eng, llm, gpu_spec) = build_llama_platform(strategy, procs, seed);
-    boot(&mut world, &mut eng);
-    // Warm-up: cold starts + model loads happen here.
-    for _ in 0..procs {
-        submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-    }
-    eng.run(&mut world);
-    assert_eq!(
-        world.dfk.failed_count(),
-        0,
-        "warmup failed: {:?}",
-        world
-            .dfk
-            .tasks()
-            .iter()
-            .filter_map(|t| t.error.clone())
-            .collect::<Vec<_>>()
-    );
-    // Measured phase.
-    resume_sampling(&mut world, &mut eng);
-    for _ in 0..completions {
-        submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "chat"));
-    }
-    eng.run(&mut world);
-    let lat = metrics::exec_latency(&world, "chat");
-    let mut hist = OnlineStats::new();
-    let mut lats: Vec<f64> = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "chat" && t.state == TaskState::Done)
-        .map(|t| {
-            t.finished
-                .expect("done")
-                .duration_since(t.started.expect("started"))
-                .as_secs_f64()
-        })
-        .collect();
-    lats.sort_by(f64::total_cmp);
-    for &l in &lats {
-        hist.record(l);
-    }
-    let p95 = if lats.is_empty() {
-        0.0
-    } else {
-        lats[((lats.len() as f64 * 0.95).ceil() as usize - 1).min(lats.len() - 1)]
-    };
-    MultiplexResult {
-        mode: mode_label(strategy),
-        procs,
-        completions,
-        makespan_s: metrics::makespan(&world, "chat")
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
-        mean_latency_s: lat.mean(),
-        p95_latency_s: p95,
-        throughput: metrics::throughput(&world, "chat"),
-        mean_utilization: world.monitor.mean_utilization(0),
-    }
+    multiplex(strategy, procs, completions, seed, "chat", chat_call)
 }
 
 /// Human label for a strategy.
@@ -235,9 +324,9 @@ pub fn fig2_point(llm: &LlmSpec, pct: u32, seed: u64) -> f64 {
     )]);
     let mut world = FaasWorld::new(config, fleet, seed);
     let mut eng = Engine::new();
-    boot(&mut world, &mut eng);
-    submit(&mut world, &mut eng, chat_call(llm, &gpu_spec, "warmup"));
-    eng.run(&mut world);
+    warm_up(&mut world, &mut eng, 1, || {
+        chat_call(llm, &gpu_spec, "warmup")
+    });
     for _ in 0..5 {
         submit(&mut world, &mut eng, chat_call(llm, &gpu_spec, "probe"));
     }
@@ -351,16 +440,13 @@ pub fn overheads(seed: u64) -> OverheadReport {
         (13.0e9 * 4.0) as u64,
     );
     let resize = |cache: bool| -> (f64, f64) {
-        let (mut world, mut eng, llm, gpu_spec) =
-            build_llama_platform(&Strategy::MpsEqual, 2, seed);
+        let (mut world, mut eng, llm, gpu_spec) = build_platform(&Strategy::MpsEqual, 1, 2, seed);
         if cache {
             weightcache::enable(&mut world);
         }
-        boot(&mut world, &mut eng);
-        for _ in 0..2 {
-            submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-        }
-        eng.run(&mut world);
+        warm_up(&mut world, &mut eng, 2, || {
+            chat_call(&llm, &gpu_spec, "warmup")
+        });
         // Baseline warm completion.
         submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "baseline"));
         eng.run(&mut world);
@@ -370,11 +456,8 @@ pub fn overheads(seed: u64) -> OverheadReport {
         resize_mps(&mut world, &mut eng, 0, &[75, 25]).expect("resize");
         submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "after"));
         eng.run(&mut world);
-        let first_done = world
-            .dfk
-            .tasks()
-            .iter()
-            .filter(|t| t.app == "after" && t.state == TaskState::Done)
+        let first_done = app_tasks(&world, "after")
+            .filter(|t| t.state == TaskState::Done)
             .filter_map(|t| t.finished)
             .min()
             .expect("post-resize completion");
@@ -438,28 +521,16 @@ pub fn resnet_multiplex(
     images: usize,
     seed: u64,
 ) -> MultiplexResult {
-    let gpu_spec = GpuSpec::a100_80gb();
     let model = models::resnet50();
-    let kernels = exec::inference_kernels(&model, &gpu_spec, 1);
+    let kernels = exec::inference_kernels(&model, &GpuSpec::a100_80gb(), 1);
     let weight_bytes = model.weight_bytes(4);
-    let mut fleet = GpuFleet::new();
-    let g = fleet.add(gpu_spec.clone());
-    fleet
-        .device_mut(g)
-        .set_share_config(scenario_share_config());
-    let p = plan(&gpu_spec, 0, procs, strategy).expect("valid plan");
-    let specs = apply_plan(&mut fleet, &p).expect("plan applies");
-    let config = Config::new(vec![ExecutorConfig::gpu("gpu", specs)]);
-    let mut world = FaasWorld::new(config, fleet, seed);
-    let mut eng = Engine::new();
-    boot(&mut world, &mut eng);
-    let mk = |app: &str| {
+    let profile = parfait_faas::ModelProfile {
+        id: 0x7e5_e71,
+        bytes: weight_bytes + parfait_gpu::GIB / 2,
+        shared_bytes: weight_bytes,
+    };
+    multiplex(strategy, procs, images, seed, "infer", |_, _, app| {
         let kernels = kernels.clone();
-        let profile = parfait_faas::ModelProfile {
-            id: 0x7e5_e71,
-            bytes: weight_bytes + parfait_gpu::GIB / 2,
-            shared_bytes: weight_bytes,
-        };
         AppCall::new(app, "gpu", move |_| {
             Box::new(
                 parfait_faas::app::bodies::KernelSeq::new(
@@ -469,54 +540,19 @@ pub fn resnet_multiplex(
                 .with_model(profile),
             )
         })
-    };
-    for _ in 0..procs {
-        submit(&mut world, &mut eng, mk("warmup"));
-    }
-    eng.run(&mut world);
-    assert_eq!(world.dfk.failed_count(), 0, "resnet warmup failed");
-    resume_sampling(&mut world, &mut eng);
-    for _ in 0..images {
-        submit(&mut world, &mut eng, mk("infer"));
-    }
-    eng.run(&mut world);
-    let lat = metrics::exec_latency(&world, "infer");
-    MultiplexResult {
-        mode: mode_label(strategy),
-        procs,
-        completions: images,
-        makespan_s: metrics::makespan(&world, "infer")
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
-        mean_latency_s: lat.mean(),
-        p95_latency_s: lat.max().unwrap_or(0.0),
-        throughput: metrics::throughput(&world, "infer"),
-        mean_utilization: world.monitor.mean_utilization(0),
-    }
+    })
 }
 
 /// Extension: the §3.2 text-vs-chat deployment comparison — same model,
 /// different request-length distributions, same MPS partition.
 pub fn chat_vs_text(procs: usize, requests: usize, seed: u64) -> Vec<(String, f64, f64)> {
-    let gpu_spec = GpuSpec::a100_80gb();
-    let llm = LlmSpec::llama2_7b(2);
     let mut out = Vec::new();
     for profile in [RequestProfile::text(), RequestProfile::chat()] {
-        let mut fleet = GpuFleet::new();
-        let g = fleet.add(gpu_spec.clone());
-        fleet
-            .device_mut(g)
-            .set_share_config(scenario_share_config());
-        let p = plan(&gpu_spec, 0, procs, &Strategy::MpsEqual).expect("plan");
-        let specs = apply_plan(&mut fleet, &p).expect("apply");
-        let config = Config::new(vec![ExecutorConfig::gpu("gpu", specs)]);
-        let mut world = FaasWorld::new(config, fleet, seed);
-        let mut eng = Engine::new();
-        boot(&mut world, &mut eng);
-        for _ in 0..procs {
-            submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-        }
-        eng.run(&mut world);
+        let (mut world, mut eng, llm, gpu_spec) =
+            build_platform(&Strategy::MpsEqual, 1, procs, seed);
+        warm_up(&mut world, &mut eng, procs, || {
+            chat_call(&llm, &gpu_spec, "warmup")
+        });
         let name = profile.name;
         for _ in 0..requests {
             let llm = llm.clone();
@@ -573,13 +609,10 @@ pub fn open_loop_serving(
     requests: usize,
     seed: u64,
 ) -> ServingResult {
-    let (mut world, mut eng, llm, gpu_spec) = build_llama_platform(strategy, procs, seed);
-    boot(&mut world, &mut eng);
-    for _ in 0..procs {
-        submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "warmup"));
-    }
-    eng.run(&mut world);
-    assert_eq!(world.dfk.failed_count(), 0, "warmup failed");
+    let (mut world, mut eng, llm, gpu_spec) = build_platform(strategy, 1, procs, seed);
+    warm_up(&mut world, &mut eng, procs, || {
+        chat_call(&llm, &gpu_spec, "warmup")
+    });
     // Generate the arrival trace and schedule submissions at those
     // offsets from "now".
     let mut rng = parfait_simcore::SimRng::new(seed).split(parfait_simcore::streams::ARRIVAL_TRACE);
@@ -587,32 +620,14 @@ pub fn open_loop_serving(
     let t0 = eng.now();
     resume_sampling(&mut world, &mut eng);
     for a in &tr.arrivals {
-        let llm = llm.clone();
-        let gpu_spec = gpu_spec.clone();
+        let call = chat_call(&llm, &gpu_spec, "serve");
         let at = t0 + parfait_simcore::SimDuration::from_nanos(a.as_nanos());
         eng.schedule_at(at, move |w: &mut FaasWorld, e| {
-            submit(
-                w,
-                e,
-                AppCall::new("serve", "gpu", move |_| {
-                    Box::new(CompletionBody::paper_request(llm.clone(), gpu_spec.clone()))
-                }),
-            );
+            submit(w, e, call);
         });
     }
     eng.run(&mut world);
-    let mut turns: Vec<f64> = world
-        .dfk
-        .tasks()
-        .iter()
-        .filter(|t| t.app == "serve" && t.state == TaskState::Done)
-        .map(|t| {
-            t.finished
-                .expect("done")
-                .duration_since(t.submitted)
-                .as_secs_f64()
-        })
-        .collect();
+    let mut turns = turnarounds(&world, "serve");
     turns.sort_by(f64::total_cmp);
     let n = turns.len();
     let mean = if n == 0 {
@@ -620,17 +635,54 @@ pub fn open_loop_serving(
     } else {
         turns.iter().sum::<f64>() / n as f64
     };
-    let p95 = if n == 0 {
-        0.0
-    } else {
-        turns[((n as f64 * 0.95).ceil() as usize - 1).min(n - 1)]
-    };
     let window = eng.now().duration_since(t0).as_secs_f64();
     ServingResult {
         mode: mode_label(strategy),
         offered_rate: rate_per_sec,
         achieved_rate: if window > 0.0 { n as f64 / window } else { 0.0 },
         mean_turnaround_s: mean,
-        p95_turnaround_s: p95,
+        p95_turnaround_s: Percentiles::of(turns).map_or(0.0, |p| p.p95),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sub-millisecond ResNet-50 kernels make time-shared services thrash
+    /// on context switches, while MPS and MIG run them side by side.
+    #[test]
+    fn resnet_spatial_sharing_scales_and_time_sharing_thrashes() {
+        let makespan = |s: Strategy, procs| resnet_multiplex(&s, procs, 200, SEED).makespan_s;
+        let single = makespan(Strategy::TimeSharing, 1);
+        let ts4 = makespan(Strategy::TimeSharing, 4);
+        assert!(ts4 > single, "4 time-shared {ts4} vs 1 service {single}");
+        for s in [Strategy::MpsEqual, Strategy::MigEqual] {
+            let label = mode_label(&s);
+            let spatial = makespan(s, 4);
+            assert!(
+                single / spatial > 2.5,
+                "4 {label} services {spatial} vs 1 service {single}"
+            );
+        }
+    }
+
+    /// The chat profile's longer requests cost more than twice the text
+    /// profile's mean latency on the same 4-way MPS split.
+    #[test]
+    fn chat_profile_is_slower_than_text() {
+        let rows = chat_vs_text(4, 60, SEED);
+        let mean = |name: &str| {
+            rows.iter()
+                .find(|r| r.0 == name)
+                .expect("profile present")
+                .1
+        };
+        assert!(
+            mean("chat") > 2.0 * mean("text"),
+            "chat {} vs text {}",
+            mean("chat"),
+            mean("text")
+        );
     }
 }

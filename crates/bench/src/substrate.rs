@@ -17,6 +17,7 @@
 //! - `contended_arbitration` — the 8-context × 50-kernel MPS trace
 //!   (arbitration recompute throughput, reported in kernels/sec).
 
+use crate::report::write_report;
 use parfait_gpu::host::{launch_kernel, GpuFleet, GpuHost};
 use parfait_gpu::{CtxBinding, CtxId, DeviceMode, GpuSpec, KernelDesc, KernelDone};
 use parfait_simcore::{Engine, SimTime};
@@ -345,8 +346,7 @@ pub fn measure() -> SubstrateReport {
 /// report for printing.
 pub fn run_and_write(dir: &std::path::Path) -> std::io::Result<SubstrateReport> {
     let report = measure();
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(dir.join("BENCH_substrate.json"), json + "\n")?;
+    write_report(dir, "BENCH_substrate.json", &report)?;
     Ok(report)
 }
 

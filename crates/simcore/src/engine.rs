@@ -443,15 +443,6 @@ impl<W> Engine<W> {
         }
     }
 
-    /// Run at most `max_events` events; returns how many fired.
-    pub fn run_steps(&mut self, world: &mut W, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events && self.step(world) {
-            n += 1;
-        }
-        n
-    }
-
     /// Capacity of the event slab (live + reusable slots). Grows to the
     /// high-water mark of simultaneously scheduled events; reclaim it
     /// with [`Engine::shrink_to_fit`].

@@ -27,9 +27,8 @@
 //!   the workloads need (exponential, normal, lognormal, Pareto, Zipf).
 //! * [`streams`] — the central registry of RNG stream ids; every
 //!   `SimRng::split` site must name one of its constants (lint rule D3).
-//! * [`resource`] — FIFO and processor-sharing resources for modelling CPU
-//!   pools and queues.
-//! * [`stats`] — streaming statistics, histograms and time-weighted gauges.
+//! * [`resource`] — a processor-sharing pool for modelling CPU pools.
+//! * [`stats`] — streaming statistics and time-weighted gauges.
 //! * [`timeline`] — named-interval recorder behind the paper's Fig. 3.
 
 pub mod engine;

@@ -1,90 +1,12 @@
 //! Shared-resource primitives.
 //!
-//! * [`FifoResource`] — counted capacity with a FIFO wait queue of
-//!   continuations; used for worker slots and bounded queues.
-//! * [`PsPool`] — an egalitarian processor-sharing pool; used for the CPU
-//!   side of the testbed (24 Xeon cores serving a variable task population).
-//!
-//! Both are *passive* state machines: they never call the engine themselves.
-//! The owner pops ready continuations / completion deadlines and schedules
-//! events, which keeps borrow scopes trivially correct.
+//! [`PsPool`] is an egalitarian processor-sharing pool; it models the CPU
+//! side of the testbed (24 Xeon cores serving a variable task population).
+//! It is a *passive* state machine: it never calls the engine itself. The
+//! owner pops completion deadlines and schedules events, which keeps
+//! borrow scopes trivially correct.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
-
-/// Counted resource with a FIFO queue of waiting continuations.
-///
-/// `C` is whatever the caller wants to resume with — usually a boxed
-/// closure over the world type.
-#[derive(Debug)]
-pub struct FifoResource<C> {
-    capacity: usize,
-    in_use: usize,
-    waiting: VecDeque<C>,
-}
-
-impl<C> FifoResource<C> {
-    /// A resource with `capacity` concurrent slots.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "resource capacity must be positive");
-        FifoResource {
-            capacity,
-            in_use: 0,
-            waiting: VecDeque::new(),
-        }
-    }
-
-    /// Total slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Slots currently held.
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Continuations currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Acquire a slot immediately if one is free. Returns `true` on
-    /// success; the caller then proceeds synchronously.
-    pub fn try_acquire(&mut self) -> bool {
-        if self.in_use < self.capacity {
-            self.in_use += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Acquire now (returning `true`) or enqueue `cont` to be resumed when
-    /// a slot frees (returning `false`).
-    pub fn acquire_or_wait(&mut self, cont: C) -> bool {
-        if self.try_acquire() {
-            true
-        } else {
-            self.waiting.push_back(cont);
-            false
-        }
-    }
-
-    /// Release one slot. If a waiter exists it *keeps* the slot and its
-    /// continuation is returned for the caller to run; otherwise the slot
-    /// becomes free and `None` is returned.
-    pub fn release(&mut self) -> Option<C> {
-        assert!(self.in_use > 0, "release without acquire");
-        match self.waiting.pop_front() {
-            Some(c) => Some(c), // slot transfers to the waiter
-            None => {
-                self.in_use -= 1;
-                None
-            }
-        }
-    }
-}
 
 /// Job identifier inside a [`PsPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -218,32 +140,6 @@ impl PsPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fifo_counts_and_transfers() {
-        let mut r: FifoResource<&'static str> = FifoResource::new(2);
-        assert!(r.try_acquire());
-        assert!(r.try_acquire());
-        assert!(!r.try_acquire());
-        assert!(!r.acquire_or_wait("w1"));
-        assert!(!r.acquire_or_wait("w2"));
-        assert_eq!(r.queue_len(), 2);
-        // release hands the slot to w1
-        assert_eq!(r.release(), Some("w1"));
-        assert_eq!(r.in_use(), 2);
-        assert_eq!(r.release(), Some("w2"));
-        assert_eq!(r.release(), None);
-        assert_eq!(r.in_use(), 1);
-        assert_eq!(r.release(), None);
-        assert_eq!(r.in_use(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "release without acquire")]
-    fn fifo_release_unheld_panics() {
-        let mut r: FifoResource<()> = FifoResource::new(1);
-        let _ = r.release();
-    }
 
     #[test]
     fn ps_single_job_runs_at_one_core() {

@@ -1,11 +1,9 @@
 //! Streaming statistics for simulation outputs.
 //!
-//! Three collectors cover everything the figure harness needs:
+//! Two collectors cover everything the figure harness needs:
 //!
 //! * [`OnlineStats`] — Welford mean/variance with min/max, for latency and
 //!   completion-time series.
-//! * [`DurationHistogram`] — log-bucketed histogram over [`SimDuration`]s
-//!   with percentile queries (P50/P95/P99 of request latency).
 //! * [`TimeWeighted`] — a gauge integrated over virtual time, for
 //!   utilization ("SMs busy", "memory allocated") where *how long* a value
 //!   held matters, not how often it was sampled.
@@ -118,103 +116,6 @@ impl OnlineStats {
     }
 }
 
-/// Log-bucketed histogram over durations.
-///
-/// Buckets grow geometrically from 1 µs; with `GROWTH = 2^(1/8)` the
-/// relative quantile error is bounded by ~9 %, plenty for shape checks.
-#[derive(Debug, Clone, Serialize)]
-pub struct DurationHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    underflow: u64,
-}
-
-const HIST_BASE_NS: f64 = 1_000.0; // 1 µs
-const HIST_BUCKETS: usize = 400; // covers up to ~1 µs * 2^(400/8) ≈ 10^9 s
-const HIST_LOG_GROWTH: f64 = 0.086_643_397_569_993_16; // ln(2)/8
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DurationHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        DurationHistogram {
-            counts: vec![0; HIST_BUCKETS],
-            total: 0,
-            underflow: 0,
-        }
-    }
-
-    fn bucket_of(d: SimDuration) -> Option<usize> {
-        let ns = d.as_nanos() as f64;
-        if ns < HIST_BASE_NS {
-            return None;
-        }
-        let idx = ((ns / HIST_BASE_NS).ln() / HIST_LOG_GROWTH) as usize;
-        Some(idx.min(HIST_BUCKETS - 1))
-    }
-
-    fn bucket_upper(idx: usize) -> SimDuration {
-        let ns = HIST_BASE_NS * ((idx + 1) as f64 * HIST_LOG_GROWTH).exp();
-        SimDuration::from_nanos(ns as u64)
-    }
-
-    /// Record one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        self.total += 1;
-        match Self::bucket_of(d) {
-            Some(i) => self.counts[i] += 1,
-            None => self.underflow += 1,
-        }
-    }
-
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate quantile `q` in `[0, 1]` (None when empty). Returned as
-    /// the upper edge of the containing bucket, so it never underestimates
-    /// by more than one bucket's width.
-    pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = self.underflow;
-        if seen >= rank {
-            return Some(SimDuration::from_nanos(HIST_BASE_NS as u64));
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::bucket_upper(i));
-            }
-        }
-        Some(Self::bucket_upper(HIST_BUCKETS - 1))
-    }
-
-    /// Median.
-    pub fn p50(&self) -> Option<SimDuration> {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&self) -> Option<SimDuration> {
-        self.quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> Option<SimDuration> {
-        self.quantile(0.99)
-    }
-}
-
 /// A gauge integrated over virtual time.
 ///
 /// `set(t, v)` records that the gauge held its previous value up to `t` and
@@ -323,27 +224,6 @@ mod tests {
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
         assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_truth() {
-        let mut h = DurationHistogram::new();
-        for ms in 1..=1000u64 {
-            h.record(SimDuration::from_millis(ms));
-        }
-        let p50 = h.p50().unwrap().as_millis_f64();
-        let p99 = h.p99().unwrap().as_millis_f64();
-        assert!((450.0..=560.0).contains(&p50), "p50={p50}");
-        assert!((900.0..=1100.0).contains(&p99), "p99={p99}");
-    }
-
-    #[test]
-    fn histogram_empty_and_tiny() {
-        let mut h = DurationHistogram::new();
-        assert_eq!(h.quantile(0.5), None);
-        h.record(SimDuration::from_nanos(10)); // below 1 µs → underflow bucket
-        assert_eq!(h.count(), 1);
-        assert!(h.p50().unwrap() <= SimDuration::from_micros(1));
     }
 
     #[test]

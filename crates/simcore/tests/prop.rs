@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation substrate.
 
 use parfait_simcore::resource::PsPool;
-use parfait_simcore::stats::{DurationHistogram, OnlineStats, TimeWeighted};
+use parfait_simcore::stats::{OnlineStats, TimeWeighted};
 use parfait_simcore::timeline::Timeline;
 use parfait_simcore::{Engine, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -98,18 +98,6 @@ proptest! {
         prop_assert!((s.variance() - var).abs() < 1e-4 * (1.0 + var));
         prop_assert_eq!(s.min().unwrap(), xs.iter().copied().fold(f64::INFINITY, f64::min));
         prop_assert_eq!(s.max().unwrap(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-    }
-
-    /// Histogram quantiles are monotone in q and bracket the data range.
-    #[test]
-    fn histogram_quantiles_monotone(ms in proptest::collection::vec(1u64..1_000_000, 1..300)) {
-        let mut h = DurationHistogram::new();
-        for &m in &ms {
-            h.record(SimDuration::from_micros(m));
-        }
-        let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
-        let vals: Vec<_> = qs.iter().map(|&q| h.quantile(q).unwrap()).collect();
-        prop_assert!(vals.windows(2).all(|p| p[0] <= p[1]));
     }
 
     /// Processor sharing conserves work: total service delivered equals
