@@ -19,8 +19,8 @@ use crate::scenarios::{
 };
 use parfait_core::Strategy;
 use parfait_faas::{
-    install_faults, resume_sampling, submit, CheckpointPolicy, FaasWorld, FailSlowConfig,
-    FaultKind, FaultPhase, FaultPlan, GrayStats, TaskState,
+    install_faults, resume_sampling, submit, CheckpointPolicy, FaasWorld, FaultKind, FaultPhase,
+    FaultPlan, GrayStats, TaskState,
 };
 use parfait_simcore::{SimDuration, SimTime};
 use serde::Serialize;
@@ -124,13 +124,13 @@ impl Detection {
             Detection::ProgressPeer => {
                 world.config.recovery.progress_timeout =
                     Some(SimDuration::from_secs(PROGRESS_TIMEOUT_S));
-                // The defaults fit this deployment: the uncontended
-                // canary (8-block probe kernel + 1 GiB link probe on an
-                // A100's 2.5 GB/s effective link) takes ≈0.53 s healthy,
-                // inside the 500 ms × 1.6 envelope, while a 4× link
-                // degradation (≈1.8 s) or a still-straggled device at
-                // probe time falls well outside it.
-                world.config.recovery.fail_slow = Some(FailSlowConfig::default());
+                // The fail-slow constants fit this deployment: the
+                // uncontended canary (8-block probe kernel + 1 GiB link
+                // probe on an A100's 2.5 GB/s effective link) takes
+                // ≈0.53 s healthy, inside the 500 ms × 1.6 envelope, while
+                // a 4× link degradation (≈1.8 s) or a still-straggled
+                // device at probe time falls well outside it.
+                world.config.recovery.fail_slow = true;
             }
         }
     }

@@ -26,9 +26,8 @@ use crate::scenarios::{
 };
 use parfait_core::Strategy;
 use parfait_faas::{
-    enable_brownout, install_faults, resume_sampling, submit, AcceleratorSpec, BrownoutPolicy,
-    FaasWorld, FaultKind, FaultPlan, HedgePolicy, OverloadStats, Percentiles, RetryBudget,
-    ShedPolicy,
+    enable_brownout, install_faults, resume_sampling, submit, AcceleratorSpec, FaasWorld,
+    FaultKind, FaultPlan, HedgePolicy, OverloadStats, Percentiles, RetryBudget, ShedPolicy,
 };
 use parfait_simcore::{streams, SimDuration, SimRng};
 use parfait_workloads::trace;
@@ -148,14 +147,14 @@ pub struct OverloadReport {
 }
 
 /// Configure the world's overload knobs for a protection level. Returns
-/// the brownout policy to install once traffic is flowing (empty tier ⇒
+/// the brownout tier to install once traffic is flowing (empty tier ⇒
 /// nothing to install).
 fn apply_protection(
     world: &mut FaasWorld,
     protection: Protection,
     strategy: &Strategy,
     procs: usize,
-) -> Option<BrownoutPolicy> {
+) -> Option<Vec<AcceleratorSpec>> {
     if protection == Protection::None {
         return None;
     }
@@ -184,14 +183,7 @@ fn apply_protection(
         ],
         _ => Vec::new(),
     };
-    (!degraded.is_empty()).then(|| BrownoutPolicy {
-        period: SimDuration::from_secs(5),
-        pressure_high: 2.0,
-        pressure_low: 0.5,
-        engage_after: 2,
-        release_after: 2,
-        degraded,
-    })
+    (!degraded.is_empty()).then_some(degraded)
 }
 
 /// Measure the per-request service time (body start → finish, all
@@ -243,10 +235,10 @@ fn run_cell(
     }
     // The brownout controller winds down whenever everything is settled,
     // so it starts with the traffic, just after the first arrival lands.
-    if let (Some(policy), Some(first)) = (brownout, tr.arrivals.first().copied()) {
+    if let (Some(degraded), Some(first)) = (brownout, tr.arrivals.first().copied()) {
         let at = t0 + SimDuration::from_nanos(first.as_nanos()) + SimDuration::from_millis(1);
         eng.schedule_at(at, move |w: &mut FaasWorld, e| {
-            enable_brownout(w, e, 0, policy.clone());
+            enable_brownout(w, e, 0, degraded);
         });
     }
     eng.run(&mut world);

@@ -21,7 +21,7 @@ use parfait_faas::{
     boot, resume_sampling, submit, AcceleratorSpec, AppCall, Config, ExecutorConfig, FaasWorld,
     Percentiles, TaskRecord, TaskState,
 };
-use parfait_gpu::context::ColdStartModel;
+use parfait_gpu::context;
 use parfait_gpu::host::GpuFleet;
 use parfait_gpu::{DeviceMode, GpuSpec, ShareConfig};
 use parfait_simcore::{Engine, SimTime};
@@ -431,11 +431,10 @@ pub struct OverheadReport {
 /// Measure §6: cold-start decomposition and the MPS-resize penalty, with
 /// and without the §7 weight cache.
 pub fn overheads(seed: u64) -> OverheadReport {
-    let cold = ColdStartModel::default();
     let spec = GpuSpec::a100_80gb();
-    let b7 = cold.mean(Some(&spec), LlmSpec::llama2_7b(4).weight_bytes());
-    let b13 = cold.mean(
-        Some(&spec),
+    let b7 = context::mean(&spec, LlmSpec::llama2_7b(4).weight_bytes());
+    let b13 = context::mean(
+        &spec,
         // single-GPU fp32 13B image (what §6's "10-20 s" refers to).
         (13.0e9 * 4.0) as u64,
     );

@@ -11,7 +11,6 @@
 
 use crate::planner::{equal_mig_profile, Strategy};
 use crate::reconfig::{estimate_mig_reconfig_cost, estimate_mps_resize_cost};
-use parfait_gpu::context::ColdStartModel;
 use parfait_gpu::mig::profile_catalog;
 use parfait_gpu::GpuSpec;
 use serde::Serialize;
@@ -88,11 +87,7 @@ pub fn recommend_strategy(spec: &GpuSpec, req: &TenancyRequirements) -> Strategy
                         "MIG {profile} gives {sms} SMs / {mem} B per tenant — enough"
                     ));
                     if req.resize_rate_hz > 0.01 {
-                        let cost = estimate_mig_reconfig_cost(
-                            spec,
-                            &ColdStartModel::default(),
-                            req.footprint_bytes,
-                        );
+                        let cost = estimate_mig_reconfig_cost(spec, req.footprint_bytes);
                         caveats.push(format!(
                             "frequent resizing: each MIG change resets the GPU and restarts all tenants \
                              (§6; ≈{:.1}s outage, {:.0}s/hour at this rate)",
@@ -136,9 +131,8 @@ pub fn recommend_strategy(spec: &GpuSpec, req: &TenancyRequirements) -> Strategy
         ));
     }
     if req.resize_rate_hz > 0.01 {
-        let cold = ColdStartModel::default();
-        let stock = estimate_mps_resize_cost(spec, &cold, req.footprint_bytes, false);
-        let cached = estimate_mps_resize_cost(spec, &cold, req.footprint_bytes, true);
+        let stock = estimate_mps_resize_cost(spec, req.footprint_bytes, false);
+        let cached = estimate_mps_resize_cost(spec, req.footprint_bytes, true);
         rationale.push(format!(
             "frequent resizing favours MPS: restart one process, not the GPU \
              (≈{:.1}s per resize, {:.1}s with the §7 weight cache)",

@@ -44,7 +44,7 @@ use parfait_faas::{
     auto_respawn, begin_drain, gpu_quarantined, kill_worker, quarantine_gpu, reconfig_commit_fails,
     respawn_worker, AcceleratorSpec, FaasWorld, FaultPhase, WorkerState,
 };
-use parfait_gpu::{DeviceMode, GpuId};
+use parfait_gpu::{context, DeviceMode, GpuId};
 use parfait_simcore::{Engine, SimDuration, SimTime};
 use serde::Serialize;
 
@@ -133,14 +133,13 @@ pub struct ReconfigReport {
 /// context) plus either a full weight reload or a §7 cache re-bind.
 pub fn estimate_mps_resize_cost(
     spec: &parfait_gpu::GpuSpec,
-    cold: &parfait_gpu::context::ColdStartModel,
     model_bytes: u64,
     weight_cache_hit: bool,
 ) -> SimDuration {
     let b = if weight_cache_hit {
-        cold.mean_with_cache_hit(Some(spec))
+        context::mean_with_cache_hit()
     } else {
-        cold.mean(Some(spec), model_bytes)
+        context::mean(spec, model_bytes)
     };
     b.total()
 }
@@ -149,12 +148,8 @@ pub fn estimate_mps_resize_cost(
 /// tenant restart. Restarts proceed in parallel across tenants, each
 /// reloading its own weights, so the outage is reset + one cold start —
 /// and the reset wipes the §7 weight cache, so there are no cache hits.
-pub fn estimate_mig_reconfig_cost(
-    spec: &parfait_gpu::GpuSpec,
-    cold: &parfait_gpu::context::ColdStartModel,
-    model_bytes: u64,
-) -> SimDuration {
-    MIG_RESET_TIME + cold.mean(Some(spec), model_bytes).total()
+pub fn estimate_mig_reconfig_cost(spec: &parfait_gpu::GpuSpec, model_bytes: u64) -> SimDuration {
+    MIG_RESET_TIME + context::mean(spec, model_bytes).total()
 }
 
 /// Workers currently bound to a GPU (any state but Dead).
@@ -561,16 +556,14 @@ fn respawn_victims(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfait_gpu::context::ColdStartModel;
     use parfait_gpu::GpuSpec;
 
     #[test]
     fn resize_estimates_match_paper_bands() {
         let spec = GpuSpec::a100_80gb();
-        let cold = ColdStartModel::default();
         let fp16_7b = 7_000_000_000u64 * 2;
-        let stock = estimate_mps_resize_cost(&spec, &cold, fp16_7b, false).as_secs_f64();
-        let cached = estimate_mps_resize_cost(&spec, &cold, fp16_7b, true).as_secs_f64();
+        let stock = estimate_mps_resize_cost(&spec, fp16_7b, false).as_secs_f64();
+        let cached = estimate_mps_resize_cost(&spec, fp16_7b, true).as_secs_f64();
         // §6: restart with reload lands in the ~8-20 s band; the cache
         // collapses it to process startup (~2.5 s).
         assert!((7.0..=20.0).contains(&stock), "stock {stock}");
@@ -581,10 +574,9 @@ mod tests {
     #[test]
     fn mig_estimate_exceeds_mps_by_the_reset() {
         let spec = GpuSpec::a100_80gb();
-        let cold = ColdStartModel::default();
         let fp16_7b = 7_000_000_000u64 * 2;
-        let mps = estimate_mps_resize_cost(&spec, &cold, fp16_7b, false);
-        let mig = estimate_mig_reconfig_cost(&spec, &cold, fp16_7b);
+        let mps = estimate_mps_resize_cost(&spec, fp16_7b, false);
+        let mig = estimate_mig_reconfig_cost(&spec, fp16_7b);
         assert_eq!(mig, MIG_RESET_TIME + mps, "MIG = reset + full restart");
     }
 }

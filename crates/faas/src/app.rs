@@ -117,9 +117,6 @@ pub struct AppCall {
     pub make_body: BodyFactory,
     /// Tasks that must complete successfully first.
     pub depends_on: Vec<TaskId>,
-    /// Serialized argument payload size (drives the wire-dispatch latency
-    /// of [`crate::wire::WireCodec`]). Defaults to a small pickled tuple.
-    pub payload_bytes: usize,
     /// Per-attempt execution walltime limit (Parsl's `walltime` app
     /// option). The worker kills the attempt when it expires; retries
     /// apply as for any failure.
@@ -150,7 +147,6 @@ impl AppCall {
             executor: executor.into(),
             make_body: Rc::new(make_body),
             depends_on: Vec::new(),
-            payload_bytes: 2 * 1024,
             walltime: None,
             deadline: None,
             priority: 0,
@@ -161,13 +157,6 @@ impl AppCall {
     /// Add dependencies.
     pub fn after(mut self, deps: &[TaskId]) -> Self {
         self.depends_on.extend_from_slice(deps);
-        self
-    }
-
-    /// Set the serialized argument payload size (e.g. a closed-over
-    /// numpy array).
-    pub fn with_payload(mut self, bytes: usize) -> Self {
-        self.payload_bytes = bytes;
         self
     }
 

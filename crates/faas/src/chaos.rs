@@ -333,7 +333,7 @@ pub fn chaos_platform(s: &ChaosSchedule) -> (FaasWorld, Engine<FaasWorld>) {
         hedge: Some(HedgePolicy::default()),
     };
     config.recovery.progress_timeout = Some(SimDuration::from_secs(10));
-    config.recovery.fail_slow = Some(crate::config::FailSlowConfig::default());
+    config.recovery.fail_slow = true;
     let mut fleet = GpuFleet::new();
     for _ in 0..s.gpus {
         let g = fleet.add(GpuSpec::a100_80gb());

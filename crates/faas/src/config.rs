@@ -8,8 +8,6 @@
 //! `parfait-core` (the paper's contribution); this layer consumes the
 //! resolved [`AcceleratorSpec`]s.
 
-use crate::wire::WireCodec;
-use parfait_gpu::context::ColdStartModel;
 use parfait_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -151,18 +149,10 @@ pub struct Config {
     pub executors: Vec<ExecutorConfig>,
     /// Task retry budget on failure (`retries=1` in Listing 1).
     pub retries: u32,
-    /// Cold-start model applied to new worker processes.
-    pub cold_start: ColdStartModel,
-    /// Task-dispatch serialization/transport model.
-    pub wire: WireCodec,
-    /// Physical cores on the node (the paper's testbed has 24 Xeon
-    /// cores). CPU steps slow down proportionally when more workers are
-    /// simultaneously compute-bound than there are cores.
-    pub node_cores: usize,
     /// Sampling period for node/GPU monitoring records (None = off).
     pub monitoring_period: Option<SimDuration>,
-    /// Failure detection and recovery parameters (heartbeat watchdog,
-    /// retry backoff, restart budget, per-GPU circuit breaker).
+    /// Failure detection and recovery parameters (heartbeat timeout,
+    /// restart budget, per-GPU circuit breaker, gray-failure detection).
     pub recovery: RecoveryConfig,
     /// Physical placement of the GPU fleet (GPU → host → rack). Drives
     /// the blast radius of correlated faults ([`crate::FaultKind::HostReboot`],
@@ -418,25 +408,70 @@ impl Default for HedgePolicy {
     }
 }
 
+/// Physical cores on the node (the paper's testbed has 24 Xeon cores).
+/// CPU steps slow down proportionally when more workers are
+/// simultaneously compute-bound than there are cores.
+pub(crate) const NODE_CORES: usize = 24;
+
+/// Interval between heartbeat-watchdog scans (and progress-watchdog
+/// scans). A crashed (silently dead) worker is discovered on the first
+/// scan after its silence exceeds [`RecoveryConfig::heartbeat_timeout`].
+pub(crate) const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// First retry delay; attempt `n` of a task waits
+/// `BACKOFF_BASE * 2^(n-1)`, capped at [`BACKOFF_CAP`].
+pub(crate) const BACKOFF_BASE: SimDuration = SimDuration::from_millis(100);
+
+/// Ceiling on the exponential retry backoff.
+pub(crate) const BACKOFF_CAP: SimDuration = SimDuration::from_secs(10);
+
+/// Uniform jitter fraction added on top of each backoff delay
+/// (`delay * (1 + jitter * U[0,1))`), drawn from the seeded recovery
+/// stream so runs stay reproducible.
+pub(crate) const BACKOFF_JITTER: f64 = 0.25;
+
+/// Interval between fail-slow detector scans.
+pub(crate) const FAIL_SLOW_CHECK_PERIOD: SimDuration = SimDuration::from_secs(5);
+
+/// EWMA smoothing weight for new fail-slow step/link samples.
+pub(crate) const FAIL_SLOW_ALPHA: f64 = 0.3;
+
+/// A device is suspect when its step-duration EWMA exceeds the *fastest
+/// same-device-mode peer's* EWMA by this factor. Comparing against peers
+/// — not an absolute bound — is what keeps a device-wide straggler
+/// episode from being misread as N bad workers: every worker on the slow
+/// device shares one device-level score, judged against other devices
+/// running the same mode.
+pub(crate) const FAIL_SLOW_PEER_RATIO: f64 = 1.6;
+
+/// A device is suspect when its link-transfer ratio EWMA (observed /
+/// nominal seconds) exceeds this absolute bound. Link transfers have an
+/// exact nominal from the device spec, so no peer is needed.
+pub(crate) const FAIL_SLOW_LINK_RATIO: f64 = 1.6;
+
+/// Minimum step samples folded into a device's EWMA before it may be
+/// judged (either direction: too few samples and the device neither
+/// accuses nor defends).
+pub(crate) const FAIL_SLOW_MIN_SAMPLES: u64 = 4;
+
+/// Expected healthy end-to-end canary duration (small-grid probe kernel
+/// + link probe transfer, uncontended on the evacuated device).
+pub(crate) const CANARY_NOMINAL: SimDuration = SimDuration::from_millis(500);
+
+/// The canary fails when it takes longer than
+/// `CANARY_FACTOR * CANARY_NOMINAL`.
+pub(crate) const CANARY_FACTOR: f64 = 1.6;
+
+/// Post-verdict cooldown before the same device may be re-probed.
+pub(crate) const FAIL_SLOW_COOLDOWN: SimDuration = SimDuration::from_secs(30);
+
 /// Failure detection and recovery knobs (see DESIGN.md "Failure model").
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecoveryConfig {
-    /// Interval between heartbeat-watchdog scans. A crashed (silently
-    /// dead) worker is discovered on the first scan after its silence
-    /// exceeds [`RecoveryConfig::heartbeat_timeout`].
-    pub heartbeat_period: SimDuration,
     /// Heartbeat silence that declares a worker dead. Should be a small
-    /// multiple of `heartbeat_period` to bound false positives.
+    /// multiple of the 500 ms `HEARTBEAT_PERIOD` to bound false
+    /// positives.
     pub heartbeat_timeout: SimDuration,
-    /// First retry delay; attempt `n` of a task waits
-    /// `backoff_base * 2^(n-1)`, capped at `backoff_cap`.
-    pub backoff_base: SimDuration,
-    /// Ceiling on the exponential retry backoff.
-    pub backoff_cap: SimDuration,
-    /// Uniform jitter fraction added on top of each backoff delay
-    /// (`delay * (1 + jitter * U[0,1))`), drawn from the seeded recovery
-    /// stream so runs stay reproducible. Clamped to `[0, 1]`.
-    pub backoff_jitter: f64,
     /// Automatic restarts allowed per worker slot across the run.
     /// Fault-induced deaths auto-respawn while budget remains; explicit
     /// [`crate::world::kill_worker`] calls never auto-respawn.
@@ -469,67 +504,15 @@ pub struct RecoveryConfig {
     /// longest legitimate gap between marks (one step, one checkpoint
     /// writeback, one model load) or healthy-but-slow workers are killed.
     pub progress_timeout: Option<SimDuration>,
-    /// Peer-relative fail-slow detection; `None` (default) disables it.
-    pub fail_slow: Option<FailSlowConfig>,
-}
-
-/// Parameters of the peer-relative fail-slow detector and its probation
-/// machine (gray-failure detection, DESIGN.md §12).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FailSlowConfig {
-    /// Interval between detector scans.
-    pub check_period: SimDuration,
-    /// EWMA smoothing weight for new step/link samples, in `(0, 1]`.
-    pub alpha: f64,
-    /// A device is suspect when its step-duration EWMA exceeds the
-    /// *fastest same-device-mode peer's* EWMA by this factor. Comparing
-    /// against peers — not an absolute bound — is what keeps a
-    /// device-wide straggler episode from being misread as N bad
-    /// workers: every worker on the slow device shares one device-level
-    /// score, judged against other devices running the same mode.
-    pub peer_ratio: f64,
-    /// A device is suspect when its link-transfer ratio EWMA (observed /
-    /// nominal seconds) exceeds this absolute bound. Link transfers have
-    /// an exact nominal from the device spec, so no peer is needed.
-    pub link_ratio: f64,
-    /// Minimum step samples folded into a device's EWMA before it may be
-    /// judged (either direction: too few samples and the device neither
-    /// accuses nor defends).
-    pub min_samples: u64,
-    /// Expected healthy end-to-end canary duration (small-grid probe
-    /// kernel + link probe transfer, uncontended on the evacuated
-    /// device). Calibrate per deployment.
-    pub canary_nominal: SimDuration,
-    /// The canary fails when it takes longer than
-    /// `canary_factor * canary_nominal`.
-    pub canary_factor: f64,
-    /// Post-verdict cooldown before the same device may be re-probed.
-    pub cooldown: SimDuration,
-}
-
-impl Default for FailSlowConfig {
-    fn default() -> Self {
-        FailSlowConfig {
-            check_period: SimDuration::from_secs(5),
-            alpha: 0.3,
-            peer_ratio: 1.6,
-            link_ratio: 1.6,
-            min_samples: 4,
-            canary_nominal: SimDuration::from_millis(500),
-            canary_factor: 1.6,
-            cooldown: SimDuration::from_secs(30),
-        }
-    }
+    /// Peer-relative fail-slow detection with probation and canary
+    /// probes (gray-failure detection, DESIGN.md §12); off by default.
+    pub fail_slow: bool,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            heartbeat_period: SimDuration::from_millis(500),
             heartbeat_timeout: SimDuration::from_secs(2),
-            backoff_base: SimDuration::from_millis(100),
-            backoff_cap: SimDuration::from_secs(10),
-            backoff_jitter: 0.25,
             restart_budget: 3,
             breaker_threshold: 3,
             breaker_cooldown: SimDuration::from_secs(30),
@@ -538,7 +521,7 @@ impl Default for RecoveryConfig {
             gpu_reenroll_stagger: SimDuration::from_secs(5),
             rack_power_restore: SimDuration::from_secs(60),
             progress_timeout: None,
-            fail_slow: None,
+            fail_slow: false,
         }
     }
 }
@@ -548,9 +531,6 @@ impl Default for Config {
         Config {
             executors: Vec::new(),
             retries: 1,
-            cold_start: ColdStartModel::default(),
-            wire: WireCodec::default(),
-            node_cores: 24,
             monitoring_period: Some(SimDuration::from_millis(500)),
             recovery: RecoveryConfig::default(),
             topology: Topology::default(),

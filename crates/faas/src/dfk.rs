@@ -59,8 +59,6 @@ pub struct TaskRecord {
     pub error: Option<String>,
     /// Dependencies.
     pub depends_on: Vec<TaskId>,
-    /// Serialized payload size for wire-dispatch latency.
-    pub payload_bytes: usize,
     /// Per-attempt walltime limit.
     pub walltime: Option<parfait_simcore::SimDuration>,
     /// End-to-end deadline relative to `submitted` (admission control,
@@ -163,7 +161,6 @@ impl Dfk {
             attempts: 0,
             error: failed_dep.then(|| "dependency failed before submission".to_string()),
             depends_on: call.depends_on,
-            payload_bytes: call.payload_bytes,
             walltime: call.walltime,
             deadline: call.deadline,
             priority: call.priority,
@@ -313,24 +310,6 @@ impl Dfk {
         FailureOutcome::Fatal { cascade }
     }
 
-    /// Cancel a task that has not started running. `Waiting` and `Ready`
-    /// tasks become `Failed` with a cancellation error (cascading to
-    /// dependents); running or settled tasks are not cancellable and
-    /// return `false` — matching `concurrent.futures` semantics, where
-    /// `Future.cancel()` only succeeds before execution begins.
-    pub fn cancel(&mut self, id: TaskId, now: SimTime) -> bool {
-        match self.task(id).state {
-            TaskState::Waiting | TaskState::Ready => {
-                // Exhaust retries so mark_failed is terminal.
-                self.task_mut(id).retries_left = 0;
-                // mark_failed expects any non-terminal state; it cascades.
-                let _ = self.mark_failed(id, now, "cancelled");
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Instantiate a fresh body for an attempt of `id`. `None` for an
     /// unknown or settled task: its factory is gone.
     pub fn make_body(
@@ -455,31 +434,6 @@ mod tests {
         dfk.mark_done(a, t(1));
         assert!(dfk.all_settled());
         assert_eq!(dfk.done_count(), 1);
-    }
-
-    #[test]
-    fn cancel_only_before_execution() {
-        let mut dfk = Dfk::new();
-        let (a, _) = dfk.submit(t(0), call("a"), 0, 3);
-        let (b, _) = dfk.submit(t(0), call("b").after(&[a]), 0, 3);
-        assert!(dfk.cancel(b, t(1)), "waiting task cancellable");
-        assert_eq!(dfk.task(b).state, TaskState::Failed);
-        assert_eq!(dfk.task(b).error.as_deref(), Some("cancelled"));
-        dfk.mark_dispatched(a, t(1), 0);
-        assert!(!dfk.cancel(a, t(2)), "running task not cancellable");
-        dfk.mark_done(a, t(3));
-        assert!(!dfk.cancel(a, t(4)), "done task not cancellable");
-        assert!(dfk.all_settled());
-    }
-
-    #[test]
-    fn cancel_cascades_to_dependents() {
-        let mut dfk = Dfk::new();
-        let (a, _) = dfk.submit(t(0), call("a"), 0, 0);
-        let (b, _) = dfk.submit(t(0), call("b").after(&[a]), 0, 0);
-        assert!(dfk.cancel(a, t(1)));
-        assert_eq!(dfk.task(b).state, TaskState::Failed);
-        assert_eq!(dfk.failed_count(), 2);
     }
 
     #[test]

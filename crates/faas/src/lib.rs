@@ -38,9 +38,8 @@ pub use app::{AppCall, ModelProfile, TaskBody, TaskCtx, TaskId, TaskStep};
 pub use cache::WeightCache;
 pub use checkpoint::{Checkpoint, CHECKPOINT_BASE_BYTES};
 pub use config::{
-    AcceleratorSpec, CheckpointPolicy, Config, ExecutorConfig, FailSlowConfig, HedgePolicy,
-    OverloadConfig, ProviderConfig, ReconfigConfig, RecoveryConfig, RetryBudget, ShedPolicy,
-    Topology,
+    AcceleratorSpec, CheckpointPolicy, Config, ExecutorConfig, HedgePolicy, OverloadConfig,
+    ProviderConfig, ReconfigConfig, RecoveryConfig, RetryBudget, ShedPolicy, Topology,
 };
 pub use dfk::{Dfk, FailureOutcome, TaskRecord, TaskState};
 pub use drain::{
@@ -53,7 +52,7 @@ pub use faults::{
 };
 pub use monitoring::{time_in_queue_percentiles, FaultPhase, FaultRecord, Percentiles};
 pub use overload::{OverloadState, OverloadStats};
-pub use strategy::{enable_brownout, enable_elastic, BrownoutPolicy, ElasticPolicy};
+pub use strategy::{enable_brownout, enable_elastic, ElasticPolicy};
 pub use world::{
     add_worker, auto_respawn, boot, cancel, crash_worker, fault_host, fault_rack, gpu_quarantined,
     kick_executor, kill_worker, quarantine_gpu, respawn_worker, resume_sampling, run, shutdown,

@@ -94,48 +94,23 @@ fn tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, exec: usize, policy:
     }
 }
 
-/// Brownout degradation for one executor: under sustained queue pressure
-/// the executor spins up a *degraded-service tier* — extra workers on
-/// deliberately small partitions (low MPS thread percentages, spare MIG
-/// slices) — absorbing new admissions at reduced quality before the
-/// admission layer starts shedding, and retires the tier when pressure
-/// clears.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BrownoutPolicy {
-    /// Controller-loop period.
-    pub period: SimDuration,
-    /// Pressure (`queue_len / live_workers`) at or above which a tick
-    /// counts toward engaging.
-    pub pressure_high: f64,
-    /// Pressure at or below which a tick counts toward releasing.
-    pub pressure_low: f64,
-    /// Consecutive high-pressure ticks before the tier engages.
-    pub engage_after: u32,
-    /// Consecutive low-pressure ticks before the tier releases.
-    pub release_after: u32,
-    /// The degraded tier: one worker per listed accelerator slot (e.g.
-    /// small `GpuPercentage` shares). Empty = brownout is a no-op, which
-    /// is the honest encoding for modes with nothing left to carve
-    /// (MIG with every slice already placed).
-    pub degraded: Vec<AcceleratorSpec>,
-}
-
-impl Default for BrownoutPolicy {
-    fn default() -> Self {
-        BrownoutPolicy {
-            period: SimDuration::from_secs(5),
-            pressure_high: 2.0,
-            pressure_low: 0.5,
-            engage_after: 2,
-            release_after: 2,
-            degraded: Vec::new(),
-        }
-    }
-}
+/// Brownout controller-loop period.
+const BROWNOUT_PERIOD: SimDuration = SimDuration::from_secs(5);
+/// Pressure (`queue_len / live_workers`) at or above which a brownout
+/// tick counts toward engaging.
+const BROWNOUT_PRESSURE_HIGH: f64 = 2.0;
+/// Pressure at or below which a brownout tick counts toward releasing.
+const BROWNOUT_PRESSURE_LOW: f64 = 0.5;
+/// Consecutive high-pressure ticks before the degraded tier engages.
+const BROWNOUT_ENGAGE_AFTER: u32 = 2;
+/// Consecutive low-pressure ticks before the degraded tier releases.
+const BROWNOUT_RELEASE_AFTER: u32 = 2;
 
 /// Controller state threaded through the brownout ticks.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct BrownoutSt {
+    /// The degraded tier: one worker per listed accelerator slot.
+    degraded: Vec<AcceleratorSpec>,
     /// Consecutive high-pressure ticks observed while disengaged.
     high: u32,
     /// Consecutive low-pressure ticks observed while engaged.
@@ -148,23 +123,35 @@ struct BrownoutSt {
     releasing: bool,
 }
 
-/// Start the brownout controller for one executor. Mirrors
-/// [`enable_elastic`]'s lifetime: the loop re-arms while work remains
-/// unsettled and winds down afterwards (releasing the tier if engaged).
+/// Start brownout degradation for one executor: under sustained queue
+/// pressure the executor spins up a *degraded-service tier* — one extra
+/// worker per `degraded` accelerator slot, deliberately small partitions
+/// (low MPS thread percentages, spare MIG slices) — absorbing new
+/// admissions at reduced quality before the admission layer starts
+/// shedding, and retires the tier when pressure clears. An empty
+/// `degraded` makes brownout a no-op, the honest encoding for modes with
+/// nothing left to carve (MIG with every slice already placed).
+///
+/// Mirrors [`enable_elastic`]'s lifetime: the loop re-arms while work
+/// remains unsettled and winds down afterwards (releasing the tier if
+/// engaged).
 pub fn enable_brownout(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     exec: usize,
-    policy: BrownoutPolicy,
+    degraded: Vec<AcceleratorSpec>,
 ) {
-    brownout_tick(world, eng, exec, policy, BrownoutSt::default());
+    let st = BrownoutSt {
+        degraded,
+        ..BrownoutSt::default()
+    };
+    brownout_tick(world, eng, exec, st);
 }
 
 fn brownout_tick(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     exec: usize,
-    policy: BrownoutPolicy,
     mut st: BrownoutSt,
 ) {
     let now = eng.now();
@@ -173,13 +160,13 @@ fn brownout_tick(
     let pressure = queue as f64 / live.max(1) as f64;
 
     if st.engaged_at.is_none() {
-        st.high = if pressure >= policy.pressure_high {
+        st.high = if pressure >= BROWNOUT_PRESSURE_HIGH {
             st.high + 1
         } else {
             0
         };
-        if st.high >= policy.engage_after && !policy.degraded.is_empty() {
-            for spec in &policy.degraded {
+        if st.high >= BROWNOUT_ENGAGE_AFTER && !st.degraded.is_empty() {
+            for spec in &st.degraded {
                 if let Some(id) = add_worker(world, eng, exec, Some(spec.clone())) {
                     st.spawned.push(id);
                 }
@@ -201,12 +188,12 @@ fn brownout_tick(
             );
         }
     } else if !st.releasing {
-        st.low = if pressure <= policy.pressure_low {
+        st.low = if pressure <= BROWNOUT_PRESSURE_LOW {
             st.low + 1
         } else {
             0
         };
-        if st.low >= policy.release_after {
+        if st.low >= BROWNOUT_RELEASE_AFTER {
             brownout_release(world, &mut st, exec, now, "pressure cleared");
         }
     }
@@ -216,9 +203,8 @@ fn brownout_tick(
 
     let active = !world.dfk.all_settled() || world.any_spinning_or_busy();
     if active {
-        let p = policy.clone();
-        eng.schedule_in(policy.period, move |w: &mut FaasWorld, e| {
-            brownout_tick(w, e, exec, p, st)
+        eng.schedule_in(BROWNOUT_PERIOD, move |w: &mut FaasWorld, e| {
+            brownout_tick(w, e, exec, st)
         });
     } else {
         // Wind-down: everything settled, so the tier is idle — account

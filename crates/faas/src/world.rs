@@ -38,14 +38,19 @@
 use crate::app::{AppCall, ModelProfile, TaskBody, TaskCtx, TaskId, TaskStep};
 use crate::cache::WeightCache;
 use crate::checkpoint::{Checkpoint, CHECKPOINT_BASE_BYTES};
-use crate::config::{AcceleratorSpec, Config, ExecutorKind, ProviderConfig, ShedPolicy};
+use crate::config::{
+    AcceleratorSpec, Config, ExecutorKind, ProviderConfig, ShedPolicy, BACKOFF_BASE, BACKOFF_CAP,
+    BACKOFF_JITTER, CANARY_FACTOR, CANARY_NOMINAL, FAIL_SLOW_ALPHA, FAIL_SLOW_CHECK_PERIOD,
+    FAIL_SLOW_COOLDOWN, FAIL_SLOW_LINK_RATIO, FAIL_SLOW_MIN_SAMPLES, FAIL_SLOW_PEER_RATIO,
+    HEARTBEAT_PERIOD, NODE_CORES,
+};
 use crate::dfk::{Dfk, FailureOutcome, TaskState};
 use crate::drain::{begin_drain, note_drained, ReconfigControl};
 use crate::faults::{Probation, RecoveryState};
 use crate::index::WorldIndex;
 use crate::monitoring::{FaultPhase, Monitoring, QueueSample, UtilSample, WorkerEventKind};
 use crate::overload::{HedgePair, OverloadState};
-use parfait_gpu::context::ColdStartBreakdown;
+use parfait_gpu::context::{self, ColdStartBreakdown};
 use parfait_gpu::host::{launch_kernel, resync, GpuFleet, GpuHost};
 use parfait_gpu::mps::MPS_ENV_VAR;
 use parfait_gpu::{CtxBinding, CtxId, DeviceMode, GpuId, KernelDesc, KernelDone};
@@ -79,8 +84,8 @@ const CANARY_PROBE_BYTES: u64 = 1 << 30;
 /// The canary probe kernel. The grid is deliberately tiny: with 8 blocks
 /// its effective parallelism saturates at 8 SMs under any partition
 /// (MPS percentage, MIG slice, or whole device), so the healthy duration
-/// is mode-independent and one configured `canary_nominal` fits every
-/// cell of a sweep.
+/// is mode-independent and one [`CANARY_NOMINAL`] fits every cell of a
+/// sweep.
 fn canary_kernel() -> KernelDesc {
     KernelDesc::new("gray.canary", 0.8, 8, 8, 0.05)
 }
@@ -332,7 +337,7 @@ impl GpuHost for FaasWorld {
             canary_kernel_done(self, eng, done);
             return;
         }
-        if self.config.recovery.fail_slow.is_some() {
+        if self.config.recovery.fail_slow {
             let obs = done.finished.duration_since(done.launched).as_secs_f64();
             note_step_sample(self, done.gpu, obs);
         }
@@ -358,7 +363,6 @@ impl FaasWorld {
     /// [`boot`] to start them.
     // lint:allow(stream-hygiene, per-worker streams are WORKER_BASE + worker id, a fixed function of fleet layout, so the in-loop split cannot depend on iteration order)
     pub fn new(config: Config, fleet: GpuFleet, seed: u64) -> Self {
-        let config_cores = config.node_cores.max(1);
         let rng = SimRng::new(seed);
         let mut workers = Vec::new();
         let mut queues = Vec::new();
@@ -399,7 +403,7 @@ impl FaasWorld {
             monitor: Monitoring::new(),
             rng,
             weight_cache: WeightCache::new(),
-            cpu_pool: PsPool::new(config_cores, SimTime::ZERO),
+            cpu_pool: PsPool::new(NODE_CORES, SimTime::ZERO),
             cpu_jobs: BTreeMap::new(),
             cpu_event: None,
             driver: None,
@@ -658,18 +662,11 @@ fn schedule_spawn(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize
 
 fn begin_cold_start(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) {
     let now = eng.now();
-    let has_gpu = world.workers[wid].accel.is_some();
-    let spec = if has_gpu {
-        // Spec only sets the context-init constant; any device works.
-        Some(world.fleet.device(GpuId(0)).spec.clone())
-    } else {
-        None
-    };
     world.transition(wid, WorkerState::ColdStart);
     let breakdown = {
         let w = &mut world.workers[wid];
         w.spawned_at = now;
-        let b = world.config.cold_start.sample(&mut w.rng, spec.as_ref(), 0);
+        let b = context::sample(&mut w.rng, w.accel.is_some());
         w.cold_breakdown = Some(b);
         b
     };
@@ -967,19 +964,23 @@ fn fail_terminally(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: Tas
     world.with_driver(eng, |d, w, e| d.on_task_done(w, e, task));
 }
 
-/// Cancel a task that has not started running (queued or waiting on
-/// dependencies). Returns `true` on success; running/settled tasks are
-/// not cancellable. Cancellation cascades to dependents, and the task is
-/// removed from its executor queue.
+/// Cancel a task that has not started running (queued, backing off
+/// before a retry, or waiting on dependencies). Returns `true` on
+/// success; running or settled tasks are not cancellable, matching
+/// `concurrent.futures`, where `Future.cancel()` only succeeds before
+/// execution begins. The task leaves its executor queue and fails
+/// terminally with "cancelled", cascading to its dependents.
 pub fn cancel(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: TaskId) -> bool {
-    let now = eng.now();
-    if !world.dfk.cancel(task, now) {
+    if !matches!(
+        world.dfk.task(task).state,
+        TaskState::Waiting | TaskState::Ready
+    ) {
         return false;
     }
     for exec in 0..world.queues.len() {
         queue_remove(world, exec, task);
     }
-    world.with_driver(eng, |d, w, e| d.on_task_done(w, e, task));
+    fail_terminally(world, eng, task, "cancelled");
     true
 }
 
@@ -1067,10 +1068,7 @@ fn start_attempt(
         arm_failslow(world, eng);
     }
     // Wire dispatch (interchange -> manager -> worker serialization).
-    let delay = world
-        .config
-        .wire
-        .dispatch_latency(world.dfk.task(task).payload_bytes);
+    let delay = crate::wire::dispatch_latency();
     let epoch = world.workers[wid].epoch;
     eng.schedule_in(delay, move |w: &mut FaasWorld, e| {
         if w.workers[wid].epoch != epoch || w.workers[wid].state != WorkerState::Busy {
@@ -1139,11 +1137,7 @@ fn begin_model_load(
         if world.weight_cache.contains(gpu.0, m.id) {
             world.weight_cache.hits += 1;
             // Re-bind: pointer fix-up, no weight copy.
-            (
-                m.private_bytes(),
-                0,
-                world.config.cold_start.cached_attach_s,
-            )
+            (m.private_bytes(), 0, context::CACHED_ATTACH_S)
         } else {
             world.weight_cache.misses += 1;
             let lf = note_link_factor(world, gpu);
@@ -2099,8 +2093,7 @@ pub(crate) fn arm_watchdog(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
         return;
     }
     world.recovery.watchdog_armed = true;
-    let period = world.config.recovery.heartbeat_period;
-    eng.schedule_in(period, watchdog_tick);
+    eng.schedule_in(HEARTBEAT_PERIOD, watchdog_tick);
 }
 
 fn watchdog_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
@@ -2118,7 +2111,7 @@ fn watchdog_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
         detect_worker_death(world, eng, wid);
     }
     if world.crashed_workers().next().is_some() {
-        eng.schedule_in(world.config.recovery.heartbeat_period, watchdog_tick);
+        eng.schedule_in(HEARTBEAT_PERIOD, watchdog_tick);
     } else {
         world.recovery.watchdog_armed = false;
     }
@@ -2197,34 +2190,29 @@ pub fn auto_respawn(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usi
 
 /// Fold an observed kernel-step duration into the device's fail-slow
 /// EWMA. Called from `on_kernel_done` only when fail-slow detection is
-/// configured, so undetected runs pay one `Option` test per completion.
+/// on, so undetected runs pay one flag test per completion.
 fn note_step_sample(world: &mut FaasWorld, gpu: GpuId, obs_s: f64) {
-    let Some(fs) = &world.config.recovery.fail_slow else {
-        return;
-    };
-    let alpha = fs.alpha.clamp(1e-6, 1.0);
     let slot = world.recovery.gray_mut(gpu);
     slot.step_ewma = Some(match slot.step_ewma {
         None => obs_s,
-        Some(p) => p + alpha * (obs_s - p),
+        Some(p) => p + FAIL_SLOW_ALPHA * (obs_s - p),
     });
     slot.step_samples += 1;
 }
 
 /// Current link-rate multiplier for a device, feeding the observation
 /// (as the observed/nominal slowdown ratio) into the fail-slow link EWMA
-/// when detection is configured. Callers divide their nominal transfer
+/// when detection is on. Callers divide their nominal transfer
 /// seconds by the returned factor, so a flaky link stretches checkpoint
 /// writes/restores and model loads — and leaves evidence behind.
 fn note_link_factor(world: &mut FaasWorld, gpu: GpuId) -> f64 {
     let lf = world.recovery.link_factor(gpu);
-    if let Some(fs) = &world.config.recovery.fail_slow {
-        let alpha = fs.alpha.clamp(1e-6, 1.0);
+    if world.config.recovery.fail_slow {
         let ratio = 1.0 / lf;
         let slot = world.recovery.gray_mut(gpu);
         slot.link_ewma = Some(match slot.link_ewma {
             None => ratio,
-            Some(p) => p + alpha * (ratio - p),
+            Some(p) => p + FAIL_SLOW_ALPHA * (ratio - p),
         });
     }
     lf
@@ -2238,8 +2226,7 @@ pub(crate) fn arm_progress_watchdog(world: &mut FaasWorld, eng: &mut Engine<Faas
         return;
     }
     world.recovery.progress_watchdog_armed = true;
-    let period = world.config.recovery.heartbeat_period;
-    eng.schedule_in(period, progress_tick);
+    eng.schedule_in(HEARTBEAT_PERIOD, progress_tick);
 }
 
 /// The progress watchdog: a busy worker whose heartbeats are healthy but
@@ -2294,25 +2281,21 @@ fn progress_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
         auto_respawn(world, eng, wid);
     }
     if world.busy_workers().next().is_some() {
-        eng.schedule_in(world.config.recovery.heartbeat_period, progress_tick);
+        eng.schedule_in(HEARTBEAT_PERIOD, progress_tick);
     } else {
         world.recovery.progress_watchdog_armed = false;
     }
 }
 
-/// Start the peer-relative fail-slow detector if configured and not
+/// Start the peer-relative fail-slow detector if it is on and not
 /// already ticking. Armed from dispatch; disarms itself once all tasks
 /// settle and no worker is active.
 pub(crate) fn arm_failslow(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
-    let Some(fs) = &world.config.recovery.fail_slow else {
-        return;
-    };
-    if world.recovery.failslow_armed {
+    if !world.config.recovery.fail_slow || world.recovery.failslow_armed {
         return;
     }
-    let period = fs.check_period;
     world.recovery.failslow_armed = true;
-    eng.schedule_in(period, failslow_tick);
+    eng.schedule_in(FAIL_SLOW_CHECK_PERIOD, failslow_tick);
 }
 
 /// The fail-slow detector: score each device's step EWMA against its
@@ -2327,17 +2310,17 @@ pub(crate) fn arm_failslow(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
 /// mode keeps mode-induced duration differences (an MPS percentage vs a
 /// MIG slice) from looking like failures.
 fn failslow_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
-    let Some(fs) = world.config.recovery.fail_slow.clone() else {
+    if !world.config.recovery.fail_slow {
         world.recovery.failslow_armed = false;
         return;
-    };
+    }
     let mut groups: BTreeMap<&'static str, Vec<(u32, f64)>> = BTreeMap::new();
     let tracked = world.recovery.gray_len().min(world.fleet.len());
     for g in 0..tracked as u32 {
         let Some(slot) = world.recovery.gray_state(GpuId(g)) else {
             continue;
         };
-        if slot.step_samples < fs.min_samples {
+        if slot.step_samples < FAIL_SLOW_MIN_SAMPLES {
             continue;
         }
         let Some(e) = slot.step_ewma else { continue };
@@ -2356,14 +2339,13 @@ fn failslow_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
             .map(|&(_, e)| e)
             .fold(f64::INFINITY, f64::min);
         for &(g, e) in members {
-            if e > fs.peer_ratio.max(1.0) * baseline {
+            if e > FAIL_SLOW_PEER_RATIO * baseline {
                 suspects.push((
                     g,
                     format!(
                         "step EWMA {e:.4}s vs {mode} peer baseline {baseline:.4}s \
-                         (x{:.2} > x{:.2} threshold)",
-                        e / baseline,
-                        fs.peer_ratio
+                         (x{:.2} > x{FAIL_SLOW_PEER_RATIO:.2} threshold)",
+                        e / baseline
                     ),
                 ));
             }
@@ -2381,13 +2363,12 @@ fn failslow_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
             continue;
         };
         if let Some(r) = slot.link_ewma {
-            if r > fs.link_ratio.max(1.0) {
+            if r > FAIL_SLOW_LINK_RATIO {
                 suspects.push((
                     g,
                     format!(
                         "link transfers running x{r:.2} over nominal \
-                         (> x{:.2} threshold)",
-                        fs.link_ratio
+                         (> x{FAIL_SLOW_LINK_RATIO:.2} threshold)"
                     ),
                 ));
             }
@@ -2399,7 +2380,7 @@ fn failslow_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
     }
     let active = !world.dfk.all_settled() || world.any_active();
     if active {
-        eng.schedule_in(fs.check_period, failslow_tick);
+        eng.schedule_in(FAIL_SLOW_CHECK_PERIOD, failslow_tick);
     } else {
         world.recovery.failslow_armed = false;
     }
@@ -2577,7 +2558,8 @@ fn canary_kernel_done(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, done: 
 }
 
 /// Compare the canary's wall time (compute kernel + link probe) against
-/// the configured healthy envelope and settle the probation.
+/// the healthy envelope `CANARY_FACTOR × CANARY_NOMINAL` and settle the
+/// probation.
 fn canary_verdict(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, gpu: GpuId) {
     let now = eng.now();
     let Some(started) = world
@@ -2588,11 +2570,11 @@ fn canary_verdict(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, gpu: GpuId
     else {
         return;
     };
-    let Some(fs) = world.config.recovery.fail_slow.clone() else {
+    if !world.config.recovery.fail_slow {
         return;
-    };
+    }
     let observed = now.duration_since(started).as_secs_f64();
-    let limit = fs.canary_factor.max(1.0) * fs.canary_nominal.as_secs_f64();
+    let limit = CANARY_FACTOR * CANARY_NOMINAL.as_secs_f64();
     let pass = observed <= limit;
     settle_probation(
         world,
@@ -2615,13 +2597,11 @@ fn settle_probation(
     detail: &str,
 ) {
     let now = eng.now();
-    let cooldown = world
-        .config
-        .recovery
-        .fail_slow
-        .as_ref()
-        .map(|fs| fs.cooldown)
-        .unwrap_or(SimDuration::ZERO);
+    let cooldown = if world.config.recovery.fail_slow {
+        FAIL_SLOW_COOLDOWN
+    } else {
+        SimDuration::ZERO
+    };
     if !clear_probation(world, now, gpu, Some(now + cooldown)) {
         return;
     }
@@ -2730,13 +2710,11 @@ fn schedule_retry(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: Task
         }
         *tokens -= 1.0;
     }
-    let rc = &world.config.recovery;
     let attempt = world.dfk.task(task).attempts.max(1);
     let exp = (attempt - 1).min(16);
-    let base = rc.backoff_base.as_secs_f64() * (1u64 << exp) as f64;
-    let capped = base.min(rc.backoff_cap.as_secs_f64());
-    let jitter = rc.backoff_jitter.clamp(0.0, 1.0);
-    let mult = 1.0 + jitter * world.recovery.rng.f64();
+    let base = BACKOFF_BASE.as_secs_f64() * (1u64 << exp) as f64;
+    let capped = base.min(BACKOFF_CAP.as_secs_f64());
+    let mult = 1.0 + BACKOFF_JITTER * world.recovery.rng.f64();
     world.recovery.stats.retries_scheduled += 1;
     eng.schedule_in(
         SimDuration::from_secs_f64(capped * mult),

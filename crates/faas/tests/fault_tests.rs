@@ -692,7 +692,7 @@ fn faulty_fleet_run(seed: u64, fast_paths: bool) -> (FaasWorld, u64) {
     });
     config.overload.hedge = Some(HedgePolicy::default());
     config.recovery.progress_timeout = Some(SimDuration::from_secs(20));
-    config.recovery.fail_slow = Some(FailSlowConfig::default());
+    config.recovery.fail_slow = true;
     let mut w = FaasWorld::new(config, fleet, seed);
     w.set_index_enabled(fast_paths);
     w.fleet.set_dirty_tracking(fast_paths);

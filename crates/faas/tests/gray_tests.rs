@@ -226,7 +226,7 @@ fn device_wide_straggler_is_probed_not_misread_as_worker_deaths() {
     )]);
     config.retries = 3;
     config.recovery.progress_timeout = Some(SimDuration::from_secs(10));
-    config.recovery.fail_slow = Some(FailSlowConfig::default());
+    config.recovery.fail_slow = true;
     let mut w = FaasWorld::new(config, fleet_n(2, DeviceMode::TimeSharing), 31);
     let mut eng = Engine::new();
     boot(&mut w, &mut eng);

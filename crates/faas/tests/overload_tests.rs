@@ -449,17 +449,10 @@ fn brownout_engages_degraded_tier_and_releases() {
         &mut w,
         &mut eng,
         0,
-        BrownoutPolicy {
-            period: SimDuration::from_secs(5),
-            pressure_high: 2.0,
-            pressure_low: 0.5,
-            engage_after: 2,
-            release_after: 2,
-            degraded: vec![
-                AcceleratorSpec::GpuPercentage(0, 10),
-                AcceleratorSpec::GpuPercentage(0, 10),
-            ],
-        },
+        vec![
+            AcceleratorSpec::GpuPercentage(0, 10),
+            AcceleratorSpec::GpuPercentage(0, 10),
+        ],
     );
     eng.run(&mut w);
     for id in &ids {

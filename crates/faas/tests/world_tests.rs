@@ -5,6 +5,8 @@ use parfait_faas::app::bodies::{CpuBurn, KernelSeq};
 use parfait_faas::*;
 use parfait_gpu::{DeviceMode, GpuFleet, GpuId, GpuSpec, KernelDesc, GIB};
 use parfait_simcore::{Engine, SimDuration, SimTime};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn fleet_one(mode: DeviceMode) -> GpuFleet {
     let mut fleet = GpuFleet::new();
@@ -623,8 +625,7 @@ fn cpu_oversubscription_slows_compute_steps() {
     // 48 compute-bound workers on a 24-core node: each 10 s step takes
     // ~2x; with 24 workers it runs at full speed.
     let run = |workers: usize| -> f64 {
-        let mut config = Config::new(vec![ExecutorConfig::thread_pool("tp", workers)]);
-        config.node_cores = 24;
+        let config = Config::new(vec![ExecutorConfig::thread_pool("tp", workers)]);
         let mut w = FaasWorld::new(config, GpuFleet::new(), 22);
         let mut eng = Engine::new();
         boot(&mut w, &mut eng);
@@ -689,22 +690,89 @@ fn slurm_provider_adds_queue_wait() {
     assert!(slurm > 10.0, "slurm queue wait must show: {slurm}");
 }
 
+/// Records every task the platform reports settled, in report order.
+struct Settled(Rc<RefCell<Vec<TaskId>>>);
+
+impl Driver for Settled {
+    fn on_task_done(&mut self, _w: &mut FaasWorld, _e: &mut Engine<FaasWorld>, task: TaskId) {
+        self.0.borrow_mut().push(task);
+    }
+}
+
+/// Only tasks that have not started cancel: waiting and ready tasks fail
+/// with "cancelled" and leave their queue, a dependent cascades, running
+/// and done tasks refuse, and the driver hears each settled task once.
 #[test]
 fn world_cancel_removes_from_queue() {
     let config = Config::new(vec![ExecutorConfig::cpu("cpu", 1)]);
     let mut w = FaasWorld::new(config, GpuFleet::new(), 41);
+    let heard = Rc::new(RefCell::new(Vec::new()));
+    w.set_driver(Settled(Rc::clone(&heard)));
     let mut eng = Engine::new();
     boot(&mut w, &mut eng);
     let running = submit(&mut w, &mut eng, cpu_call("long", 60));
     let queued = submit(&mut w, &mut eng, cpu_call("queued", 5));
+    let dependent = submit(&mut w, &mut eng, cpu_call("dependent", 5).after(&[queued]));
+    let waiting = submit(&mut w, &mut eng, cpu_call("waiting", 5).after(&[running]));
     eng.run_until(&mut w, SimTime::from_secs(10));
-    assert!(cancel(&mut w, &mut eng, queued), "queued task cancels");
+    assert_eq!(w.dfk.task(waiting).state, TaskState::Waiting);
+    assert!(cancel(&mut w, &mut eng, waiting), "waiting task cancels");
+    assert!(cancel(&mut w, &mut eng, queued), "ready task cancels");
     assert!(!cancel(&mut w, &mut eng, running), "running task does not");
+    assert!(w.queues[0].is_empty(), "the cancelled task left its queue");
     eng.run(&mut w);
+    assert!(!cancel(&mut w, &mut eng, running), "done task does not");
     assert_eq!(w.dfk.task(running).state, TaskState::Done);
-    assert_eq!(w.dfk.task(queued).state, TaskState::Failed);
-    assert_eq!(w.dfk.task(queued).error.as_deref(), Some("cancelled"));
+    for t in [waiting, queued] {
+        assert_eq!(w.dfk.task(t).state, TaskState::Failed);
+        assert_eq!(w.dfk.task(t).error.as_deref(), Some("cancelled"));
+    }
+    assert_eq!(w.dfk.task(dependent).state, TaskState::Failed, "cascaded");
     assert!(w.dfk.all_settled());
+    let mut heard = heard.borrow().clone();
+    heard.sort();
+    assert_eq!(
+        heard,
+        vec![running, queued, dependent, waiting],
+        "each settled task reported exactly once"
+    );
+}
+
+/// Cancelling a task while it backs off before a retry drops the
+/// snapshot its killed attempt committed: a settled task keeps no
+/// checkpoint.
+#[test]
+fn cancel_during_retry_backoff_purges_checkpoint() {
+    let mut config = Config::new(vec![ExecutorConfig::gpu(
+        "gpu",
+        vec![AcceleratorSpec::Gpu(0)],
+    )]);
+    config.checkpoint = CheckpointPolicy::every(SimDuration::from_secs(2));
+    let mut w = FaasWorld::new(config, fleet_one(DeviceMode::TimeSharing), 43);
+    let mut eng = Engine::new();
+    boot(&mut w, &mut eng);
+    let id = submit(
+        &mut w,
+        &mut eng,
+        AppCall::new("long", "gpu", |_| {
+            Box::new(KernelSeq::new(
+                vec![gpu_kernel(108.0); 30],
+                SimDuration::ZERO,
+            ))
+        }),
+    );
+    eng.run_until(&mut w, SimTime::from_secs(10));
+    assert!(w.checkpoints.contains_key(&id), "a snapshot committed");
+    kill_worker(&mut w, &mut eng, 0, "test");
+    assert_eq!(w.dfk.task(id).state, TaskState::Ready, "backing off");
+    assert!(w.checkpoints.contains_key(&id), "kept for the retry");
+    assert!(cancel(&mut w, &mut eng, id));
+    assert!(
+        w.checkpoints.is_empty(),
+        "the cancelled task's snapshot is gone"
+    );
+    eng.run(&mut w);
+    assert_eq!(w.dfk.task(id).error.as_deref(), Some("cancelled"));
 }
 
 #[test]

@@ -855,20 +855,6 @@ impl GpuDevice {
             .sum()
     }
 
-    /// Instantaneous busy SMs inside one MIG instance.
-    pub fn instance_busy_sms(&self, instance: u32) -> f64 {
-        self.kernels
-            .iter()
-            .filter(|k| {
-                self.ctxs
-                    .get(&k.ctx)
-                    .map(|c| c.mig_instance == Some(instance))
-                    .unwrap_or(false)
-            })
-            .map(|k| k.rate)
-            .sum()
-    }
-
     /// Bytes of device memory held by one context (its memory domain's
     /// per-owner ledger).
     pub fn ctx_memory_used(&self, ctx: CtxId) -> u64 {

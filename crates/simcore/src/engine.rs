@@ -221,11 +221,6 @@ pub struct Engine<W> {
     /// Live (scheduled, not cancelled) events.
     pending: usize,
     fired: u64,
-    /// Slots created after a [`Engine::shrink_to_fit`] start at this
-    /// generation, strictly above any generation the truncated slots ever
-    /// issued — a stale handle to a reclaimed slot can never match the
-    /// index's next occupant.
-    gen_floor: u32,
 }
 
 impl<W> Default for Engine<W> {
@@ -245,7 +240,6 @@ impl<W> Engine<W> {
             free_head: NIL,
             pending: 0,
             fired: 0,
-            gen_floor: 0,
         }
     }
 
@@ -330,7 +324,7 @@ impl<W> Engine<W> {
         } else {
             assert!(self.slots.len() < NIL as usize, "event slab exhausted");
             self.slots.push(Slot {
-                gen: self.gen_floor,
+                gen: 0,
                 state: SlotState::Pending { action },
             });
             (self.slots.len() - 1) as u32
@@ -360,11 +354,7 @@ impl<W> Engine<W> {
     /// already fired or been cancelled — including through a stale handle
     /// whose slot now hosts a different event.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // `get_mut`, not indexing: a handle may outlive its slot entirely
-        // when `shrink_to_fit` truncated the slab.
-        let Some(s) = self.slots.get_mut(id.slot as usize) else {
-            return false;
-        };
+        let s = &mut self.slots[id.slot as usize];
         if s.gen != id.gen || !matches!(s.state, SlotState::Pending { .. }) {
             return false;
         }
@@ -441,79 +431,6 @@ impl<W> Engine<W> {
         if self.now < deadline {
             self.now = deadline;
         }
-    }
-
-    /// Capacity of the event slab (live + reusable slots). Grows to the
-    /// high-water mark of simultaneously scheduled events; reclaim it
-    /// with [`Engine::shrink_to_fit`].
-    pub fn slab_capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Reclaim the high-water-mark allocation left behind by an event
-    /// burst (a fault storm schedules thousands of retry/respawn timers
-    /// that drain quickly): drop every cancelled entry still parked in
-    /// the heap, release trailing vacant slab slots, and shrink the
-    /// backing vectors. Pending events are untouched and stale
-    /// [`EventId`]s stay inert. Returns the number of slab slots
-    /// released. O(slab + heap); call it at quiet points, not per event.
-    pub fn shrink_to_fit(&mut self) -> usize {
-        // 1. Compact the heap in place, vacating tombstoned slots.
-        let mut write = 0;
-        for read in 0..self.heap.keys.len() {
-            let slot = self.heap.slots[read];
-            let s = &mut self.slots[slot as usize];
-            if matches!(s.state, SlotState::Tombstone) {
-                // Vacate without touching the free list; it is rebuilt
-                // below. `pending` was already decremented by `cancel`.
-                s.gen = s.gen.wrapping_add(1);
-                s.state = SlotState::Vacant { next_free: NIL };
-            } else {
-                self.heap.keys[write] = self.heap.keys[read];
-                self.heap.slots[write] = slot;
-                write += 1;
-            }
-        }
-        self.heap.keys.truncate(write);
-        self.heap.slots.truncate(write);
-        // Compaction broke the heap invariant; Floyd-heapify bottom-up.
-        // Same-time FIFO order survives: it lives in the packed keys.
-        if write > 1 {
-            for i in (0..=(write - 2) / ARITY).rev() {
-                let e = HeapEntry {
-                    key: self.heap.keys[i],
-                    slot: self.heap.slots[i],
-                };
-                self.heap.sift_down(i, e);
-            }
-        }
-        // 2. Truncate trailing vacant slots, remembering the highest
-        // generation dropped so reborn indices can never match a stale
-        // handle.
-        let keep = self
-            .slots
-            .iter()
-            .rposition(|s| !matches!(s.state, SlotState::Vacant { .. }))
-            .map_or(0, |i| i + 1);
-        let released = self.slots.len() - keep;
-        for s in &self.slots[keep..] {
-            self.gen_floor = self.gen_floor.max(s.gen.wrapping_add(1));
-        }
-        self.slots.truncate(keep);
-        // 3. Rebuild the free list over the surviving vacant slots.
-        self.free_head = NIL;
-        for i in (0..self.slots.len()).rev() {
-            if matches!(self.slots[i].state, SlotState::Vacant { .. }) {
-                self.slots[i].state = SlotState::Vacant {
-                    next_free: self.free_head,
-                };
-                self.free_head = i as u32;
-            }
-        }
-        self.slots.shrink_to_fit();
-        self.heap.keys.shrink_to_fit();
-        self.heap.slots.shrink_to_fit();
-        released
     }
 }
 
@@ -693,84 +610,6 @@ mod tests {
         let mut w = World::default();
         eng.run(&mut w);
         assert_eq!(eng.peek_time(), None);
-    }
-
-    #[test]
-    fn shrink_to_fit_reclaims_burst_and_preserves_pending() {
-        let mut eng: Engine<World> = Engine::new();
-        let mut w = World::default();
-        // A burst of 1000 events; most are cancelled, a few survive.
-        let mut survivors = Vec::new();
-        for i in 0..1_000u64 {
-            let id = eng.schedule_at(sec(10 + i), move |w: &mut World, _| {
-                w.log.push((i, "live"));
-            });
-            if i % 250 == 3 {
-                survivors.push(id);
-            } else {
-                eng.cancel(id);
-            }
-        }
-        assert_eq!(eng.pending(), survivors.len());
-        let before = eng.slab_capacity();
-        assert!(before >= 1_000);
-        let released = eng.shrink_to_fit();
-        assert!(released > 0, "burst slots reclaimed");
-        assert!(eng.slab_capacity() < before);
-        assert_eq!(eng.pending(), survivors.len(), "live events survive");
-        // Survivors still fire, in time order, and can still be cancelled.
-        assert!(eng.cancel(survivors[0]));
-        eng.run(&mut w);
-        let fired: Vec<u64> = w.log.iter().map(|(i, _)| *i).collect();
-        assert_eq!(fired, vec![253, 503, 753]);
-    }
-
-    #[test]
-    fn shrink_to_fit_keeps_fifo_ties() {
-        let mut eng: Engine<World> = Engine::new();
-        let mut w = World::default();
-        for label in ["first", "second", "third"] {
-            eng.schedule_at(sec(5), move |w: &mut World, _| w.log.push((0, label)));
-        }
-        let doomed = eng.schedule_at(sec(1), |w: &mut World, _| w.log.push((0, "nope")));
-        eng.cancel(doomed);
-        eng.shrink_to_fit();
-        eng.run(&mut w);
-        let labels: Vec<_> = w.log.iter().map(|(_, l)| *l).collect();
-        assert_eq!(labels, vec!["first", "second", "third"]);
-    }
-
-    #[test]
-    fn stale_handles_inert_across_shrink_and_regrow() {
-        let mut eng: Engine<World> = Engine::new();
-        let mut w = World::default();
-        // Occupy and drain many slots so handles go stale.
-        let stale: Vec<EventId> = (0..64u64)
-            .map(|i| eng.schedule_at(sec(i), |_: &mut World, _| {}))
-            .collect();
-        eng.run(&mut w);
-        assert!(eng.shrink_to_fit() > 0);
-        assert_eq!(eng.slab_capacity(), 0);
-        // Regrow the slab at the same indices (fresh first occupants).
-        let fresh: Vec<EventId> = (0..64u64)
-            .map(|i| eng.schedule_at(sec(100 + i), |w: &mut World, _| w.log.push((0, "new"))))
-            .collect();
-        for id in &stale {
-            assert!(!eng.cancel(*id), "stale handle cancelled a reborn slot");
-        }
-        assert_eq!(eng.pending(), fresh.len());
-        eng.run(&mut w);
-        assert_eq!(w.log.len(), 64);
-    }
-
-    #[test]
-    fn shrink_on_empty_engine_is_noop() {
-        let mut eng: Engine<World> = Engine::new();
-        assert_eq!(eng.shrink_to_fit(), 0);
-        let mut w = World::default();
-        eng.schedule_at(sec(1), |w: &mut World, _| w.log.push((0, "ok")));
-        eng.run(&mut w);
-        assert_eq!(w.log.len(), 1);
     }
 
     #[test]

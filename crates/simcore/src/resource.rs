@@ -64,11 +64,6 @@ impl PsPool {
         }
     }
 
-    /// Busy cores right now.
-    pub fn busy_cores(&self) -> f64 {
-        self.rate() * self.jobs.len() as f64
-    }
-
     /// Integrate progress up to `now`. Must be called before any
     /// membership change and before querying completions.
     pub fn advance(&mut self, now: SimTime) {

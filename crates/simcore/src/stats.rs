@@ -8,7 +8,7 @@
 //!   utilization ("SMs busy", "memory allocated") where *how long* a value
 //!   held matters, not how often it was sampled.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use serde::Serialize;
 
 /// Welford-style running mean/variance with extremes.
@@ -44,11 +44,6 @@ impl OnlineStats {
         self.m2 += d * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Record a duration in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Number of observations.

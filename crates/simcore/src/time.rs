@@ -127,12 +127,6 @@ impl SimDuration {
         }
     }
 
-    /// Construct from fractional milliseconds (clamping like
-    /// [`SimDuration::from_secs_f64`]).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1_000.0)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {

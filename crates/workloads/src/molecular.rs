@@ -18,7 +18,7 @@
 use crate::mlp::Regressor;
 use parfait_faas::app::bodies::{CpuBurn, KernelSeq};
 use parfait_faas::{submit, AppCall, Driver, FaasWorld, TaskId};
-use parfait_gpu::{GpuSpec, KernelDesc};
+use parfait_gpu::KernelDesc;
 use parfait_simcore::{streams, Engine, SimDuration, SimRng};
 use serde::Serialize;
 use std::cell::RefCell;
@@ -83,21 +83,22 @@ pub enum Selection {
     Random,
 }
 
+/// Active-learning rounds after the seed round.
+const ROUNDS: usize = 4;
+/// Simulations per round.
+const SIMS_PER_ROUND: usize = 16;
+/// Candidate pool ranked each round.
+const CANDIDATE_POOL: usize = 256;
+/// Emulator training epochs per round.
+const TRAIN_EPOCHS: usize = 120;
+/// Mean quantum-chemistry runtime (lognormal).
+const SIM_TIME_MEAN: SimDuration = SimDuration::from_secs(30);
+/// Lognormal sigma of the simulation runtime.
+const SIM_TIME_SIGMA: f64 = 0.35;
+
 /// Campaign parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Active-learning rounds after the seed round.
-    pub rounds: usize,
-    /// Simulations per round.
-    pub sims_per_round: usize,
-    /// Candidate pool ranked each round.
-    pub candidate_pool: usize,
-    /// Emulator training epochs per round.
-    pub train_epochs: usize,
-    /// Mean quantum-chemistry runtime (lognormal).
-    pub sim_time_mean: SimDuration,
-    /// Lognormal sigma of the simulation runtime.
-    pub sim_time_sigma: f64,
     /// Executor label for simulations.
     pub cpu_executor: String,
     /// Executor label for training/inference.
@@ -109,24 +110,15 @@ pub struct CampaignConfig {
     /// one-round-stale emulator, so CPU simulations overlap GPU
     /// training/inference instead of waiting for them.
     pub pipelined: bool,
-    /// GPU spec used to scale kernel work.
-    pub gpu_spec: GpuSpec,
 }
 
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
-            rounds: 4,
-            sims_per_round: 16,
-            candidate_pool: 256,
-            train_epochs: 120,
-            sim_time_mean: SimDuration::from_secs(30),
-            sim_time_sigma: 0.35,
             cpu_executor: "cpu".into(),
             gpu_executor: "gpu".into(),
             selection: Selection::ActiveLearning,
             pipelined: false,
-            gpu_spec: GpuSpec::a100_40gb(),
         }
     }
 }
@@ -222,15 +214,14 @@ impl Campaign {
         self.round_ips.clear();
         self.sims_outstanding = mols.len();
         for m in mols {
-            let mean = self.cfg.sim_time_mean.as_secs_f64();
-            let sigma = self.cfg.sim_time_sigma;
             let exec = self.cfg.cpu_executor.clone();
             let id = submit(
                 w,
                 eng,
-                AppCall::new("simulation", exec, move |rng: &mut SimRng| {
-                    let mu = mean.ln() - sigma * sigma / 2.0;
-                    let secs = rng.lognormal(mu, sigma);
+                AppCall::new("simulation", exec, |rng: &mut SimRng| {
+                    let mu =
+                        SIM_TIME_MEAN.as_secs_f64().ln() - SIM_TIME_SIGMA * SIM_TIME_SIGMA / 2.0;
+                    let secs = rng.lognormal(mu, SIM_TIME_SIGMA);
                     Box::new(CpuBurn::new(SimDuration::from_secs_f64(secs)))
                 }),
             );
@@ -252,7 +243,7 @@ impl Campaign {
 
     fn inference_kernels(&self) -> Vec<KernelDesc> {
         // Batch-score the candidate pool.
-        let work = 1.2 + 0.01 * self.cfg.candidate_pool as f64;
+        let work = 1.2 + 0.01 * CANDIDATE_POOL as f64;
         (0..16)
             .map(|_| KernelDesc::new("mol.infer", work, 32, 32, 0.5))
             .collect()
@@ -307,8 +298,8 @@ impl Campaign {
     }
 
     fn select_next_batch(&mut self) -> Vec<Molecule> {
-        let n = self.cfg.sims_per_round;
-        let pool = self.fresh_molecules(self.cfg.candidate_pool);
+        let n = SIMS_PER_ROUND;
+        let pool = self.fresh_molecules(CANDIDATE_POOL);
         match (self.cfg.selection, &self.emulator) {
             (Selection::ActiveLearning, Some(net)) => {
                 let mut scored: Vec<(f64, Molecule)> = pool
@@ -325,7 +316,7 @@ impl Campaign {
 
 impl Driver for Campaign {
     fn on_start(&mut self, w: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
-        let seed_batch = self.fresh_molecules(self.cfg.sims_per_round);
+        let seed_batch = self.fresh_molecules(SIMS_PER_ROUND);
         self.submit_simulations(w, eng, seed_batch);
     }
 
@@ -340,7 +331,7 @@ impl Driver for Campaign {
             self.ys.push(y);
             self.sims_outstanding -= 1;
             if self.sims_outstanding == 0 {
-                if self.round >= self.cfg.rounds {
+                if self.round >= ROUNDS {
                     self.close_round(None);
                     return; // campaign complete
                 }
@@ -360,7 +351,7 @@ impl Driver for Campaign {
             let mut net = self.emulator.take().unwrap_or_else(|| {
                 Regressor::new(&mut self.rng, &[FEATURES, 32, 32, 1]).with_lr(0.01)
             });
-            let mse = net.fit(&mut self.rng, &self.xs, &self.ys, self.cfg.train_epochs);
+            let mse = net.fit(&mut self.rng, &self.xs, &self.ys, TRAIN_EPOCHS);
             self.emulator = Some(net);
             self.close_round(Some(mse));
             self.submit_inference(w, eng);

@@ -24,7 +24,6 @@ fn campaign(selection: Selection) -> (f64, Vec<f64>, String, f64) {
     let c = Campaign::new(
         CampaignConfig {
             selection,
-            rounds: 4,
             ..CampaignConfig::default()
         },
         11,
