@@ -16,6 +16,9 @@
 //!   re-armed at a later instant, as a timeout wheel would.
 //! - `contended_arbitration` — the 8-context × 50-kernel MPS trace
 //!   (arbitration recompute throughput, reported in kernels/sec).
+//! - `relaunch_chain` — 4 partitioned-MPS contexts × 8 kernels, each
+//!   launched from its predecessor's completion handler (the wake
+//!   re-arm path of multi-kernel requests, in kernels/sec).
 
 use crate::report::write_report;
 use parfait_gpu::host::{launch_kernel, GpuFleet, GpuHost};
@@ -77,6 +80,13 @@ pub struct CostProxy {
     pub arbitration_recompute_calls: u64,
     /// Dirty domains re-derived across those recomputes.
     pub arbitration_domains_visited: u64,
+    /// Events fired by `relaunch_chain`.
+    pub relaunch_events_fired: u64,
+    /// Event-heap pushes on `relaunch_chain`: one wake per device tick,
+    /// so a re-arm inside the completion handler shows up here.
+    pub relaunch_heap_pushes: u64,
+    /// `GpuDevice::recompute` invocations on `relaunch_chain`.
+    pub relaunch_recompute_calls: u64,
     /// Events fired by the scaled-down fleet case (4 GPUs × 2 000 tasks,
     /// seed 42, optimized driver) — extends the ratchet over the whole
     /// FaaS dispatch/monitoring path, not just the event substrate.
@@ -115,6 +125,9 @@ impl CostProxy {
                 "arbitration_domains_visited",
                 self.arbitration_domains_visited,
             ),
+            ("relaunch_events_fired", self.relaunch_events_fired),
+            ("relaunch_heap_pushes", self.relaunch_heap_pushes),
+            ("relaunch_recompute_calls", self.relaunch_recompute_calls),
             ("fleet_events_fired", self.fleet_events_fired),
             ("fleet_heap_pushes", self.fleet_heap_pushes),
             ("fleet_heap_pops", self.fleet_heap_pops),
@@ -299,6 +312,72 @@ fn contended_arbitration() -> u64 {
     contended_arbitration_instrumented().0
 }
 
+/// Kernels per context in `relaunch_chain`.
+const CHAIN_LEN: u64 = 8;
+
+/// Relaunches each finished kernel's successor on the same context, as
+/// a multi-kernel request does.
+struct ChainWorld {
+    fleet: GpuFleet,
+    completions: u64,
+}
+
+/// A 432-block kernel: 50 ms at a 25 % share of an A100 (27 SMs), a
+/// little longer for the later contexts so completions interleave.
+fn chain_kernel(ctx: u32) -> KernelDesc {
+    KernelDesc::new("seq", 1.35 * (1.0 + ctx as f64 * 0.1), 432, 432, 0.0)
+}
+
+impl GpuHost for ChainWorld {
+    fn fleet_mut(&mut self) -> &mut GpuFleet {
+        &mut self.fleet
+    }
+    fn on_kernel_done(&mut self, e: &mut Engine<Self>, d: KernelDone) {
+        self.completions += 1;
+        if d.tag + 1 < CHAIN_LEN {
+            launch_kernel(self, e, d.gpu, d.ctx, chain_kernel(d.ctx.0), d.tag + 1)
+                .expect("relaunch");
+        }
+    }
+}
+
+/// One partitioned-MPS A100-80GB, 4 contexts at 25 % × [`CHAIN_LEN`]
+/// kernels chained from `on_kernel_done`. Returns `(completions, events
+/// fired, heap pushes, recompute calls)`.
+fn relaunch_chain_instrumented() -> (u64, u64, u64, u64) {
+    let mut fleet = GpuFleet::new();
+    let gid = fleet.add(GpuSpec::a100_80gb());
+    let dev = fleet.device_mut(gid);
+    dev.mps.start();
+    dev.set_mode(DeviceMode::MpsPartitioned).expect("mode");
+    let ctxs: Vec<CtxId> = (0..4)
+        .map(|i| {
+            dev.create_context(
+                SimTime::ZERO,
+                &format!("p{i}"),
+                CtxBinding::MpsPercentage(25),
+            )
+            .expect("ctx")
+        })
+        .collect();
+    let mut w = ChainWorld {
+        fleet,
+        completions: 0,
+    };
+    let mut eng = Engine::new();
+    for &ctx in &ctxs {
+        launch_kernel(&mut w, &mut eng, gid, ctx, chain_kernel(ctx.0), 0).expect("launch");
+    }
+    eng.run(&mut w);
+    assert_eq!(w.completions, 4 * CHAIN_LEN);
+    let (calls, _visited, _skipped) = w.fleet.cost_counters();
+    (w.completions, eng.events_fired(), eng.heap_pushes(), calls)
+}
+
+fn relaunch_chain() -> u64 {
+    relaunch_chain_instrumented().0
+}
+
 /// One instrumented pass over the deterministic cases, collecting the
 /// exact operation counts (no timing involved).
 pub fn cost_proxy() -> CostProxy {
@@ -306,6 +385,7 @@ pub fn cost_proxy() -> CostProxy {
     let (fired, pushes, pops) = timer_events_instrumented(N);
     let (_, cancel_pops) = cancel_heavy_instrumented(N);
     let (_, arb_fired, calls, visited) = contended_arbitration_instrumented();
+    let (_, relaunch_fired, relaunch_pushes, relaunch_calls) = relaunch_chain_instrumented();
     let (fleet, heap) =
         crate::alloc::section(|| crate::fleet::run_fleet(4, 2_000, 42, true).sim.behavior);
     CostProxy {
@@ -316,6 +396,9 @@ pub fn cost_proxy() -> CostProxy {
         arbitration_events_fired: arb_fired,
         arbitration_recompute_calls: calls,
         arbitration_domains_visited: visited,
+        relaunch_events_fired: relaunch_fired,
+        relaunch_heap_pushes: relaunch_pushes,
+        relaunch_recompute_calls: relaunch_calls,
         fleet_events_fired: fleet.events_fired,
         fleet_heap_pushes: fleet.heap_pushes,
         fleet_heap_pops: fleet.heap_pops,
@@ -333,6 +416,7 @@ pub fn measure() -> SubstrateReport {
         case("cancel_heavy_100k", || cancel_heavy(N)),
         case("reschedule_heavy_100k", || reschedule_heavy(N)),
         case("contended_arbitration", contended_arbitration),
+        case("relaunch_chain", relaunch_chain),
     ];
     SubstrateReport {
         events_per_sec: cases[0].ops_per_sec,
@@ -454,6 +538,7 @@ mod tests {
         assert_eq!(cancel_heavy(500), 500);
         assert_eq!(reschedule_heavy(500), 500);
         assert_eq!(contended_arbitration(), 400);
+        assert_eq!(relaunch_chain(), 32);
     }
 
     #[test]

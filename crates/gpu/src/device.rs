@@ -23,6 +23,29 @@
 //!    bandwidth scales all rates down proportionally. This is what MPS/
 //!    time-sharing share (no isolation) and MIG partitions (isolation),
 //!    quantifying Table 1's utilization-vs-isolation trade-off.
+//!
+//! ## Cost per change
+//!
+//! `launch` copies onto each kernel the rate inputs its context fixes for
+//! the kernel's whole life: the arbitration-domain key, the domain's
+//! geometry (MIG instance SMs and bandwidth, vGPU slot share, or the whole
+//! device) and the context's SM cap. They cannot change while the kernel
+//! runs: no API mutates a live context, `set_mode` refuses while contexts
+//! exist, `mig_destroy` refuses while a context is bound to the instance,
+//! and `destroy_context` and `reset` remove the kernels too. So
+//! `recompute` consults no map per kernel or per context, and reads the
+//! overcommit flag of the domain's one memory pool once per dirty domain.
+//! Per-context sums (demand in `recompute`, attained service in `advance`)
+//! live in dense arrays indexed by a context's accounting slot, the lowest
+//! slot no live context holds, so they grow with live contexts only.
+//!
+//! A dirty domain is derived in kid-ascending passes: per-context demand,
+//! then shares and the domain total, then wave quantization and bandwidth,
+//! then rates. Every f64 sum adds its terms in kid order (a context's
+//! demand over its own kernels, the domain totals over all members), the
+//! order the reproduction's numbers were recorded with, so rates are
+//! bit-identical (`tests/arbitration_regression.rs` pins this for every
+//! mode).
 
 use crate::error::{GpuError, Result};
 use crate::kernel::KernelDesc;
@@ -33,7 +56,7 @@ use crate::sharing::{CtxBinding, DeviceMode, ShareConfig};
 use crate::spec::{GpuSpec, Vendor};
 use parfait_simcore::stats::TimeWeighted;
 use parfait_simcore::{EventId, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// Fleet-level device index.
@@ -90,6 +113,9 @@ pub struct GpuContext {
     pub vgpu_slot: Option<u32>,
     /// MPS SM cap percentage.
     pub mps_pct: Option<u32>,
+    /// Slot in the device's per-context accounting array; reused after
+    /// the context is destroyed.
+    acct: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -97,6 +123,14 @@ struct ActiveKernel {
     /// Monotonic kernel id (never reused, unlike the slab slot).
     kid: u64,
     ctx: u32,
+    /// The context's accounting slot ([`GpuContext::acct`]).
+    acct: u32,
+    /// Arbitration-domain key ([`domain_key`] of the context).
+    dom: u32,
+    /// Geometry of that domain.
+    geom: Dom,
+    /// The context's SM cap inside the domain.
+    cap: f64,
     desc: KernelDesc,
     remaining: f64,
     rate: f64,
@@ -229,22 +263,26 @@ struct Dom {
 
 /// Reusable `recompute` buffers, hoisted onto the device so the
 /// per-change rate recomputation allocates nothing in steady state.
-/// The first four are parallel to `KernelSlab::order`.
+/// `share`, `eff` and `dom_of` are parallel to `KernelSlab::order`.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Final rate per kernel.
-    rate: Vec<f64>,
-    /// Provisional SM share (temporarily holds raw block demand).
+    /// Provisional SM share per kernel.
     share: Vec<f64>,
     /// Post-wave-quantization effective SMs.
     eff: Vec<f64>,
     /// Arbitration domain key per kernel ([`NO_DOMAIN`] when parked).
     dom_of: Vec<u32>,
-    /// Distinct (domain key, geometry), key-ascending.
-    domains: Vec<(u32, Dom)>,
-    /// Distinct contexts of the domain being processed, ascending.
-    dom_ctxs: Vec<u32>,
+    /// Distinct domain keys, ascending.
+    domains: Vec<u32>,
+    /// Block demand of the domain being processed, summed per context
+    /// and indexed by accounting slot ([`UNSEEN`] for contexts with no
+    /// kernel there).
+    ctx_demand: Vec<f64>,
 }
+
+/// `Scratch::ctx_demand` entry of a context with no kernel in the
+/// domain being processed (demands are never negative).
+const UNSEEN: f64 = -1.0;
 
 /// The simulated GPU.
 #[derive(Debug)]
@@ -295,7 +333,10 @@ pub struct GpuDevice {
     /// Domains whose kernel membership or rate inputs changed since the
     /// last `recompute`; only these are re-derived (the rest keep their
     /// exact previous f64 rates). See DESIGN.md §10 for the invariant.
-    dirty_domains: BTreeSet<u32>,
+    /// A small unordered list: it holds at most one entry per domain,
+    /// and clearing it keeps its buffer, so marking never allocates in
+    /// steady state.
+    dirty_domains: Vec<u32>,
     /// Device-wide change (mode, slowdown, UVM, config): every domain is
     /// dirty regardless of the set above.
     all_dirty: bool,
@@ -312,9 +353,22 @@ pub struct GpuDevice {
     busy_sms: TimeWeighted,
     kernels_completed: u64,
     /// SM-seconds of service attained per context (DCGM-style
-    /// accounting; survives kernel completion, cleared with the context).
-    attained: BTreeMap<u32, f64>,
-    pending_event: Option<EventId>,
+    /// accounting; survives kernel completion, cleared with the
+    /// context), indexed by the context's accounting slot.
+    attained: Vec<f64>,
+    wake: Wake,
+}
+
+/// The device's wake event, as kept by [`crate::host`].
+#[derive(Debug, Clone, Copy)]
+enum Wake {
+    /// Nothing scheduled.
+    Idle,
+    /// A wake event is pending.
+    Armed(EventId),
+    /// The wake fired and its completions are being delivered; `resync`
+    /// defers the re-arm to the end of the tick.
+    Ticking,
 }
 
 impl GpuDevice {
@@ -344,7 +398,7 @@ impl GpuDevice {
             ts_switch_end: SimTime::ZERO,
             healthy: true,
             slowdown: 1.0,
-            dirty_domains: BTreeSet::new(),
+            dirty_domains: Vec::new(),
             all_dirty: true,
             dirty_tracking: true,
             recompute_calls: 0,
@@ -353,8 +407,8 @@ impl GpuDevice {
             last: SimTime::ZERO,
             busy_sms: TimeWeighted::new(SimTime::ZERO, 0.0),
             kernels_completed: 0,
-            attained: BTreeMap::new(),
-            pending_event: None,
+            attained: Vec::new(),
+            wake: Wake::Idle,
         }
     }
 
@@ -367,8 +421,8 @@ impl GpuDevice {
     /// Mark one arbitration domain as needing re-derivation.
     #[inline]
     fn mark_domain_dirty(&mut self, dom: u32) {
-        if !self.all_dirty {
-            self.dirty_domains.insert(dom);
+        if !self.all_dirty && !self.dirty_domains.contains(&dom) {
+            self.dirty_domains.push(dom);
         }
     }
 
@@ -377,19 +431,6 @@ impl GpuDevice {
     fn mark_all_dirty(&mut self) {
         self.all_dirty = true;
         self.dirty_domains.clear();
-    }
-
-    /// Mark the domain a context arbitrates in; an unknown context is a
-    /// caller bug upstream, so fall back to marking everything.
-    fn mark_ctx_dirty(&mut self, ctx: u32) {
-        let dom = match self.ctxs.get(&ctx) {
-            Some(c) => domain_key(self.mode, c),
-            None => {
-                self.mark_all_dirty();
-                return;
-            }
-        };
-        self.mark_domain_dirty(dom);
     }
 
     /// Toggle per-domain dirty tracking (default on). Marks are always
@@ -497,14 +538,7 @@ impl GpuDevice {
                 if slots == 0 {
                     return Err(GpuError::BadPercentage(0));
                 }
-                let per = self.spec.memory_bytes / slots as u64;
-                self.vgpu_mem = (0..slots)
-                    .map(|_| {
-                        let mut p = MemoryPool::new(per);
-                        p.set_oversubscription(self.allow_uvm);
-                        p
-                    })
-                    .collect();
+                self.vgpu_mem = self.vgpu_pools(slots);
             }
             DeviceMode::TimeSharing | DeviceMode::MpsDefault | DeviceMode::MpsPartitioned => {
                 if self.mig.enabled() {
@@ -519,6 +553,18 @@ impl GpuDevice {
         self.mode = mode;
         self.mark_all_dirty();
         Ok(())
+    }
+
+    /// `slots` empty, equal vGPU slot pools under the current UVM setting.
+    fn vgpu_pools(&self, slots: u32) -> Vec<MemoryPool> {
+        let per = self.spec.memory_bytes / slots as u64;
+        (0..slots)
+            .map(|_| {
+                let mut p = MemoryPool::new(per);
+                p.set_oversubscription(self.allow_uvm);
+                p
+            })
+            .collect()
     }
 
     /// Create a MIG instance (device must be in MIG mode).
@@ -631,6 +677,15 @@ impl GpuDevice {
         ) {
             self.mps.connect(id, mps_pct)?;
         }
+        // The lowest accounting slot no live context holds, so the
+        // accounting array grows with live contexts only.
+        let acct = (0..self.attained.len() as u32)
+            .find(|a| self.ctxs.values().all(|c| c.acct != *a))
+            .unwrap_or_else(|| {
+                self.attained.push(0.0);
+                (self.attained.len() - 1) as u32
+            });
+        self.attained[acct as usize] = 0.0;
         self.ctxs.insert(
             id,
             GpuContext {
@@ -640,6 +695,7 @@ impl GpuDevice {
                 mig_instance,
                 vgpu_slot,
                 mps_pct,
+                acct,
             },
         );
         self.advance(now);
@@ -662,7 +718,6 @@ impl GpuDevice {
         self.mark_domain_dirty(dom);
         let aborted = self.kernels.retain(|k| k.ctx != ctx.0);
         self.mem_pool_for(&c).release_owner(ctx.0);
-        self.attained.remove(&ctx.0);
         self.mps.disconnect(ctx.0);
         if self.ts_current == Some(ctx.0) {
             self.ts_current = None;
@@ -684,16 +739,17 @@ impl GpuDevice {
         }
     }
 
-    fn pool_overcommitted(&self, c: &GpuContext) -> bool {
-        if let Some(i) = c.mig_instance {
-            self.mig_mem
-                .get(&i)
-                .map(|p| p.overcommitted())
-                .unwrap_or(false)
-        } else if let Some(s) = c.vgpu_slot {
-            self.vgpu_mem[s as usize].overcommitted()
-        } else {
-            self.mem.overcommitted()
+    /// Is the memory pool behind arbitration domain `dom` overcommitted?
+    /// Each domain has exactly one pool: the MIG instance's, the vGPU
+    /// slot's, or the device-wide one.
+    fn domain_overcommitted(&self, dom: u32) -> bool {
+        match self.mode {
+            DeviceMode::Mig => self
+                .mig_mem
+                .get(&(dom - 1))
+                .is_some_and(|p| p.overcommitted()),
+            DeviceMode::Vgpu { .. } => self.vgpu_mem[(dom - 1) as usize].overcommitted(),
+            _ => self.mem.overcommitted(),
         }
     }
 
@@ -780,15 +836,49 @@ impl GpuDevice {
         if !self.healthy {
             return Err(GpuError::Unhealthy);
         }
-        if !self.ctxs.contains_key(&ctx.0) {
-            return Err(GpuError::UnknownContext(ctx.0));
-        }
+        let c = self
+            .ctxs
+            .get(&ctx.0)
+            .ok_or(GpuError::UnknownContext(ctx.0))?;
+        // Rate inputs fixed for the kernel's whole life (module docs).
+        let acct = c.acct;
+        let dom = domain_key(self.mode, c);
+        let geom = match self.mode {
+            DeviceMode::Mig => {
+                let inst = self
+                    .mig
+                    .get(c.mig_instance.expect("mig ctx bound"))
+                    .expect("instance exists");
+                Dom {
+                    sms: inst.sms as f64,
+                    bw: inst.bandwidth_fraction,
+                }
+            }
+            DeviceMode::Vgpu { slots } => Dom {
+                sms: self.spec.sms as f64 / slots as f64,
+                bw: 1.0 / slots as f64,
+            },
+            _ => Dom {
+                sms: self.spec.sms as f64,
+                bw: 1.0,
+            },
+        };
+        let cap = match (self.mode, c.mps_pct) {
+            (DeviceMode::MpsPartitioned, Some(p)) => {
+                (self.spec.sms as f64 * p as f64 / 100.0).min(geom.sms)
+            }
+            _ => geom.sms,
+        };
         self.advance(now);
         let id = self.next_kernel;
         self.next_kernel += 1;
         let slot = self.kernels.insert(ActiveKernel {
             kid: id,
             ctx: ctx.0,
+            acct,
+            dom,
+            geom,
+            cap,
             desc,
             remaining: 0.0,
             rate: 0.0,
@@ -799,7 +889,7 @@ impl GpuDevice {
         // complete through the normal path.
         let k = self.kernels.get_mut(slot);
         k.remaining = k.desc.work_sm_s.max(0.0);
-        self.mark_ctx_dirty(ctx.0);
+        self.mark_domain_dirty(dom);
         self.recompute(now);
         Ok(KernelId(id))
     }
@@ -809,14 +899,10 @@ impl GpuDevice {
     /// `resync` afterwards.
     pub fn abort_tagged(&mut self, now: SimTime, tag: u64) -> usize {
         self.advance(now);
-        let mode = self.mode;
-        let ctxs = &self.ctxs;
         let mut dirty: Vec<u32> = Vec::new();
         let removed = self.kernels.retain(|k| {
             if k.tag == tag {
-                if let Some(c) = ctxs.get(&k.ctx) {
-                    dirty.push(domain_key(mode, c));
-                }
+                dirty.push(k.dom);
                 false
             } else {
                 true
@@ -889,7 +975,7 @@ impl GpuDevice {
                 if k.rate > 0.0 {
                     let served = (k.rate * dt).min(k.remaining);
                     k.remaining -= served;
-                    *self.attained.entry(k.ctx).or_insert(0.0) += served;
+                    self.attained[k.acct as usize] += served;
                 }
             }
         }
@@ -901,7 +987,9 @@ impl GpuDevice {
     /// contention" drawback of default MPS: compare attained service
     /// across tenants.
     pub fn attained_service(&self, ctx: CtxId) -> f64 {
-        self.attained.get(&ctx.0).copied().unwrap_or(0.0)
+        self.ctxs
+            .get(&ctx.0)
+            .map_or(0.0, |c| self.attained[c.acct as usize])
     }
 
     /// Time-sharing rotation bookkeeping; called from `recompute`. The
@@ -962,11 +1050,16 @@ impl GpuDevice {
     /// Callers must have `advance`d to `now` first.
     ///
     /// Allocation-free in steady state: every buffer lives in
-    /// [`Scratch`] and is reused across calls. Every f64 accumulation
-    /// below iterates kernels in kid-ascending order (via
-    /// `KernelSlab::order`), which reproduces the summation order of
+    /// [`Scratch`] and is reused across calls. No map is consulted per
+    /// kernel or per context: each kernel carries its domain key,
+    /// geometry and context cap from `launch`, and the pool overcommit
+    /// flag is read once per dirty domain.
+    ///
+    /// Every f64 accumulation iterates kernels in kid-ascending order
+    /// (via `KernelSlab::order`), which reproduces the summation order of
     /// the previous `BTreeMap`-based implementation bit for bit — the
-    /// `arbitration_regression` test pins this down.
+    /// `arbitration_regression` test pins this down. That includes each
+    /// context's demand total, summed over its own kernels in kid order.
     ///
     /// With dirty tracking on, only domains marked since the previous
     /// call are re-derived; every kernel in a clean domain keeps its
@@ -986,8 +1079,6 @@ impl GpuDevice {
         }
         let mut scratch = std::mem::take(&mut self.scratch);
         let n = self.kernels.len();
-        scratch.rate.clear();
-        scratch.rate.resize(n, 0.0);
         scratch.share.clear();
         scratch.share.resize(n, 0.0);
         scratch.eff.clear();
@@ -995,128 +1086,83 @@ impl GpuDevice {
         scratch.dom_of.clear();
         scratch.domains.clear();
 
-        // Domain key per kernel: MIG instance / vGPU slot index + 1, or
-        // 0 for the whole device.
-        let whole = Dom {
-            sms: self.spec.sms as f64,
-            bw: 1.0,
-        };
+        let ts_parks = self.mode == DeviceMode::TimeSharing;
         for p in 0..n {
-            let k = self.kernels.get(self.kernels.order[p]);
+            let k = self.kernels.get_mut(self.kernels.order[p]);
             // Time-sharing: only the current context's kernels run.
-            if self.mode == DeviceMode::TimeSharing && Some(k.ctx) != self.ts_current {
-                scratch.dom_of.push(NO_DOMAIN); // rate stays 0.0
+            if ts_parks && Some(k.ctx) != self.ts_current {
+                k.rate = 0.0;
+                scratch.dom_of.push(NO_DOMAIN);
                 continue;
             }
-            let c = &self.ctxs[&k.ctx];
-            let (dom_key, dom) = match self.mode {
-                DeviceMode::Mig => {
-                    let inst = self
-                        .mig
-                        .get(c.mig_instance.expect("mig ctx bound"))
-                        .expect("instance exists");
-                    (
-                        1 + inst.id,
-                        Dom {
-                            sms: inst.sms as f64,
-                            bw: inst.bandwidth_fraction,
-                        },
-                    )
-                }
-                DeviceMode::Vgpu { slots } => {
-                    let s = c.vgpu_slot.expect("vgpu ctx bound");
-                    (
-                        1 + s,
-                        Dom {
-                            sms: self.spec.sms as f64 / slots as f64,
-                            bw: 1.0 / slots as f64,
-                        },
-                    )
-                }
-                _ => (0, whole),
-            };
-            scratch.dom_of.push(dom_key);
-            scratch.domains.push((dom_key, dom));
-            // Prefill with the previous rate: kernels in clean domains
-            // keep it verbatim; dirty domains overwrite every member
-            // below. Parked kernels stay at the 0.0 the resize wrote.
-            scratch.rate[p] = k.rate;
+            // Kernels in clean domains keep their previous rate; dirty
+            // domains overwrite every member below.
+            scratch.dom_of.push(k.dom);
+            if scratch.domains.last() != Some(&k.dom) {
+                scratch.domains.push(k.dom);
+            }
         }
-        scratch.domains.sort_unstable_by_key(|&(key, _)| key);
-        scratch.domains.dedup_by_key(|&mut (key, _)| key);
+        scratch.domains.sort_unstable();
+        scratch.domains.dedup();
 
         let mps_mode = matches!(
             self.mode,
             DeviceMode::MpsDefault | DeviceMode::MpsPartitioned
         );
         for di in 0..scratch.domains.len() {
-            let (dom_key, dom) = scratch.domains[di];
+            let dom_key = scratch.domains[di];
             if self.dirty_tracking && !self.all_dirty && !self.dirty_domains.contains(&dom_key) {
                 // Clean domain: no membership or rate-input change since
-                // the last recompute; its kernels keep the prefilled
-                // previous rates.
+                // the last recompute; its kernels keep their rates.
                 self.domains_skipped += 1;
                 continue;
             }
             self.domains_visited += 1;
-            // Distinct contexts with kernels in this domain, ascending.
-            scratch.dom_ctxs.clear();
+            // Per-context block demand, one kid-ordered pass; a context's
+            // first kernel sets its total (the `0.0 + d` of a fresh sum).
+            // Every member carries the same domain geometry.
+            scratch.ctx_demand.clear();
+            scratch.ctx_demand.resize(self.attained.len(), UNSEEN);
+            let mut ctxs_in_dom = 0usize;
+            let mut dom = Dom { sms: 0.0, bw: 0.0 };
             for p in 0..n {
                 if scratch.dom_of[p] == dom_key {
-                    scratch
-                        .dom_ctxs
-                        .push(self.kernels.get(self.kernels.order[p]).ctx);
+                    let k = self.kernels.get(self.kernels.order[p]);
+                    dom = k.geom;
+                    let d = k.desc.peak_parallelism() as f64;
+                    let total = &mut scratch.ctx_demand[k.acct as usize];
+                    if *total == UNSEEN {
+                        ctxs_in_dom += 1;
+                        *total = d;
+                    } else {
+                        *total += d;
+                    }
                 }
             }
-            scratch.dom_ctxs.sort_unstable();
-            scratch.dom_ctxs.dedup();
             // MPS co-residency interference (L2/scheduler contention).
             let mut interference = if mps_mode && self.cfg.mps_interference > 0.0 {
-                1.0 / (1.0
-                    + self.cfg.mps_interference * (scratch.dom_ctxs.len().saturating_sub(1)) as f64)
+                1.0 / (1.0 + self.cfg.mps_interference * (ctxs_in_dom.saturating_sub(1)) as f64)
             } else {
                 1.0
             };
             if matches!(self.mode, DeviceMode::Vgpu { .. }) {
                 interference *= VGPU_SCHED_EFFICIENCY;
             }
-            // Per-context provisional shares (contexts ascending, each
-            // context's kernels kid-ascending, as before).
-            for ci in 0..scratch.dom_ctxs.len() {
-                let ctx = scratch.dom_ctxs[ci];
-                let c = &self.ctxs[&ctx];
-                let cap = match (self.mode, c.mps_pct) {
-                    (DeviceMode::MpsPartitioned, Some(p)) => {
-                        (self.spec.sms as f64 * p as f64 / 100.0).min(dom.sms)
-                    }
-                    _ => dom.sms,
-                };
-                let mut total = 0.0;
-                for p in 0..n {
-                    if scratch.dom_of[p] == dom_key {
-                        let k = self.kernels.get(self.kernels.order[p]);
-                        if k.ctx == ctx {
-                            let d = k.desc.peak_parallelism() as f64;
-                            scratch.share[p] = d; // raw demand, for now
-                            total += d;
-                        }
-                    }
-                }
-                if total > cap {
-                    for p in 0..n {
-                        if scratch.dom_of[p] == dom_key
-                            && self.kernels.get(self.kernels.order[p]).ctx == ctx
-                        {
-                            scratch.share[p] = scratch.share[p] * cap / total;
-                        }
-                    }
-                }
-            }
-            // Domain-wide overload.
+            // Provisional shares: each context's kernels split its cap in
+            // proportion to their demand. Then domain-wide overload.
             let mut total = 0.0;
             for p in 0..n {
                 if scratch.dom_of[p] == dom_key {
-                    total += scratch.share[p];
+                    let k = self.kernels.get(self.kernels.order[p]);
+                    let d = k.desc.peak_parallelism() as f64;
+                    let ctx_total = scratch.ctx_demand[k.acct as usize];
+                    let share = if ctx_total > k.cap {
+                        d * k.cap / ctx_total
+                    } else {
+                        d
+                    };
+                    scratch.share[p] = share;
+                    total += share;
                 }
             }
             let scale = if total > dom.sms {
@@ -1139,12 +1185,11 @@ impl GpuDevice {
             } else {
                 1.0
             };
+            let uvm_penalty = self.domain_overcommitted(dom_key);
             for p in 0..n {
                 if scratch.dom_of[p] == dom_key {
-                    let k = self.kernels.get(self.kernels.order[p]);
-                    let c = &self.ctxs[&k.ctx];
                     let mut rate = scratch.eff[p] * bw_scale * interference;
-                    if self.pool_overcommitted(c) {
+                    if uvm_penalty {
                         rate *= self.spec.uvm_penalty;
                     }
                     // Gated so the nominal case multiplies by nothing and
@@ -1152,20 +1197,19 @@ impl GpuDevice {
                     if self.slowdown != 1.0 {
                         rate *= self.slowdown;
                     }
-                    scratch.rate[p] = rate;
+                    self.kernels.get_mut(self.kernels.order[p]).rate = rate;
                 }
             }
         }
 
-        // Apply rates and rebuild the running list, both kid-ascending.
+        // Sum busy SMs and rebuild the running list, both kid-ascending.
         let mut busy = 0.0;
         self.running.clear();
         for p in 0..n {
             let slot = self.kernels.order[p];
-            let k = self.kernels.get_mut(slot);
-            k.rate = scratch.rate[p];
-            busy += k.rate;
-            if k.rate > 0.0 {
+            let rate = self.kernels.get(slot).rate;
+            busy += rate;
+            if rate > 0.0 {
                 self.running.push(slot);
             }
         }
@@ -1210,7 +1254,7 @@ impl GpuDevice {
             if k.remaining <= WORK_EPS && (k.rate > 0.0 || k.desc.work_sm_s <= WORK_EPS) {
                 let k = self.kernels.take_at(slot);
                 self.kernels_completed += 1;
-                self.mark_ctx_dirty(k.ctx);
+                self.mark_domain_dirty(k.dom);
                 done.push(KernelDone {
                     gpu: self.id,
                     ctx: CtxId(k.ctx),
@@ -1241,6 +1285,9 @@ impl GpuDevice {
         }
         self.mem = MemoryPool::new(self.spec.memory_bytes);
         self.mem.set_oversubscription(self.allow_uvm);
+        if let DeviceMode::Vgpu { slots } = self.mode {
+            self.vgpu_mem = self.vgpu_pools(slots);
+        }
         self.mig_mem.clear();
         self.mig.destroy_all();
         self.attained.clear();
@@ -1252,12 +1299,28 @@ impl GpuDevice {
 
     /// Swap out the stored wake event id, if any.
     pub fn take_pending_event(&mut self) -> Option<EventId> {
-        self.pending_event.take()
+        match self.wake {
+            Wake::Armed(ev) => {
+                self.wake = Wake::Idle;
+                Some(ev)
+            }
+            Wake::Idle | Wake::Ticking => None,
+        }
     }
 
     /// Store the wake event id.
     pub fn set_pending_event(&mut self, ev: EventId) {
-        self.pending_event = Some(ev);
+        self.wake = Wake::Armed(ev);
+    }
+
+    /// Is the device inside a wake tick, delivering completions?
+    pub(crate) fn ticking(&self) -> bool {
+        matches!(self.wake, Wake::Ticking)
+    }
+
+    /// Enter a wake tick (`true`, after its event fired) or leave it.
+    pub(crate) fn set_ticking(&mut self, on: bool) {
+        self.wake = if on { Wake::Ticking } else { Wake::Idle };
     }
 
     /// Vendor passthrough.
@@ -1555,6 +1618,28 @@ mod tests {
         assert_eq!(d.active_kernels(), 0);
         assert_eq!(d.mig.instance_count(), 0);
         assert_eq!(d.memory_used(), 0);
+
+        // vGPU slot pools drop the bytes of the contexts they held.
+        let gib = crate::spec::GIB;
+        let mut d = dev(DeviceMode::Vgpu { slots: 2 });
+        let c = d
+            .create_context(SimTime::ZERO, "vm0", CtxBinding::VgpuSlot(0))
+            .unwrap();
+        d.alloc_memory(c, 30 * gib).unwrap();
+        d.reset(t(1.0));
+        assert_eq!(d.memory_used(), 0);
+        let c = d
+            .create_context(t(1.0), "vm0", CtxBinding::VgpuSlot(0))
+            .unwrap();
+        d.alloc_memory(c, 30 * gib).unwrap();
+        // Same 40 GiB slot, still without UVM.
+        assert_eq!(
+            d.alloc_memory(c, 11 * gib),
+            Err(GpuError::OutOfMemory {
+                requested: 11 * gib,
+                available: 10 * gib,
+            })
+        );
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! functions here ([`launch_kernel`], [`resync`]) keep exactly one pending
 //! wake event armed per device and deliver completions through
 //! [`GpuHost::on_kernel_done`].
+//!
+//! A device's wake tick re-arms it once, after every completion handler
+//! has run: while the tick delivers completions, a `resync` of that
+//! device (including the one inside a handler's [`launch_kernel`])
+//! returns at once. Deferring is exact: a re-arm made inside the tick
+//! would be cancelled by the tick's trailing `resync` before any event
+//! could fire, and the trailing `resync` schedules the live wake at the
+//! same point either way, so every live event keeps its `(time, seq)`
+//! order. Resyncs of other devices are untouched.
 
 use crate::device::{CtxId, GpuDevice, GpuId, KernelDone, KernelId};
 use crate::error::Result;
@@ -106,29 +115,33 @@ pub fn launch_kernel<W: GpuHost>(
 
 /// Re-arm the single pending wake event for `gpu` after any state change
 /// made directly on the device (context churn, memory ops, mode changes).
+/// Inside the device's own wake tick this is deferred to the tick's end.
 pub fn resync<W: GpuHost>(world: &mut W, eng: &mut Engine<W>, gpu: GpuId) {
     let now = eng.now();
-    let pending = world.fleet_mut().device_mut(gpu).take_pending_event();
-    if let Some(ev) = pending {
+    let dev = world.fleet_mut().device_mut(gpu);
+    if dev.ticking() {
+        return;
+    }
+    if let Some(ev) = dev.take_pending_event() {
         eng.cancel(ev);
     }
-    let wake = world.fleet_mut().device_mut(gpu).next_wake(now);
-    if let Some(at) = wake {
+    if let Some(at) = dev.next_wake(now) {
         let ev = eng.schedule_at(at, move |w: &mut W, e| tick(w, e, gpu));
         world.fleet_mut().device_mut(gpu).set_pending_event(ev);
     }
 }
 
-/// Wake handler: pop completions, deliver them, re-arm.
+/// Wake handler: pop completions, deliver them, re-arm once.
 fn tick<W: GpuHost>(world: &mut W, eng: &mut Engine<W>, gpu: GpuId) {
-    world.fleet_mut().device_mut(gpu).take_pending_event();
-    let done = world
-        .fleet_mut()
-        .device_mut(gpu)
-        .collect_finished(eng.now());
+    // The wake that fired is spent; resyncs of this device wait for the
+    // re-arm below.
+    let dev = world.fleet_mut().device_mut(gpu);
+    dev.set_ticking(true);
+    let done = dev.collect_finished(eng.now());
     for d in done {
         world.on_kernel_done(eng, d);
     }
+    world.fleet_mut().device_mut(gpu).set_ticking(false);
     resync(world, eng, gpu);
 }
 
@@ -143,6 +156,23 @@ mod tests {
         completions: Vec<(u64, SimTime)>,
         chain: u64,
         chain_ctx: Option<CtxId>,
+        /// Tags whose completion destroys the kernel's own context.
+        destroy_on: Vec<u64>,
+        /// `(tag, gpu)`: the tag's completion launches tag + 1 on `gpu`.
+        launch_on: Vec<(u64, GpuId)>,
+    }
+
+    impl World {
+        fn new(fleet: GpuFleet) -> Self {
+            World {
+                fleet,
+                completions: Vec::new(),
+                chain: 0,
+                chain_ctx: None,
+                destroy_on: Vec::new(),
+                launch_on: Vec::new(),
+            }
+        }
     }
 
     impl GpuHost for World {
@@ -151,6 +181,26 @@ mod tests {
         }
         fn on_kernel_done(&mut self, eng: &mut Engine<Self>, done: KernelDone) {
             self.completions.push((done.tag, done.finished));
+            if self.destroy_on.contains(&done.tag) {
+                let now = eng.now();
+                self.fleet
+                    .device_mut(done.gpu)
+                    .destroy_context(now, done.ctx)
+                    .unwrap();
+                resync(self, eng, done.gpu);
+            }
+            if let Some(&(_, gpu)) = self.launch_on.iter().find(|l| l.0 == done.tag) {
+                let ctx = self.fleet.device(gpu).contexts().next().unwrap().id;
+                launch_kernel(
+                    self,
+                    eng,
+                    gpu,
+                    ctx,
+                    KernelDesc::new("hop", 21.6, 75_600, 75_600, 0.0),
+                    done.tag + 1,
+                )
+                .unwrap();
+            }
             if self.chain > 0 {
                 self.chain -= 1;
                 let ctx = self.chain_ctx.expect("chain ctx");
@@ -182,17 +232,24 @@ mod tests {
             .device_mut(gpu)
             .create_context(SimTime::ZERO, "w0", CtxBinding::Bare)
             .unwrap();
-        (
-            World {
-                fleet,
-                completions: Vec::new(),
-                chain: 0,
-                chain_ctx: None,
-            },
-            Engine::new(),
-            gpu,
-            ctx,
-        )
+        (World::new(fleet), Engine::new(), gpu, ctx)
+    }
+
+    /// Every device with work has exactly one armed wake, every idle
+    /// device none, and the engine holds nothing else.
+    fn assert_one_wake_per_busy_device(w: &mut World, eng: &Engine<World>) {
+        let now = eng.now();
+        let mut armed = 0;
+        for g in 0..w.fleet.len() as u32 {
+            let d = w.fleet.device_mut(GpuId(g));
+            let ev = d.take_pending_event();
+            assert_eq!(ev.is_some(), d.next_wake(now).is_some(), "gpu {g} at {now}");
+            if let Some(ev) = ev {
+                d.set_pending_event(ev);
+                armed += 1;
+            }
+        }
+        assert_eq!(eng.pending(), armed, "only device wakes are scheduled");
     }
 
     #[test]
@@ -231,14 +288,69 @@ mod tests {
             0,
         )
         .unwrap();
-        eng.run(&mut w);
-        assert_eq!(w.completions.len(), 5);
+        while w.completions.len() < 5 {
+            assert_eq!(eng.pending(), 1, "one armed wake while work remains");
+            assert!(eng.step(&mut w));
+        }
+        assert_eq!(eng.pending(), 0);
         let tags: Vec<u64> = w.completions.iter().map(|c| c.0).collect();
         assert_eq!(tags, vec![0, 1, 2, 3, 4]);
         let last = w.completions.last().unwrap().1;
         assert!(
             (last.as_secs_f64() - 0.5).abs() < 1e-5,
             "5 × 0.1 s, got {last}"
+        );
+        // One wake per kernel: the tick re-arms once, after the handler's
+        // relaunch, instead of once inside `launch_kernel` and again at
+        // the end of the tick.
+        assert_eq!(eng.heap_pushes(), 5);
+    }
+
+    #[test]
+    fn handlers_that_destroy_or_hop_devices_leave_one_wake_each() {
+        let mut fleet = GpuFleet::new();
+        let g0 = fleet.add(GpuSpec::a100_80gb());
+        let g1 = fleet.add(GpuSpec::a100_80gb());
+        let d0 = fleet.device_mut(g0);
+        d0.mps.start();
+        d0.set_mode(DeviceMode::MpsDefault).unwrap();
+        let own = d0
+            .create_context(SimTime::ZERO, "own", CtxBinding::Bare)
+            .unwrap();
+        let other = d0
+            .create_context(SimTime::ZERO, "other", CtxBinding::Bare)
+            .unwrap();
+        fleet
+            .device_mut(g1)
+            .create_context(SimTime::ZERO, "remote", CtxBinding::Bare)
+            .unwrap();
+        let mut w = World::new(fleet);
+        // Tag 1 finishing destroys its own context, aborting tag 2 on the
+        // ticking device; tag 3 finishing launches tag 4 on the other GPU.
+        w.destroy_on.push(1);
+        w.launch_on.push((3, g1));
+        let mut eng = Engine::new();
+        let launches = [
+            (own, KernelDesc::new("short", 2.0, 20, 20, 0.0), 1),
+            (own, KernelDesc::new("aborted", 500.0, 40, 40, 0.0), 2),
+            (other, KernelDesc::new("long", 8.0, 40, 40, 0.3), 3),
+        ];
+        for (ctx, desc, tag) in launches {
+            launch_kernel(&mut w, &mut eng, g0, ctx, desc, tag).unwrap();
+            assert_one_wake_per_busy_device(&mut w, &eng);
+        }
+        while eng.step(&mut w) {
+            assert_one_wake_per_busy_device(&mut w, &eng);
+        }
+        assert_eq!(w.fleet.device(g0).context_count(), 1);
+        let got: Vec<(u64, u64)> = w
+            .completions
+            .iter()
+            .map(|&(tag, at)| (tag, at.as_nanos()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(1, 100_000_001), (3, 200_000_001), (4, 400_000_002)]
         );
     }
 
@@ -255,12 +367,7 @@ mod tests {
             .device_mut(g1)
             .create_context(SimTime::ZERO, "b", CtxBinding::Bare)
             .unwrap();
-        let mut w = World {
-            fleet,
-            completions: Vec::new(),
-            chain: 0,
-            chain_ctx: None,
-        };
+        let mut w = World::new(fleet);
         let mut eng = Engine::new();
         launch_kernel(
             &mut w,
@@ -323,12 +430,7 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            let mut w = World {
-                fleet,
-                completions: Vec::new(),
-                chain: 0,
-                chain_ctx: None,
-            };
+            let mut w = World::new(fleet);
             let mut eng = Engine::new();
             for (i, &c) in ctxs.iter().enumerate() {
                 launch_kernel(
