@@ -18,8 +18,8 @@ use crate::scenarios::{
 };
 use parfait_core::Strategy;
 use parfait_faas::{
-    install_faults, resume_sampling, submit, CheckpointPolicy, FaasWorld, FaultKind, FaultPlan,
-    RecoveryStats, Topology,
+    install_faults, resume_sampling, submit, FaasWorld, FaultKind, FaultPlan, RecoveryStats,
+    Topology,
 };
 use parfait_simcore::{SimDuration, SimTime};
 use serde::Serialize;
@@ -200,10 +200,7 @@ fn run_correlated_phase(
     // without changing its structure (host back before GPUs re-enroll).
     world.config.recovery.host_reboot = SimDuration::from_secs(20);
     world.config.recovery.gpu_reenroll_stagger = SimDuration::from_secs(2);
-    world.config.checkpoint = match ckpt_interval {
-        Some(i) => CheckpointPolicy::every(i),
-        None => CheckpointPolicy::default(),
-    };
+    world.config.checkpoint_interval = ckpt_interval;
     warm_up(
         &mut world,
         &mut eng,

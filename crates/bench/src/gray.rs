@@ -19,8 +19,8 @@ use crate::scenarios::{
 };
 use parfait_core::Strategy;
 use parfait_faas::{
-    install_faults, resume_sampling, submit, CheckpointPolicy, FaasWorld, FaultKind, FaultPhase,
-    FaultPlan, GrayStats, TaskState,
+    install_faults, resume_sampling, submit, FaasWorld, FaultKind, FaultPhase, FaultPlan,
+    GrayStats, TaskState,
 };
 use parfait_simcore::{SimDuration, SimTime};
 use serde::Serialize;
@@ -214,7 +214,7 @@ fn run_gray_phase(
     let (mut world, mut eng, llm, gpu_spec) =
         build_platform(strategy, GRAY_GPUS, GRAY_PROCS_PER_GPU, seed);
     world.config.retries = 4;
-    world.config.checkpoint = CheckpointPolicy::every(SimDuration::from_secs(CKPT_INTERVAL_S));
+    world.config.checkpoint_interval = Some(SimDuration::from_secs(CKPT_INTERVAL_S));
     detection.apply(&mut world);
     warm_up(&mut world, &mut eng, GRAY_GPUS * GRAY_PROCS_PER_GPU, || {
         session_call(&llm, &gpu_spec, "warmup")

@@ -14,9 +14,8 @@
 //! (exactly-once is load-bearing, not incidental).
 //!
 //! Everything is seeded (arrivals on `streams::ARRIVAL_TRACE`, hedge
-//! jitter on `streams::HEDGE_TIMING`, shed tie-breaks on
-//! `streams::ADMISSION`), so the JSON is bit-identical across runs of
-//! the same build; `tests/determinism.rs` byte-compares a protected
+//! jitter on `streams::HEDGE_TIMING`), so the JSON is bit-identical
+//! across runs of the same build; `tests/determinism.rs` byte-compares a protected
 //! cell across double runs.
 
 use crate::report::write_report;
@@ -27,7 +26,7 @@ use crate::scenarios::{
 use parfait_core::Strategy;
 use parfait_faas::{
     enable_brownout, install_faults, resume_sampling, submit, AcceleratorSpec, FaasWorld,
-    FaultKind, FaultPlan, HedgePolicy, OverloadStats, Percentiles, RetryBudget, ShedPolicy,
+    FaultKind, FaultPlan, OverloadStats, Percentiles,
 };
 use parfait_simcore::{streams, SimDuration, SimRng};
 use parfait_workloads::trace;
@@ -159,20 +158,12 @@ fn apply_protection(
         return None;
     }
     world.config.overload.queue_cap = Some(2 * procs);
-    world.config.overload.shed_policy = ShedPolicy::ShedOldest;
     world.config.overload.deadline_admission = true;
-    world.config.overload.retry_budget = Some(RetryBudget {
-        ratio: 0.1,
-        burst: 3.0,
-    });
+    world.config.overload.retry_budget = true;
     if protection != Protection::Full {
         return None;
     }
-    world.config.overload.hedge = Some(HedgePolicy {
-        trigger_factor: 2.0,
-        jitter: 0.10,
-        cancel_latency: SimDuration::from_millis(50),
-    });
+    world.config.overload.hedge_trigger = Some(2.0);
     let degraded = match strategy {
         // Two small thread-percentage workers; MPS lets the active
         // thread percentage oversubscribe, so the tier rides on top of
@@ -288,11 +279,7 @@ pub fn straggler_run(strategy: &Strategy, hedged: bool, seed: u64) -> StragglerR
         build_platform(strategy, STRAGGLER_GPUS, STRAGGLER_PROCS_PER_GPU, seed);
     world.config.retries = 2;
     if hedged {
-        world.config.overload.hedge = Some(HedgePolicy {
-            trigger_factor: 1.5,
-            jitter: 0.10,
-            cancel_latency: SimDuration::from_millis(50),
-        });
+        world.config.overload.hedge_trigger = Some(1.5);
     }
     warm_up(
         &mut world,
@@ -377,9 +364,8 @@ pub fn measure(requests: usize, seed: u64) -> OverloadReport {
 
 /// One fully-protected cell at 2× load plus a line-oriented trace
 /// (fault records + task rows + counters), byte-compared across double
-/// runs by `tests/determinism.rs`. The cell exercises both new RNG
-/// streams: `ADMISSION` (shed tie-breaks) and `HEDGE_TIMING` (hedge
-/// delay jitter).
+/// runs by `tests/determinism.rs`. The cell exercises the hedge-delay
+/// jitter stream (`HEDGE_TIMING`).
 pub fn traced_overload_run(seed: u64) -> (OverloadCell, String) {
     let strategy = Strategy::MpsEqual;
     let est = measure_est(&strategy, SWEEP_PROCS, seed);

@@ -23,7 +23,7 @@ use parfait_faas::{
 };
 use parfait_gpu::context;
 use parfait_gpu::host::GpuFleet;
-use parfait_gpu::{DeviceMode, GpuSpec, ShareConfig};
+use parfait_gpu::{DeviceMode, GpuSpec};
 use parfait_simcore::{Engine, SimTime};
 use parfait_workloads::dnn::{exec, models};
 use parfait_workloads::llm::RequestProfile;
@@ -37,15 +37,8 @@ use serde::Serialize;
 pub const SEED: u64 = 20231112; // SC-W 2023 opening day
 
 /// MPS co-residency interference used by the reproduction scenarios
-/// (see `ShareConfig::mps_interference`).
+/// (see `GpuDevice::set_mps_interference`).
 pub const MPS_INTERFERENCE: f64 = 0.06;
-
-fn scenario_share_config() -> ShareConfig {
-    ShareConfig {
-        mps_interference: MPS_INTERFERENCE,
-        ..ShareConfig::default()
-    }
-}
 
 /// Result of one multiplexing cell (one bar of Fig. 4 / point of Fig. 5).
 #[derive(Debug, Clone, Serialize)]
@@ -86,9 +79,7 @@ pub fn build_platform(
     let mut specs = Vec::new();
     for g in 0..gpus as u32 {
         let id = fleet.add(gpu_spec.clone());
-        fleet
-            .device_mut(id)
-            .set_share_config(scenario_share_config());
+        fleet.device_mut(id).set_mps_interference(MPS_INTERFERENCE);
         let p = plan(&gpu_spec, g, procs_per_gpu, strategy).expect("valid plan");
         // A 4-way MIG split (1g.10gb) cannot hold a 16.6 GiB deployment;
         // the paper reports numbers anyway, so we enable UVM
@@ -310,9 +301,7 @@ pub fn fig2_point(llm: &LlmSpec, pct: u32, seed: u64) -> f64 {
     let gpu_spec = GpuSpec::a100_40gb();
     let mut fleet = GpuFleet::new();
     let g = fleet.add(gpu_spec.clone());
-    fleet
-        .device_mut(g)
-        .set_share_config(scenario_share_config());
+    fleet.device_mut(g).set_mps_interference(MPS_INTERFERENCE);
     fleet.device_mut(g).mps.start();
     fleet
         .device_mut(g)
@@ -384,17 +373,13 @@ pub fn molecular_campaign_with(selection: Selection, pipelined: bool, seed: u64)
     let mut eng = Engine::new();
     parfait_faas::run(&mut world, &mut eng);
     let wall = eng.now();
-    let tracks = world.timeline.tracks();
-    let phase_busy_s = tracks
-        .iter()
+    let timeline = metrics::timeline(&world);
+    let phase_busy_s = timeline
+        .tracks()
+        .into_iter()
         .map(|t| {
-            (
-                t.clone(),
-                world
-                    .timeline
-                    .union_busy(t, SimTime::ZERO, wall)
-                    .as_secs_f64(),
-            )
+            let busy = timeline.union_busy(&t, SimTime::ZERO, wall).as_secs_f64();
+            (t, busy)
         })
         .collect();
     let rounds = history.borrow();
@@ -408,7 +393,7 @@ pub fn molecular_campaign_with(selection: Selection, pipelined: bool, seed: u64)
         gpu_idle_fraction: world.monitor.idle_fraction(0),
         best_ip,
         best_by_round,
-        ascii: world.timeline.render_ascii(100),
+        ascii: timeline.render_ascii(100),
     }
 }
 

@@ -2,11 +2,13 @@
 //!
 //! Small, figure-oriented reductions of the DFK task table: makespan
 //! (Fig. 4's "task completion time"), mean/percentile per-request latency
-//! (Fig. 5), throughput (the abstract's 2.5× claim), and utilization
-//! summaries (Table 1 quantified).
+//! (Fig. 5), throughput (the abstract's 2.5× claim), utilization
+//! summaries (Table 1 quantified), and the per-app phase timeline
+//! (Fig. 3).
 
 use parfait_faas::{FaasWorld, TaskState};
 use parfait_simcore::stats::OnlineStats;
+use parfait_simcore::timeline::Timeline;
 use parfait_simcore::{SimDuration, SimTime};
 use serde::Serialize;
 
@@ -69,6 +71,21 @@ pub fn throughput(world: &FaasWorld, app: &str) -> f64 {
     }
 }
 
+/// The Fig. 3 phase timeline: one span per task that started and
+/// settled, on its app's track, from its first body start to its
+/// settle. A retried task contributes one span, not one per attempt, and
+/// that span includes its failed attempts and the retry gaps between
+/// them.
+pub fn timeline(world: &FaasWorld) -> Timeline {
+    let mut tl = Timeline::new();
+    for t in world.dfk.tasks() {
+        if let (Some(start), Some(end)) = (t.started, t.finished) {
+            tl.add(&t.app, start, end);
+        }
+    }
+    tl
+}
+
 /// One row of the quantified Table 1.
 #[derive(Debug, Clone, Serialize)]
 pub struct ModeSummary {
@@ -98,10 +115,13 @@ pub fn summarize(world: &FaasWorld, app: &str, gpu: u32, mode: &str) -> ModeSumm
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfait_faas::app::bodies::CpuBurn;
+    use parfait_faas::app::bodies::{CpuBurn, KernelSeq};
+    use parfait_faas::monitoring::WorkerEventKind;
     use parfait_faas::{boot, submit, AppCall, Config, ExecutorConfig};
     use parfait_gpu::host::GpuFleet;
+    use parfait_gpu::KernelDesc;
     use parfait_simcore::{Engine, SimDuration};
+    use std::cell::Cell;
 
     fn run_two_apps() -> FaasWorld {
         let config = Config::new(vec![ExecutorConfig::cpu("cpu", 2)]);
@@ -159,6 +179,81 @@ mod tests {
         let turn = turnaround(&w, "alpha");
         let exec = exec_latency(&w, "alpha");
         assert!(turn.mean() > exec.mean(), "turnaround must include waiting");
+    }
+
+    #[test]
+    fn timeline_has_one_span_per_task_on_its_app_track() {
+        let w = run_two_apps();
+        let tl = timeline(&w);
+        assert_eq!(tl.tracks(), vec!["alpha".to_string(), "beta".to_string()]);
+        for app in ["alpha", "beta"] {
+            let spans: Vec<(SimTime, SimTime)> = w
+                .dfk
+                .tasks()
+                .iter()
+                .filter(|t| t.app == app)
+                .map(|t| (t.started.unwrap(), t.finished.unwrap()))
+                .collect();
+            assert_eq!(tl.track_spans(app), spans.as_slice());
+        }
+        let end = tl.horizon();
+        // alpha's two bursts overlap on the two workers, so their union
+        // runs from the first start to the last finish; beta runs alone.
+        let alpha = w.dfk.tasks().iter().filter(|t| t.app == "alpha");
+        let lo = alpha.clone().map(|t| t.started.unwrap()).min().unwrap();
+        let hi = alpha.map(|t| t.finished.unwrap()).max().unwrap();
+        assert_eq!(
+            tl.union_busy("alpha", SimTime::ZERO, end),
+            hi.duration_since(lo)
+        );
+        let beta = &w.dfk.tasks()[2];
+        assert_eq!(
+            tl.union_busy("beta", SimTime::ZERO, end),
+            beta.finished.unwrap().duration_since(beta.started.unwrap())
+        );
+
+        // A retried task is still one span, from its first attempt's body
+        // start to its settle: the failed attempt and the retry gap are
+        // inside it. The first attempt fails (a GPU step on a CPU
+        // worker); the retry burns 1 s of CPU.
+        let config = Config::new(vec![ExecutorConfig::cpu("cpu", 1)]);
+        let mut w = FaasWorld::new(config, GpuFleet::new(), 3);
+        let mut eng = Engine::new();
+        boot(&mut w, &mut eng);
+        let made = Cell::new(0u32);
+        let id = submit(
+            &mut w,
+            &mut eng,
+            AppCall::new("retried", "cpu", move |_| {
+                made.set(made.get() + 1);
+                if made.get() == 1 {
+                    let k = KernelDesc::new("k", 1.0, 75_600, 75_600, 0.0);
+                    Box::new(KernelSeq::new(vec![k], SimDuration::ZERO))
+                } else {
+                    Box::new(CpuBurn::new(SimDuration::from_secs(1)))
+                }
+            }),
+        );
+        eng.run(&mut w);
+        let t = w.dfk.task(id);
+        assert_eq!((t.state, t.attempts), (TaskState::Done, 2));
+        let span = (t.started.unwrap(), t.finished.unwrap());
+        assert_eq!(timeline(&w).track_spans("retried"), &[span]);
+        let starts: Vec<SimTime> = w
+            .monitor
+            .worker_events
+            .iter()
+            .filter(|e| e.kind == WorkerEventKind::TaskStart)
+            .map(|e| e.t)
+            .collect();
+        assert_eq!(starts.len(), 2, "one dispatch per attempt");
+        // The span opens before the retry's dispatch and closes no
+        // sooner than the retry's 1 s body after it.
+        assert!(
+            starts[0] <= span.0 && span.0 < starts[1],
+            "the span opens at the first attempt"
+        );
+        assert!(span.1.duration_since(starts[1]) >= SimDuration::from_secs(1));
     }
 
     #[test]

@@ -107,9 +107,8 @@ pub type BodyFactory = Rc<dyn Fn(&mut SimRng) -> Box<dyn TaskBody>>;
 
 /// One app invocation submitted to the DataFlowKernel.
 pub struct AppCall {
-    /// App (function) name. It names the timeline track each attempt's
-    /// span is recorded on (Fig. 3-style phase plots); the task record
-    /// keeps the one copy, so a span itself stores no name.
+    /// App (function) name. It names the track the task's span lands on
+    /// in the derived Fig. 3 phase timeline.
     pub app: String,
     /// Executor label this call is routed to (Parsl's `executors=[...]`).
     pub executor: String,
@@ -117,17 +116,10 @@ pub struct AppCall {
     pub make_body: BodyFactory,
     /// Tasks that must complete successfully first.
     pub depends_on: Vec<TaskId>,
-    /// Per-attempt execution walltime limit (Parsl's `walltime` app
-    /// option). The worker kills the attempt when it expires; retries
-    /// apply as for any failure.
-    pub walltime: Option<parfait_simcore::SimDuration>,
     /// End-to-end completion deadline relative to submit time. Used by
     /// deadline-aware admission control (`Config::overload`) and by the
     /// goodput accounting in the overload benchmarks. `None` = no SLO.
     pub deadline: Option<SimDuration>,
-    /// Admission priority: higher values survive shed-lowest-priority
-    /// queue eviction longer. Defaults to 0.
-    pub priority: i32,
     /// Caller-estimated service time of one attempt (from the GPU
     /// performance model, e.g. `LlmSpec::solo_completion_seconds` at the
     /// partition's SM share). Drives the queue-wait estimate of
@@ -147,9 +139,7 @@ impl AppCall {
             executor: executor.into(),
             make_body: Rc::new(make_body),
             depends_on: Vec::new(),
-            walltime: None,
             deadline: None,
-            priority: 0,
             est_service: None,
         }
     }
@@ -160,21 +150,9 @@ impl AppCall {
         self
     }
 
-    /// Set a per-attempt walltime limit (Parsl's `walltime` option).
-    pub fn with_walltime(mut self, limit: SimDuration) -> Self {
-        self.walltime = Some(limit);
-        self
-    }
-
     /// Set an end-to-end completion deadline relative to submit time.
     pub fn with_deadline(mut self, deadline: SimDuration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Set the admission priority (higher survives shedding longer).
-    pub fn with_priority(mut self, priority: i32) -> Self {
-        self.priority = priority;
         self
     }
 

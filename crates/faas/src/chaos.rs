@@ -48,10 +48,7 @@ use parfait_simcore::{streams, Engine, SimDuration, SimRng, SimTime};
 
 use crate::app::bodies::KernelSeq;
 use crate::app::{AppCall, TaskId};
-use crate::config::{
-    AcceleratorSpec, CheckpointPolicy, Config, ExecutorConfig, HedgePolicy, OverloadConfig,
-    RetryBudget, ShedPolicy, Topology,
-};
+use crate::config::{AcceleratorSpec, Config, ExecutorConfig, OverloadConfig, Topology};
 use crate::dfk::TaskState;
 use crate::faults::{inject_fault, FaultKind, InjectOutcome};
 use crate::world::{boot, submit, FaasWorld, WorkerState};
@@ -324,13 +321,12 @@ pub fn chaos_platform(s: &ChaosSchedule) -> (FaasWorld, Engine<FaasWorld>) {
     }
     let mut config = Config::new(execs);
     config.retries = 2;
-    config.checkpoint = CheckpointPolicy::every(SimDuration::from_secs(5));
+    config.checkpoint_interval = Some(SimDuration::from_secs(5));
     config.overload = OverloadConfig {
         queue_cap: Some(8),
-        shed_policy: ShedPolicy::ShedOldest,
         deadline_admission: false,
-        retry_budget: Some(RetryBudget::default()),
-        hedge: Some(HedgePolicy::default()),
+        retry_budget: true,
+        hedge_trigger: Some(1.5),
     };
     config.recovery.progress_timeout = Some(SimDuration::from_secs(10));
     config.recovery.fail_slow = true;

@@ -2,7 +2,7 @@
 //!
 //! Long-running checkpointable bodies (LLM completion sessions, kernel
 //! sequences) periodically snapshot their progress at step boundaries
-//! (see [`crate::CheckpointPolicy`]). A snapshot is *captured* at a
+//! (see [`crate::Config::checkpoint_interval`]). A snapshot is *captured* at a
 //! boundary, written back device→host at the device's effective PCIe
 //! rate (`GpuSpec::checkpoint_write_seconds`), and *committed* to this
 //! store only when the writeback finishes on the same worker incarnation

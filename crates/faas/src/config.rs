@@ -7,12 +7,18 @@
 //! may be MIG UUIDs (Listing 3). String parsing and plan synthesis live in
 //! `parfait-core` (the paper's contribution); this layer consumes the
 //! resolved [`AcceleratorSpec`]s.
+//!
+//! Every executor is a `HighThroughputExecutor`. A value stays a field
+//! here only if two non-test callers set it differently, or it is a
+//! deployment setting or a benchmark public item; every other value is
+//! a named constant in this module (DESIGN.md §5, "One value, one
+//! constant").
 
 use parfait_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A resolved accelerator binding for one worker slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum AcceleratorSpec {
     /// Whole GPU by fleet index (`CUDA_VISIBLE_DEVICES=<n>`), sharing per
     /// the device's current mode.
@@ -39,45 +45,13 @@ impl AcceleratorSpec {
     }
 }
 
-/// How workers are provisioned (Parsl execution providers, §2.2.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum ProviderConfig {
-    /// `LocalProvider`: fork worker processes on the local node.
-    Local {
-        /// Process fork+exec delay before cold start begins.
-        spawn_delay: SimDuration,
-    },
-    /// `SlurmProvider`: batch-queue wait then remote launch.
-    Slurm {
-        /// Mean queue wait (exponential).
-        queue_wait_mean: SimDuration,
-        /// srun launch delay once scheduled.
-        spawn_delay: SimDuration,
-    },
-}
+/// Process fork+exec delay before a worker's cold start begins
+/// (Parsl's `LocalProvider`, §2.2.1).
+pub(crate) const SPAWN_DELAY: SimDuration = SimDuration::from_millis(150);
 
-impl Default for ProviderConfig {
-    fn default() -> Self {
-        ProviderConfig::Local {
-            spawn_delay: SimDuration::from_millis(150),
-        }
-    }
-}
-
-/// Executor flavours (§2.2.1: Parsl "supports Executors designed to
-/// support different use cases; from extreme-scale to low latency").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecutorKind {
-    /// The pilot-job `HighThroughputExecutor`: provider-spawned worker
-    /// processes with full cold starts — the executor this paper extends.
-    HighThroughput,
-    /// Python's `ThreadPoolExecutor`: threads of the already-running
-    /// submitting process — no provider delay, no cold start, CPU-only.
-    ThreadPool,
-}
-
-/// One executor definition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One `HighThroughputExecutor` definition: provider-spawned worker
+/// processes with full cold starts, the executor this paper extends.
+#[derive(Debug, Clone, Serialize)]
 pub struct ExecutorConfig {
     /// Label tasks route by (Listing 1's `label='cpu'` / `label="gpu"`).
     pub label: String,
@@ -86,10 +60,6 @@ pub struct ExecutorConfig {
     /// Accelerator bound to each worker slot, cycled Parsl-style: worker
     /// `i` takes `accelerators[i % len]`. Empty = CPU-only workers.
     pub accelerators: Vec<AcceleratorSpec>,
-    /// Provider used to provision the workers.
-    pub provider: ProviderConfig,
-    /// Executor flavour.
-    pub kind: ExecutorKind,
 }
 
 impl ExecutorConfig {
@@ -99,22 +69,6 @@ impl ExecutorConfig {
             label: label.into(),
             max_workers,
             accelerators: Vec::new(),
-            provider: ProviderConfig::default(),
-            kind: ExecutorKind::HighThroughput,
-        }
-    }
-
-    /// `ThreadPoolExecutor`-style in-process thread pool (§2.2.1):
-    /// CPU-only, instantly warm, no provider.
-    pub fn thread_pool(label: impl Into<String>, threads: usize) -> Self {
-        ExecutorConfig {
-            label: label.into(),
-            max_workers: threads,
-            accelerators: Vec::new(),
-            provider: ProviderConfig::Local {
-                spawn_delay: SimDuration::ZERO,
-            },
-            kind: ExecutorKind::ThreadPool,
         }
     }
 
@@ -127,8 +81,6 @@ impl ExecutorConfig {
             label: label.into(),
             max_workers: n,
             accelerators,
-            provider: ProviderConfig::default(),
-            kind: ExecutorKind::HighThroughput,
         }
     }
 
@@ -143,7 +95,7 @@ impl ExecutorConfig {
 }
 
 /// Top-level configuration (Listing 1's `Config`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Config {
     /// Executor definitions.
     pub executors: Vec<ExecutorConfig>,
@@ -158,42 +110,39 @@ pub struct Config {
     /// the blast radius of correlated faults ([`crate::FaultKind::HostReboot`],
     /// [`crate::FaultKind::RackPower`]).
     pub topology: Topology,
-    /// Periodic checkpointing of long-running task bodies (disabled by
-    /// default; recovery then re-executes lost attempts from scratch).
-    pub checkpoint: CheckpointPolicy,
+    /// Target gap between periodic snapshots of one checkpointable task
+    /// body. `None` (the default) disables checkpointing; recovery then
+    /// re-executes lost attempts from scratch.
+    ///
+    /// Checkpointable bodies (LLM completion sessions, kernel sequences)
+    /// snapshot their progress at step boundaries roughly every interval
+    /// (jittered by `CHECKPOINT_JITTER`). A snapshot stalls the task for
+    /// [`CHECKPOINT_OVERHEAD`] plus the device-priced writeback of the
+    /// snapshot bytes (KV/workspace state + live task allocations) over
+    /// the same effective PCIe bandwidth the model loader uses; recovery
+    /// then resumes the task from its last committed snapshot.
+    pub checkpoint_interval: Option<SimDuration>,
     /// Overload protection: bounded queues with shedding, deadline-aware
     /// admission, retry budgets, and straggler hedging. Fully disabled by
     /// default so existing scenarios and artifacts are untouched.
     pub overload: OverloadConfig,
-    /// Online-reconfiguration protocol knobs: staged-drain timeout and
-    /// injectable transaction-failure probability.
+    /// Online-reconfiguration protocol knob: the injectable
+    /// transaction-failure probability.
     pub reconfig: ReconfigConfig,
 }
 
-/// Knobs for the staged drain / reconfig-transaction protocol (see
+/// Knob for the staged drain / reconfig-transaction protocol (see
 /// DESIGN.md §11). Reconfigurations requested through the core crate's
 /// `begin_resize_mps` / `begin_reconfigure_mig` first stop dispatch to
 /// the target workers, wait for in-flight tasks to finish (or
 /// checkpoint), and force-kill whatever is still running after
-/// `drain_timeout`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// [`crate::drain::DRAIN_TIMEOUT`].
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct ReconfigConfig {
-    /// How long a staged drain waits for in-flight tasks before
-    /// force-killing the stragglers and proceeding to commit.
-    pub drain_timeout: SimDuration,
     /// Probability that a reconfig transaction's commit fails (drawn on
     /// the dedicated `simcore::streams::RECONFIG_FAULTS` stream). `0.0`
     /// never draws, so enabling it elsewhere perturbs nothing.
     pub fail_prob: f64,
-}
-
-impl Default for ReconfigConfig {
-    fn default() -> Self {
-        ReconfigConfig {
-            drain_timeout: SimDuration::from_secs(30),
-            fail_prob: 0.0,
-        }
-    }
 }
 
 /// Physical placement of the GPU fleet: fleet index → host → rack.
@@ -204,7 +153,7 @@ impl Default for ReconfigConfig {
 /// no GPU binding and therefore sit outside every GPU fault domain —
 /// a host reboot in this model fences accelerators, not the submitting
 /// process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Topology {
     /// GPUs per host (the paper's testbed packs 4 A100s per node).
     pub gpus_per_host: u32,
@@ -257,49 +206,15 @@ impl Topology {
     }
 }
 
-/// Periodic checkpointing of long-running task bodies.
-///
-/// When enabled, checkpointable bodies (LLM completion sessions, kernel
-/// sequences) snapshot their progress at step boundaries roughly every
-/// `interval`. A snapshot stalls the task for `overhead` plus the
-/// device-priced writeback of the snapshot bytes (KV/workspace state +
-/// live task allocations) over the same effective PCIe bandwidth the
-/// model loader uses; recovery then resumes the task from its last
-/// committed snapshot instead of re-executing from scratch.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CheckpointPolicy {
-    /// Target gap between snapshots of one task. `None` disables
-    /// checkpointing entirely.
-    pub interval: Option<SimDuration>,
-    /// Fixed per-snapshot overhead (serialization, consistency barrier)
-    /// added on top of the bandwidth-priced writeback.
-    pub overhead: SimDuration,
-    /// Uniform jitter fraction applied to each arm of the checkpoint
-    /// timer (`interval * (1 + jitter * U[0,1))`), drawn from the seeded
-    /// checkpoint stream so co-resident workers de-synchronize their
-    /// writebacks reproducibly. Clamped to `[0, 1]`.
-    pub jitter: f64,
-}
+/// Fixed per-snapshot overhead (serialization, consistency barrier)
+/// added on top of the bandwidth-priced writeback.
+pub const CHECKPOINT_OVERHEAD: SimDuration = SimDuration::from_millis(200);
 
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy {
-            interval: None,
-            overhead: SimDuration::from_millis(200),
-            jitter: 0.10,
-        }
-    }
-}
-
-impl CheckpointPolicy {
-    /// Policy snapshotting every `interval` with default overhead/jitter.
-    pub fn every(interval: SimDuration) -> Self {
-        CheckpointPolicy {
-            interval: Some(interval),
-            ..CheckpointPolicy::default()
-        }
-    }
-}
+/// Uniform jitter fraction applied to each arm of the checkpoint timer
+/// (`interval * (1 + jitter * U[0,1))`), drawn from the seeded checkpoint
+/// stream so co-resident workers de-synchronize their writebacks
+/// reproducibly.
+pub(crate) const CHECKPOINT_JITTER: f64 = 0.10;
 
 /// Overload-protection knobs (see DESIGN.md "Overload model"). Every
 /// mechanism is opt-in and independent; the default config disables all
@@ -309,104 +224,61 @@ impl CheckpointPolicy {
 /// Tasks released later by a completing dependency were already accepted
 /// as part of their workflow and bypass admission — shedding the tail of
 /// an admitted DAG would waste the work already sunk into its head.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Serialize, Default)]
 pub struct OverloadConfig {
     /// Per-executor queue depth bound. A ready task submitted while the
-    /// queue holds this many entries triggers [`OverloadConfig::shed_policy`].
-    /// `None` = unbounded (historical behaviour).
+    /// queue holds this many entries sheds the queue's oldest entry (it
+    /// has waited longest and is the most likely to miss its deadline
+    /// anyway) and is admitted. `None` = unbounded (historical behaviour).
     pub queue_cap: Option<usize>,
-    /// What to do when the queue is full.
-    pub shed_policy: ShedPolicy,
-    /// Reject tasks whose estimated queue wait plus service time already
+    /// Refuse tasks whose estimated queue wait plus service time already
     /// exceeds their deadline at submit time. Only tasks carrying both a
     /// deadline and a service estimate (see
     /// [`crate::AppCall::with_deadline`] /
     /// [`crate::AppCall::with_est_service`]) are screened.
     pub deadline_admission: bool,
     /// Per-app token bucket capping retry traffic as a fraction of
-    /// first-attempt traffic. `None` = retries limited only by the
-    /// per-task `retries` budget (historical behaviour).
-    pub retry_budget: Option<RetryBudget>,
-    /// Straggler hedging: launch a speculative duplicate of a slow task
-    /// on another partition and cancel the loser on first completion.
+    /// first-attempt traffic. Every admitted first attempt of an app
+    /// deposits [`RETRY_BUDGET_RATIO`] tokens (capped at
+    /// [`RETRY_BUDGET_BURST`], also the initial balance); every retry
+    /// withdraws one. A dry bucket sheds the retry permanently and counts
+    /// `retries_suppressed` — during an outage the retry stream therefore
+    /// decays to at most the ratio of the first-attempt stream instead of
+    /// multiplying it by the per-task retry budget. `false` = retries
+    /// limited only by the per-task `retries` budget (historical
+    /// behaviour).
+    pub retry_budget: bool,
+    /// Straggler hedging: the multiple of a task's service estimate at
+    /// which a running primary attempt is declared a straggler suspect
+    /// (e.g. `1.5` hedges attempts running 50% past their estimate).
     /// `None` = never hedge.
-    pub hedge: Option<HedgePolicy>,
+    ///
+    /// A running primary attempt with a service estimate arms a hedge
+    /// timer for `est_service * trigger * (1 + HEDGE_JITTER * U[0,1))`
+    /// (jitter on `simcore::streams::HEDGE_TIMING`). If the attempt is
+    /// still running when the timer fires and an idle worker exists in
+    /// the executor (a different GPU preferred) while the queue is empty,
+    /// a speculative duplicate launches there — restoring from the task's
+    /// last committed checkpoint when one exists. The first attempt to
+    /// complete wins; the loser is cancelled [`HEDGE_CANCEL_LATENCY`]
+    /// later (the control-plane round-trip of the cancellation).
+    pub hedge_trigger: Option<f64>,
 }
 
-/// Victim selection when a bounded queue is full at admission time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum ShedPolicy {
-    /// Refuse the incoming task; the queue is untouched.
-    #[default]
-    Reject,
-    /// Drop the oldest queued task (it has waited longest and is the
-    /// most likely to miss its deadline anyway) and admit the newcomer.
-    ShedOldest,
-    /// Drop the lowest-priority task among the queue and the newcomer;
-    /// ties are broken uniformly on the seeded admission stream
-    /// (`simcore::streams::ADMISSION`).
-    ShedLowestPriority,
-}
+/// Retry-budget tokens deposited per admitted first attempt (the
+/// steady-state retry fraction: one retry per ten admissions).
+pub const RETRY_BUDGET_RATIO: f64 = 0.1;
 
-/// Token bucket capping retry traffic per app.
-///
-/// Every admitted first attempt of an app deposits `ratio` tokens
-/// (capped at `burst`); every retry withdraws one. A dry bucket sheds
-/// the retry permanently and counts `retries_suppressed` — during an
-/// outage the retry stream therefore decays to at most `ratio` of the
-/// first-attempt stream instead of multiplying it by the per-task retry
-/// budget.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RetryBudget {
-    /// Tokens deposited per admitted first attempt (the steady-state
-    /// retry fraction; e.g. `0.1` allows one retry per ten admissions).
-    pub ratio: f64,
-    /// Bucket capacity, and the initial balance, in tokens (the burst of
-    /// back-to-back retries tolerated before the ratio bites).
-    pub burst: f64,
-}
+/// Retry-budget bucket capacity, and the initial balance, in tokens (the
+/// burst of back-to-back retries tolerated before the ratio bites).
+pub const RETRY_BUDGET_BURST: f64 = 3.0;
 
-impl Default for RetryBudget {
-    fn default() -> Self {
-        RetryBudget {
-            ratio: 0.1,
-            burst: 3.0,
-        }
-    }
-}
+/// Uniform jitter fraction on the hedge delay.
+pub(crate) const HEDGE_JITTER: f64 = 0.10;
 
-/// Straggler-hedging policy.
-///
-/// A running primary attempt with a service estimate arms a hedge timer
-/// for `est_service * trigger_factor * (1 + jitter * U[0,1))` (jitter on
-/// `simcore::streams::HEDGE_TIMING`). If the attempt is still running
-/// when the timer fires and an idle worker exists in the executor (a
-/// different GPU preferred) while the queue is empty, a speculative
-/// duplicate launches there — restoring from the task's last committed
-/// checkpoint when one exists. The first attempt to complete wins; the
-/// loser is cancelled `cancel_latency` later (the control-plane
-/// round-trip of the cancellation).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct HedgePolicy {
-    /// Multiple of the task's service estimate at which the attempt is
-    /// declared a straggler suspect (e.g. `1.5` hedges attempts running
-    /// 50% past their estimate).
-    pub trigger_factor: f64,
-    /// Uniform jitter fraction on the hedge delay, clamped to `[0, 1]`.
-    pub jitter: f64,
-    /// Delay between the winner's completion and the loser's teardown.
-    pub cancel_latency: SimDuration,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> Self {
-        HedgePolicy {
-            trigger_factor: 1.5,
-            jitter: 0.10,
-            cancel_latency: SimDuration::from_millis(50),
-        }
-    }
-}
+/// Delay between a hedged task's winning completion and the loser's
+/// teardown.
+pub const HEDGE_CANCEL_LATENCY: SimDuration = SimDuration::from_millis(50);
 
 /// Physical cores on the node (the paper's testbed has 24 Xeon cores).
 /// CPU steps slow down proportionally when more workers are
@@ -417,6 +289,21 @@ pub(crate) const NODE_CORES: usize = 24;
 /// scans). A crashed (silently dead) worker is discovered on the first
 /// scan after its silence exceeds [`RecoveryConfig::heartbeat_timeout`].
 pub(crate) const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// Contained client faults on one GPU before its circuit breaker trips
+/// and the device is quarantined.
+pub const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long a quarantined GPU stays fenced before re-admission.
+pub const BREAKER_COOLDOWN: SimDuration = SimDuration::from_secs(30);
+
+/// Stagger between consecutive host boot completions when a whole rack
+/// power-cycles (hosts never all return in the same instant).
+pub const HOST_BOOT_STAGGER: SimDuration = SimDuration::from_secs(15);
+
+/// Time to restore rack power before any host in the rack can even
+/// begin booting ([`crate::FaultKind::RackPower`]).
+pub const RACK_POWER_RESTORE: SimDuration = SimDuration::from_secs(60);
 
 /// First retry delay; attempt `n` of a task waits
 /// `BACKOFF_BASE * 2^(n-1)`, capped at [`BACKOFF_CAP`].
@@ -466,7 +353,7 @@ pub(crate) const CANARY_FACTOR: f64 = 1.6;
 pub(crate) const FAIL_SLOW_COOLDOWN: SimDuration = SimDuration::from_secs(30);
 
 /// Failure detection and recovery knobs (see DESIGN.md "Failure model").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RecoveryConfig {
     /// Heartbeat silence that declares a worker dead. Should be a small
     /// multiple of the 500 ms `HEARTBEAT_PERIOD` to bound false
@@ -476,24 +363,13 @@ pub struct RecoveryConfig {
     /// Fault-induced deaths auto-respawn while budget remains; explicit
     /// [`crate::world::kill_worker`] calls never auto-respawn.
     pub restart_budget: u32,
-    /// Contained client faults on one GPU before its circuit breaker
-    /// trips and the device is quarantined.
-    pub breaker_threshold: u32,
-    /// How long a quarantined GPU stays fenced before re-admission.
-    pub breaker_cooldown: SimDuration,
     /// Host reboot time for [`crate::FaultKind::HostReboot`]: the host's
     /// GPUs stay fenced at least this long after the fault.
     pub host_reboot: SimDuration,
-    /// Stagger between consecutive host boot completions when a whole
-    /// rack power-cycles (hosts never all return in the same instant).
-    pub host_boot_stagger: SimDuration,
     /// Stagger between consecutive GPU re-enrollments on one host after
     /// it boots: the host comes back first, then its GPUs re-enroll one
     /// by one (driver probe + MPS/MIG re-setup serializes per host).
     pub gpu_reenroll_stagger: SimDuration,
-    /// Time to restore rack power before any host in the rack can even
-    /// begin booting ([`crate::FaultKind::RackPower`]).
-    pub rack_power_restore: SimDuration,
     /// Progress-watchdog timeout: a *busy* worker whose progress mark
     /// (refreshed at step boundaries, checkpoint begin/commit, model-load
     /// and restore completion) is older than this is declared gray —
@@ -514,12 +390,8 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             heartbeat_timeout: SimDuration::from_secs(2),
             restart_budget: 3,
-            breaker_threshold: 3,
-            breaker_cooldown: SimDuration::from_secs(30),
             host_reboot: SimDuration::from_secs(120),
-            host_boot_stagger: SimDuration::from_secs(15),
             gpu_reenroll_stagger: SimDuration::from_secs(5),
-            rack_power_restore: SimDuration::from_secs(60),
             progress_timeout: None,
             fail_slow: false,
         }
@@ -534,7 +406,7 @@ impl Default for Config {
             monitoring_period: Some(SimDuration::from_millis(500)),
             recovery: RecoveryConfig::default(),
             topology: Topology::default(),
-            checkpoint: CheckpointPolicy::default(),
+            checkpoint_interval: None,
             overload: OverloadConfig::default(),
             reconfig: ReconfigConfig::default(),
         }
@@ -568,9 +440,6 @@ impl Config {
             }
             if e.max_workers == 0 {
                 issues.push(ConfigIssue::NoWorkers(e.label.clone()));
-            }
-            if e.kind == ExecutorKind::ThreadPool && !e.accelerators.is_empty() {
-                issues.push(ConfigIssue::ThreadPoolWithAccelerators(e.label.clone()));
             }
             let mut pct_by_gpu: std::collections::BTreeMap<u32, u32> =
                 std::collections::BTreeMap::new();
@@ -627,8 +496,6 @@ pub enum ConfigIssue {
     DuplicateLabel(String),
     /// Executor has zero workers.
     NoWorkers(String),
-    /// ThreadPool executors are CPU-only (§2.2.1).
-    ThreadPoolWithAccelerators(String),
     /// Accelerator names a GPU index the fleet does not have.
     UnknownGpu {
         /// Executor index.
@@ -717,7 +584,7 @@ mod tests {
 
     #[test]
     fn validate_catches_misconfigurations() {
-        let mut c = Config::new(vec![
+        let c = Config::new(vec![
             ExecutorConfig::cpu("dup", 2),
             ExecutorConfig::cpu("dup", 0),
             ExecutorConfig::gpu(
@@ -730,9 +597,6 @@ mod tests {
                 ],
             ),
         ]);
-        let mut tp = ExecutorConfig::thread_pool("tp", 2);
-        tp.accelerators.push(AcceleratorSpec::Gpu(0));
-        c.executors.push(tp);
         let issues = c.validate(1);
         assert!(issues.contains(&ConfigIssue::DuplicateLabel("dup".into())));
         assert!(issues.contains(&ConfigIssue::NoWorkers("dup".into())));
@@ -745,7 +609,6 @@ mod tests {
             gpu: 0,
             total: 270
         }));
-        assert!(issues.contains(&ConfigIssue::ThreadPoolWithAccelerators("tp".into())));
     }
 
     #[test]
@@ -770,14 +633,6 @@ mod tests {
         // Bounded by the fleet: a 3-GPU fleet has a partial host 1.
         assert_eq!(t.gpus_on_host(1, 3), vec![2]);
         assert_eq!(t.hosts_in_rack(1, 3), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn checkpoint_policy_defaults_off() {
-        let p = CheckpointPolicy::default();
-        assert!(p.interval.is_none());
-        let on = CheckpointPolicy::every(SimDuration::from_secs(10));
-        assert_eq!(on.interval, Some(SimDuration::from_secs(10)));
     }
 
     #[test]

@@ -59,13 +59,9 @@ pub struct TaskRecord {
     pub error: Option<String>,
     /// Dependencies.
     pub depends_on: Vec<TaskId>,
-    /// Per-attempt walltime limit.
-    pub walltime: Option<parfait_simcore::SimDuration>,
     /// End-to-end deadline relative to `submitted` (admission control,
     /// goodput accounting).
     pub deadline: Option<parfait_simcore::SimDuration>,
-    /// Admission priority; higher survives shed-lowest-priority eviction.
-    pub priority: i32,
     /// Caller-estimated single-attempt service time (queue-wait estimate,
     /// hedge trigger).
     pub est_service: Option<parfait_simcore::SimDuration>,
@@ -161,9 +157,7 @@ impl Dfk {
             attempts: 0,
             error: failed_dep.then(|| "dependency failed before submission".to_string()),
             depends_on: call.depends_on,
-            walltime: call.walltime,
             deadline: call.deadline,
-            priority: call.priority,
             est_service: call.est_service,
             factory: (!failed_dep).then_some(call.make_body),
         });

@@ -30,9 +30,13 @@
 //! while a drain is active.
 
 use crate::world::{kill_worker, request_checkpoint, FaasWorld};
-use parfait_simcore::{Engine, SimRng};
+use parfait_simcore::{Engine, SimDuration, SimRng};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// How long a staged drain waits for in-flight tasks before
+/// force-killing the stragglers and proceeding to commit.
+pub const DRAIN_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
 /// How a completed drain got its members to quiescence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -148,7 +152,7 @@ impl core::fmt::Display for DrainError {
 
 /// Start a staged drain of `members` on `gpu`; `on_complete` runs once
 /// every member's in-flight attempt has unwound (or been force-killed at
-/// the config's `drain_timeout`).
+/// [`DRAIN_TIMEOUT`]).
 ///
 /// Refuses (without side effects, and without running `on_complete`)
 /// when a drain is already active on `gpu`.
@@ -191,8 +195,7 @@ pub fn begin_drain(
         complete_drain(world, eng, gpu);
         return Ok(());
     }
-    let timeout = world.config.reconfig.drain_timeout;
-    eng.schedule_in(timeout, move |w: &mut FaasWorld, e| {
+    eng.schedule_in(DRAIN_TIMEOUT, move |w: &mut FaasWorld, e| {
         drain_timeout(w, e, gpu, gen);
     });
     Ok(())

@@ -83,8 +83,8 @@ pub enum FaultKind {
     },
     /// Correlated domain fault: a rack loses power, fencing every GPU on
     /// every host in the rack. Power is restored after
-    /// `RecoveryConfig::rack_power_restore`, hosts boot staggered by
-    /// `RecoveryConfig::host_boot_stagger`, and each host's GPUs then
+    /// [`crate::config::RACK_POWER_RESTORE`], hosts boot staggered by
+    /// [`crate::config::HOST_BOOT_STAGGER`], and each host's GPUs then
     /// re-enroll staggered as for [`FaultKind::HostReboot`].
     RackPower {
         /// Target rack index.

@@ -13,8 +13,8 @@
 //!   including duplicated `available_accelerators` entries, per-worker
 //!   `gpu_percentage`, and MIG UUIDs.
 //! * [`dfk`] — the DataFlowKernel: dependencies, retries, lifecycle.
-//! * [`world`] — the HighThroughputExecutor pilot model: providers spawn
-//!   worker processes, workers cold-start (§6 decomposition), bind GPU
+//! * [`world`] — the HighThroughputExecutor pilot model: a local provider
+//!   spawns worker processes, workers cold-start (§6 decomposition), bind GPU
 //!   contexts from their environment, pull tasks, and interpret task
 //!   bodies against the simulated node.
 //! * [`monitoring`] — Parsl-monitoring-style records feeding the figures.
@@ -38,8 +38,8 @@ pub use app::{AppCall, ModelProfile, TaskBody, TaskCtx, TaskId, TaskStep};
 pub use cache::WeightCache;
 pub use checkpoint::{Checkpoint, CHECKPOINT_BASE_BYTES};
 pub use config::{
-    AcceleratorSpec, CheckpointPolicy, Config, ExecutorConfig, HedgePolicy, OverloadConfig,
-    ProviderConfig, ReconfigConfig, RecoveryConfig, RetryBudget, ShedPolicy, Topology,
+    AcceleratorSpec, Config, ExecutorConfig, OverloadConfig, ReconfigConfig, RecoveryConfig,
+    Topology,
 };
 pub use dfk::{Dfk, FailureOutcome, TaskRecord, TaskState};
 pub use drain::{
@@ -52,7 +52,7 @@ pub use faults::{
 };
 pub use monitoring::{time_in_queue_percentiles, FaultPhase, FaultRecord, Percentiles};
 pub use overload::{OverloadState, OverloadStats};
-pub use strategy::{enable_brownout, enable_elastic, ElasticPolicy};
+pub use strategy::enable_brownout;
 pub use world::{
     add_worker, auto_respawn, boot, cancel, crash_worker, fault_host, fault_rack, gpu_quarantined,
     kick_executor, kill_worker, quarantine_gpu, respawn_worker, resume_sampling, run, shutdown,

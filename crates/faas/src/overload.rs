@@ -1,5 +1,5 @@
-//! Overload-protection state: admission/hedge RNGs, retry-budget token
-//! buckets, live hedge pairs, and the shed/hedge/brownout counters.
+//! Overload-protection state: the hedge RNG, retry-budget token buckets,
+//! live hedge pairs, and the shed/hedge/brownout counters.
 //!
 //! The mechanisms themselves live where the traffic flows: admission
 //! control and retry budgets gate [`crate::world::submit`] and the retry
@@ -7,7 +7,8 @@
 //! [`crate::world`], and the brownout controller is a strategy-layer
 //! tick ([`crate::strategy::enable_brownout`]). This module only owns
 //! the shared state so every entry point mutates one place. Knobs are in
-//! [`crate::config::OverloadConfig`]; see DESIGN.md "Overload model".
+//! [`crate::config::OverloadConfig`], with the retry-budget and hedge
+//! constants beside it; see DESIGN.md "Overload model".
 
 use crate::app::TaskId;
 use parfait_simcore::SimRng;
@@ -19,10 +20,11 @@ use std::collections::BTreeMap;
 /// [`crate::RecoveryStats`].
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct OverloadStats {
-    /// Queued tasks evicted by a shed policy to admit newer work.
+    /// Queued tasks evicted (oldest first) from a full bounded queue to
+    /// admit newer work.
     pub tasks_shed: u64,
-    /// Tasks refused at the door (queue full under `Reject`, newcomer
-    /// was the lowest priority, or deadline unattainable at submit).
+    /// Tasks refused at the door by deadline-aware admission (deadline
+    /// unattainable at submit).
     pub tasks_rejected: u64,
     /// Retries dropped because the app's retry-budget bucket was dry.
     pub retries_suppressed: u64,
@@ -49,12 +51,10 @@ pub(crate) struct HedgePair {
 
 /// Mutable overload-protection state owned by the world.
 pub struct OverloadState {
-    /// Shed tie-break draws (`simcore::streams::ADMISSION`).
-    pub(crate) admission_rng: SimRng,
     /// Hedge-delay jitter draws (`simcore::streams::HEDGE_TIMING`).
     pub(crate) hedge_rng: SimRng,
     /// Per-app retry-budget token balances. Created lazily at the app's
-    /// first admission, seeded with the configured burst.
+    /// first admission, seeded with `RETRY_BUDGET_BURST`.
     pub(crate) retry_tokens: BTreeMap<String, f64>,
     /// Tasks currently running as a primary/duplicate pair. An entry
     /// exists from hedge launch until the first attempt finishes (either
@@ -66,10 +66,9 @@ pub struct OverloadState {
 }
 
 impl OverloadState {
-    /// Fresh state from the two registered streams.
-    pub(crate) fn new(admission_rng: SimRng, hedge_rng: SimRng) -> Self {
+    /// Fresh state drawing hedge jitter from `hedge_rng`.
+    pub(crate) fn new(hedge_rng: SimRng) -> Self {
         OverloadState {
-            admission_rng,
             hedge_rng,
             retry_tokens: BTreeMap::new(),
             hedges: BTreeMap::new(),

@@ -1,14 +1,16 @@
 //! The running platform: executors, workers, and event wiring.
 //!
 //! [`FaasWorld`] is the simulation world type — it owns the GPU fleet, the
-//! DataFlowKernel, the worker pool, monitoring and timeline stores, and an
-//! optional experiment [`Driver`]. Free functions ([`boot`], [`submit`],
-//! [`kill_worker`], ...) mutate it under an `Engine<FaasWorld>`.
+//! DataFlowKernel, the worker pool, the monitoring store, and an optional
+//! experiment [`Driver`]. Free functions ([`boot`], [`submit`],
+//! [`kill_worker`], ...) mutate it under an `Engine<FaasWorld>`. The
+//! Fig. 3 phase timeline is not recorded here:
+//! `parfait_core::metrics::timeline` derives it from the task table.
 //!
 //! ## Worker lifecycle (HighThroughputExecutor pilot model)
 //!
 //! ```text
-//! Provisioning --provider delay--> ColdStart --fi+ctx init--> Idle
+//! Provisioning --spawn delay--> ColdStart --fi+ctx init--> Idle
 //!     Idle --task assigned--> Busy --steps/kernels--> Idle ...
 //!     any --kill_worker--> Dead --respawn_worker--> Provisioning
 //! ```
@@ -39,10 +41,12 @@ use crate::app::{AppCall, ModelProfile, TaskBody, TaskCtx, TaskId, TaskStep};
 use crate::cache::WeightCache;
 use crate::checkpoint::{Checkpoint, CHECKPOINT_BASE_BYTES};
 use crate::config::{
-    AcceleratorSpec, Config, ExecutorKind, ProviderConfig, ShedPolicy, BACKOFF_BASE, BACKOFF_CAP,
-    BACKOFF_JITTER, CANARY_FACTOR, CANARY_NOMINAL, FAIL_SLOW_ALPHA, FAIL_SLOW_CHECK_PERIOD,
-    FAIL_SLOW_COOLDOWN, FAIL_SLOW_LINK_RATIO, FAIL_SLOW_MIN_SAMPLES, FAIL_SLOW_PEER_RATIO,
-    HEARTBEAT_PERIOD, NODE_CORES,
+    AcceleratorSpec, Config, BACKOFF_BASE, BACKOFF_CAP, BACKOFF_JITTER, BREAKER_COOLDOWN,
+    BREAKER_THRESHOLD, CANARY_FACTOR, CANARY_NOMINAL, CHECKPOINT_JITTER, CHECKPOINT_OVERHEAD,
+    FAIL_SLOW_ALPHA, FAIL_SLOW_CHECK_PERIOD, FAIL_SLOW_COOLDOWN, FAIL_SLOW_LINK_RATIO,
+    FAIL_SLOW_MIN_SAMPLES, FAIL_SLOW_PEER_RATIO, HEARTBEAT_PERIOD, HEDGE_CANCEL_LATENCY,
+    HEDGE_JITTER, HOST_BOOT_STAGGER, NODE_CORES, RACK_POWER_RESTORE, RETRY_BUDGET_BURST,
+    RETRY_BUDGET_RATIO, SPAWN_DELAY,
 };
 use crate::dfk::{Dfk, FailureOutcome, TaskState};
 use crate::drain::{begin_drain, note_drained, ReconfigControl};
@@ -55,7 +59,6 @@ use parfait_gpu::host::{launch_kernel, resync, GpuFleet, GpuHost};
 use parfait_gpu::mps::MPS_ENV_VAR;
 use parfait_gpu::{CtxBinding, CtxId, DeviceMode, GpuId, KernelDesc, KernelDone};
 use parfait_simcore::resource::{PsJobId, PsPool};
-use parfait_simcore::timeline::Timeline;
 use parfait_simcore::{streams, Engine, EventId, SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -111,9 +114,6 @@ pub enum WorkerState {
 struct Running {
     task: TaskId,
     body: Option<Box<dyn TaskBody>>,
-    /// When the body started; the attempt's timeline span runs from here
-    /// to its finish or cancellation.
-    span: Option<SimTime>,
     /// Bytes allocated by the task body, auto-released at task end.
     task_allocs: u64,
     /// Model load in progress for this profile.
@@ -176,9 +176,6 @@ pub struct Worker {
     /// Bytes held by resident models.
     model_bytes: u64,
     current: Option<Running>,
-    /// When the worker last became idle (None while busy/dead) — drives
-    /// elastic scale-in decisions.
-    pub idle_since: Option<SimTime>,
     /// Monotone kernel-launch sequence; completions only resume the
     /// launch they belong to (stale/orphaned kernels are ignored).
     kernel_seq: u64,
@@ -232,7 +229,6 @@ impl Worker {
             loaded_models: BTreeSet::new(),
             model_bytes: 0,
             current: None,
-            idle_since: None,
             kernel_seq: 0,
             awaiting_kernel: None,
             epoch: 0,
@@ -247,8 +243,8 @@ impl Worker {
     }
 
     /// Is this worker still in incarnation `epoch` and busy on `task`?
-    /// Attempt timers (walltime, checkpoint, restore, hedge) die with the
-    /// attempt they were armed for.
+    /// Attempt timers (checkpoint, restore, hedge, hedge cancel) die with
+    /// the attempt they were armed for.
     fn on_attempt(&self, epoch: u64, task: TaskId) -> bool {
         self.epoch == epoch && self.state == WorkerState::Busy && self.current_task() == Some(task)
     }
@@ -289,8 +285,6 @@ pub struct FaasWorld {
     pub queues: Vec<VecDeque<TaskId>>,
     /// Task table.
     pub dfk: Dfk,
-    /// Span recorder (Fig. 3 source).
-    pub timeline: Timeline,
     /// Monitoring store.
     pub monitor: Monitoring,
     /// Root RNG.
@@ -314,8 +308,8 @@ pub struct FaasWorld {
     /// snapshot of each checkpointable in-flight task. Survives worker,
     /// GPU, and host fault domains; entries drop when tasks settle.
     pub checkpoints: BTreeMap<TaskId, Checkpoint>,
-    /// Overload-protection state (admission/hedge RNG streams, retry
-    /// buckets, live hedge pairs, shed/hedge counters).
+    /// Overload-protection state (hedge RNG stream, retry buckets, live
+    /// hedge pairs, shed/hedge counters).
     pub overload: OverloadState,
     /// Online-reconfiguration state: active staged drains, the
     /// stop-dispatch set, injected commit-failure poison, and counters.
@@ -384,9 +378,7 @@ impl FaasWorld {
         let checkpoint_rng = rng.split(streams::CHECKPOINT_TIMING);
         let canary_rng = rng.split(streams::GRAY_CANARY);
         let recovery = RecoveryState::new(retry_rng, checkpoint_rng, canary_rng, fleet.len());
-        let admission_rng = rng.split(streams::ADMISSION);
-        let hedge_rng = rng.split(streams::HEDGE_TIMING);
-        let overload = OverloadState::new(admission_rng, hedge_rng);
+        let overload = OverloadState::new(rng.split(streams::HEDGE_TIMING));
         let reconfig_rng = rng.split(streams::RECONFIG_FAULTS);
         let reconfig = ReconfigControl::new(reconfig_rng);
         let mut index = WorldIndex::new(config.executors.len(), fleet.len());
@@ -399,7 +391,6 @@ impl FaasWorld {
             workers,
             queues,
             dfk: Dfk::new(),
-            timeline: Timeline::new(),
             monitor: Monitoring::new(),
             rng,
             weight_cache: WeightCache::new(),
@@ -584,8 +575,8 @@ fn queue_remove(world: &mut FaasWorld, exec: usize, task: TaskId) {
     }
 }
 
-/// Start the platform: spawn every worker through its provider, arm the
-/// monitoring sampler, and run the driver's `on_start`.
+/// Start the platform: spawn every worker, arm the monitoring sampler,
+/// and run the driver's `on_start`.
 pub fn boot(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
     for wid in 0..world.workers.len() {
         schedule_spawn(world, eng, wid);
@@ -597,42 +588,11 @@ pub fn boot(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
     world.with_driver(eng, |d, w, e| d.on_start(w, e));
 }
 
-fn provider_delay(world: &mut FaasWorld, wid: usize) -> SimDuration {
-    let exec = world.workers[wid].executor;
-    match &world.config.executors[exec].provider {
-        ProviderConfig::Local { spawn_delay } => *spawn_delay,
-        ProviderConfig::Slurm {
-            queue_wait_mean,
-            spawn_delay,
-        } => {
-            let q = world.workers[wid].rng.exp(queue_wait_mean.as_secs_f64());
-            *spawn_delay + SimDuration::from_secs_f64(q)
-        }
-    }
-}
-
+/// Hand a `Provisioning` worker its process slot after [`SPAWN_DELAY`],
+/// then start its cold start.
 fn schedule_spawn(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) {
-    // ThreadPool executors are threads of the already-warm submitting
-    // process: ready immediately, no provider round-trip, no cold start.
-    let exec = world.workers[wid].executor;
-    if world.config.executors[exec].kind == ExecutorKind::ThreadPool {
-        let now = eng.now();
-        world.transition(wid, WorkerState::Idle);
-        {
-            let w = &mut world.workers[wid];
-            w.spawned_at = now;
-            w.ready_at = Some(now);
-            w.idle_since = Some(now);
-        }
-        world
-            .monitor
-            .worker_event(now, wid, WorkerEventKind::Ready, "thread-pool");
-        kick_executor(world, eng, exec);
-        return;
-    }
-    let delay = provider_delay(world, wid);
     let epoch = world.workers[wid].epoch;
-    eng.schedule_in(delay, move |w: &mut FaasWorld, e| {
+    eng.schedule_in(SPAWN_DELAY, move |w: &mut FaasWorld, e| {
         if w.workers[wid].epoch != epoch || w.workers[wid].state != WorkerState::Provisioning {
             return;
         }
@@ -771,11 +731,7 @@ fn finish_cold_start(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: us
         }
     }
     world.transition(wid, WorkerState::Idle);
-    {
-        let w = &mut world.workers[wid];
-        w.ready_at = Some(now);
-        w.idle_since = Some(now);
-    }
+    world.workers[wid].ready_at = Some(now);
     let cold = world.workers[wid]
         .cold_breakdown
         .map(|b| format!("cold={:.3}s", b.total().as_secs_f64()))
@@ -863,88 +819,33 @@ fn admit(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: TaskId, exec:
             }
         }
     }
-    // Bounded queue: past the cap, apply the shed policy.
+    // Bounded queue: past the cap, shed the oldest queued task (it has
+    // waited longest and is the most likely to miss its deadline anyway).
     if let Some(cap) = ov.queue_cap {
         if world.queues[exec].len() >= cap {
-            match ov.shed_policy {
-                ShedPolicy::Reject => {
-                    world.overload.stats.tasks_rejected += 1;
-                    world.monitor.fault_event(
-                        now,
-                        FaultPhase::Detected,
-                        "admission-reject",
-                        None,
-                        None,
-                        format!("task {}: queue {exec} full ({cap})", task.0),
-                    );
-                    fail_terminally(world, eng, task, "admission rejected: queue full");
-                    return false;
-                }
-                ShedPolicy::ShedOldest => {
-                    if let Some(victim) = queue_pop_front(world, exec) {
-                        world.overload.stats.tasks_shed += 1;
-                        world.monitor.fault_event(
-                            now,
-                            FaultPhase::Detected,
-                            "queue-shed",
-                            None,
-                            None,
-                            format!("task {}: shed for task {} (oldest)", victim.0, task.0),
-                        );
-                        fail_terminally(world, eng, victim, "shed: queue full (oldest)");
-                    }
-                }
-                ShedPolicy::ShedLowestPriority => {
-                    // Victim = lowest priority among the queue and the
-                    // newcomer; ties broken uniformly on the admission
-                    // stream so the choice is seeded, not positional.
-                    let my_pri = world.dfk.task(task).priority;
-                    let min_pri = world.queues[exec]
-                        .iter()
-                        .map(|q| world.dfk.task(*q).priority)
-                        .fold(my_pri, i32::min);
-                    let mut candidates: Vec<TaskId> = world.queues[exec]
-                        .iter()
-                        .copied()
-                        .filter(|q| world.dfk.task(*q).priority == min_pri)
-                        .collect();
-                    if my_pri == min_pri {
-                        candidates.push(task);
-                    }
-                    let pick = candidates
-                        [world.overload.admission_rng.below(candidates.len() as u64) as usize];
-                    if pick == task {
-                        world.overload.stats.tasks_rejected += 1;
-                        fail_terminally(world, eng, task, "admission rejected: lowest priority");
-                        return false;
-                    }
-                    queue_remove(world, exec, pick);
-                    world.overload.stats.tasks_shed += 1;
-                    world.monitor.fault_event(
-                        now,
-                        FaultPhase::Detected,
-                        "queue-shed",
-                        None,
-                        None,
-                        format!(
-                            "task {}: shed for task {} (lowest priority)",
-                            pick.0, task.0
-                        ),
-                    );
-                    fail_terminally(world, eng, pick, "shed: queue full (lowest priority)");
-                }
+            if let Some(victim) = queue_pop_front(world, exec) {
+                world.overload.stats.tasks_shed += 1;
+                world.monitor.fault_event(
+                    now,
+                    FaultPhase::Detected,
+                    "queue-shed",
+                    None,
+                    None,
+                    format!("task {}: shed for task {} (oldest)", victim.0, task.0),
+                );
+                fail_terminally(world, eng, victim, "shed: queue full (oldest)");
             }
         }
     }
     // An admitted first attempt funds its app's retry bucket.
-    if let Some(rb) = world.config.overload.retry_budget {
+    if world.config.overload.retry_budget {
         let app = world.dfk.task(task).app.clone();
         let tokens = world
             .overload
             .retry_tokens
             .entry(app)
-            .or_insert(rb.burst.max(0.0));
-        *tokens = (*tokens + rb.ratio.max(0.0)).min(rb.burst.max(0.0));
+            .or_insert(RETRY_BUDGET_BURST);
+        *tokens = (*tokens + RETRY_BUDGET_RATIO).min(RETRY_BUDGET_BURST);
     }
     true
 }
@@ -1032,11 +933,7 @@ fn start_attempt(
         world.dfk.mark_dispatched(task, now, wid);
     }
     world.transition(wid, WorkerState::Busy);
-    let body = {
-        let w = &mut world.workers[wid];
-        w.idle_since = None;
-        world.dfk.make_body(task, &mut w.rng)
-    };
+    let body = world.dfk.make_body(task, &mut world.workers[wid].rng);
     debug_assert!(body.is_some(), "a dispatched task is unsettled");
     // Guarded at the call site so the hot path skips the `format!` too.
     if world.monitor.record_worker_events {
@@ -1051,7 +948,6 @@ fn start_attempt(
     world.workers[wid].current = Some(Running {
         task,
         body,
-        span: None,
         task_allocs: 0,
         loading: None,
         steps_issued: 0,
@@ -1194,19 +1090,7 @@ fn start_body(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) {
     let now = eng.now();
     let task = world.workers[wid].current.as_ref().expect("running").task;
     world.dfk.mark_started(task, now);
-    // Parsl's `walltime` option: the attempt is killed when the limit
-    // expires (the worker survives; the task fails and may retry).
-    if let Some(limit) = world.dfk.task(task).walltime {
-        let epoch = world.workers[wid].epoch;
-        eng.schedule_in(limit, move |w: &mut FaasWorld, e| {
-            if w.workers[wid].on_attempt(epoch, task) {
-                abort_kernel(w, e, wid);
-                finish_task(w, e, wid, Err("walltime exceeded".into()));
-            }
-        });
-    }
     if let Some(r) = world.workers[wid].current.as_mut() {
-        r.span = Some(now);
         r.progress_mark = Some(now);
         r.last_progress = now;
     }
@@ -1292,11 +1176,10 @@ pub(crate) fn request_checkpoint(world: &mut FaasWorld, wid: usize) {
 /// timer only *requests* a snapshot; it is captured at the next step
 /// boundary so it is always consistent with completed work.
 fn arm_checkpoint(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, task: TaskId) {
-    let Some(interval) = world.config.checkpoint.interval else {
+    let Some(interval) = world.config.checkpoint_interval else {
         return;
     };
-    let jitter = world.config.checkpoint.jitter.clamp(0.0, 1.0);
-    let mult = 1.0 + jitter * world.recovery.ckpt_rng.f64();
+    let mult = 1.0 + CHECKPOINT_JITTER * world.recovery.ckpt_rng.f64();
     let epoch = world.workers[wid].epoch;
     eng.schedule_in(
         SimDuration::from_secs_f64(interval.as_secs_f64() * mult),
@@ -1340,7 +1223,7 @@ fn begin_checkpoint(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usi
     }
     let lf = note_link_factor(world, gpu);
     let write = world.fleet.device(gpu).spec.checkpoint_write_seconds(bytes) / lf;
-    let stall = world.config.checkpoint.overhead + SimDuration::from_secs_f64(write);
+    let stall = CHECKPOINT_OVERHEAD + SimDuration::from_secs_f64(write);
     let captured_at = now;
     let epoch = world.workers[wid].epoch;
     if let Some(r) = world.workers[wid].current.as_mut() {
@@ -1600,12 +1483,12 @@ fn cancel_cpu_jobs(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usiz
 }
 
 /// Arm the straggler-hedge timer for a freshly started *primary*
-/// attempt: after `est_service * trigger_factor * (1 + jitter * U[0,1))`
+/// attempt: after `est_service * trigger * (1 + HEDGE_JITTER * U[0,1))`
 /// the attempt is a straggler suspect and a duplicate is launched if
 /// capacity allows. Hedge attempts and tasks without a service estimate
 /// never arm.
 fn arm_hedge(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, task: TaskId) {
-    let Some(hp) = world.config.overload.hedge else {
+    let Some(trigger) = world.config.overload.hedge_trigger else {
         return;
     };
     let is_hedge = world.workers[wid]
@@ -1618,9 +1501,8 @@ fn arm_hedge(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, tas
     let Some(est) = world.dfk.task(task).est_service else {
         return;
     };
-    let jitter = hp.jitter.clamp(0.0, 1.0);
-    let mult = 1.0 + jitter * world.overload.hedge_rng.f64();
-    let delay = SimDuration::from_secs_f64(est.as_secs_f64() * hp.trigger_factor.max(0.0) * mult);
+    let mult = 1.0 + HEDGE_JITTER * world.overload.hedge_rng.f64();
+    let delay = SimDuration::from_secs_f64(est.as_secs_f64() * trigger * mult);
     schedule_hedge_timer(world, eng, wid, task, delay);
 }
 
@@ -1702,21 +1584,15 @@ fn try_launch_hedge(
 }
 
 /// After a hedged task's winner completes, tear the loser down one
-/// control-plane round-trip later.
+/// control-plane round-trip ([`HEDGE_CANCEL_LATENCY`]) later.
 fn schedule_hedge_cancel(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     wid: usize,
     task: TaskId,
 ) {
-    let latency = world
-        .config
-        .overload
-        .hedge
-        .map(|h| h.cancel_latency)
-        .unwrap_or(SimDuration::ZERO);
     let epoch = world.workers[wid].epoch;
-    eng.schedule_in(latency, move |w: &mut FaasWorld, e| {
+    eng.schedule_in(HEDGE_CANCEL_LATENCY, move |w: &mut FaasWorld, e| {
         if w.workers[wid].on_attempt(epoch, task) {
             cancel_attempt(w, e, wid);
         }
@@ -1754,10 +1630,10 @@ fn abort_kernel(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize) 
     }
 }
 
-/// Unwind the worker side of an attempt: drop its CPU jobs, record its
-/// timeline span, free its scratch allocations, log `TaskEnd` with
-/// `outcome`, and return a Busy worker to Idle. Returns the attempt, or
-/// `None` when the worker held none.
+/// Unwind the worker side of an attempt: drop its CPU jobs, free its
+/// scratch allocations, log `TaskEnd` with `outcome`, and return a Busy
+/// worker to Idle. Returns the attempt, or `None` when the worker held
+/// none.
 fn release_attempt(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
@@ -1768,11 +1644,6 @@ fn release_attempt(
     world.workers[wid].awaiting_kernel = None;
     cancel_cpu_jobs(world, eng, wid);
     let run = world.workers[wid].current.take()?;
-    if let Some(start) = run.span {
-        world
-            .timeline
-            .add(&world.dfk.task(run.task).app, start, now);
-    }
     // Release the task's scratch allocations (a well-behaved function
     // frees per-request tensors; the worker enforces it on failure too).
     if run.task_allocs > 0 {
@@ -1797,7 +1668,6 @@ fn release_attempt(
     // so the requeued task cannot land back on it.
     if world.workers[wid].state == WorkerState::Busy {
         world.transition(wid, WorkerState::Idle);
-        world.workers[wid].idle_since = Some(now);
     }
     Some(run)
 }
@@ -1861,7 +1731,7 @@ fn finish_task(
         }
         Err(_) if already_done => false,
         Err(_) if hedge.is_some() => {
-            // One attempt of a live pair died (crash, walltime, fault);
+            // One attempt of a live pair died (crash, kill, fault);
             // the surviving partner is now the defined winner path and
             // the task stays Running on it. No retry, no DFK failure.
             false
@@ -1945,7 +1815,6 @@ fn end_incarnation(
         w.loaded_models.clear();
         w.model_bytes = 0;
         w.ready_at = None;
-        w.idle_since = None;
         w.crashed_at = crashed_at;
         w.zombie = false;
     }
@@ -2015,29 +1884,27 @@ pub fn respawn_worker(
     Ok(())
 }
 
-/// Add a brand-new worker to an executor at runtime (elastic scale-out;
-/// §2.1's "rapid spin up of function instances"). The accelerator slot is
-/// taken from the executor config's list, cycled by worker index, unless
-/// `accel` overrides it. Returns the new worker's id, or `None` (without
-/// touching the world) when `exec` is out of range.
+/// Add a brand-new worker bound to `accel` to an executor at runtime
+/// (§2.1's "rapid spin up of function instances"; the brownout tier's
+/// scale-out). Returns the new worker's id, or `None` (without touching
+/// the world) when `exec` is out of range.
 pub fn add_worker(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     exec: usize,
-    accel: Option<AcceleratorSpec>,
+    accel: AcceleratorSpec,
 ) -> Option<usize> {
     let id = world.workers.len();
     let ex = world.config.executors.get(exec)?;
     // `total` tracks per-executor membership exactly (workers never
     // migrate), replacing the filter-count scan.
     let within = world.index.total[exec];
-    let slot = accel.or_else(|| ex.accelerator_for(within).cloned());
     let rng = world.rng.split(streams::WORKER_BASE + id as u64);
     world.workers.push(Worker::new(
         id,
         exec,
         format!("{}.w{}", ex.label, within),
-        slot,
+        Some(accel),
         eng.now(),
         rng,
     ));
@@ -2686,15 +2553,15 @@ fn clear_probation(
 fn schedule_retry(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: TaskId) {
     // Retry budget: every retry spends a token from its app's bucket
     // (funded by admitted first attempts). A dry bucket sheds the retry
-    // permanently — during an outage the retry stream decays to the
-    // configured fraction of first-attempt traffic instead of a storm.
-    if let Some(rb) = world.config.overload.retry_budget {
+    // permanently — during an outage the retry stream decays to
+    // `RETRY_BUDGET_RATIO` of first-attempt traffic instead of a storm.
+    if world.config.overload.retry_budget {
         let app = world.dfk.task(task).app.clone();
         let tokens = world
             .overload
             .retry_tokens
             .entry(app.clone())
-            .or_insert(rb.burst.max(0.0));
+            .or_insert(RETRY_BUDGET_BURST);
         if *tokens < 1.0 {
             world.overload.stats.retries_suppressed += 1;
             world.monitor.fault_event(
@@ -2785,20 +2652,19 @@ pub(crate) fn fault_kill_worker(
 }
 
 /// Record a contained client fault against a device's circuit breaker;
-/// trips (quarantines) after `breaker_threshold` faults. Returns whether
-/// the breaker tripped.
+/// trips (quarantines) after [`BREAKER_THRESHOLD`] faults. Returns
+/// whether the breaker tripped.
 pub(crate) fn note_client_fault(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     gpu: GpuId,
 ) -> bool {
-    let threshold = world.config.recovery.breaker_threshold;
     let h = world.recovery.health_mut(gpu);
     if h.open_until.is_some() {
         return true;
     }
     h.consecutive_faults += 1;
-    if h.consecutive_faults >= threshold {
+    if h.consecutive_faults >= BREAKER_THRESHOLD {
         quarantine_gpu(world, eng, gpu, "circuit breaker tripped");
         true
     } else {
@@ -2817,9 +2683,9 @@ pub fn gpu_quarantined(world: &FaasWorld, gpu: GpuId) -> bool {
 /// Quarantine a GPU: mark it unhealthy, kill every resident client
 /// (device-level blast radius), park its workers for re-admission, fail
 /// queued work over to surviving executors, and schedule re-admission
-/// after the cooldown. An already-quarantined device is untouched (the
-/// breaker is already open; re-tripping it would extend the outage for
-/// faults the fence itself caused).
+/// after [`BREAKER_COOLDOWN`]. An already-quarantined device is
+/// untouched (the breaker is already open; re-tripping it would extend
+/// the outage for faults the fence itself caused).
 pub fn quarantine_gpu(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
@@ -2829,7 +2695,7 @@ pub fn quarantine_gpu(
     if gpu_quarantined(world, gpu) {
         return;
     }
-    let until = eng.now() + world.config.recovery.breaker_cooldown;
+    let until = eng.now() + BREAKER_COOLDOWN;
     fence_gpu(world, eng, gpu, until, "gpu-quarantine", reason);
 }
 
@@ -2905,20 +2771,18 @@ pub fn fault_host(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, host: u32)
 }
 
 /// Apply a rack-power domain fault: every host in the rack loses power
-/// in the same instant. Power returns after
-/// `RecoveryConfig::rack_power_restore`; hosts then boot staggered by
-/// `RecoveryConfig::host_boot_stagger` (in host order), and each host's
-/// GPUs re-enroll as in [`fault_host`]. Returns the number of GPUs
+/// in the same instant. Power returns after [`RACK_POWER_RESTORE`]; hosts
+/// then boot staggered by [`HOST_BOOT_STAGGER`] (in host order), and each
+/// host's GPUs re-enroll as in [`fault_host`]. Returns the number of GPUs
 /// fenced.
 pub fn fault_rack(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, rack: u32) -> usize {
     let now = eng.now();
     let topo = world.config.topology;
-    let rc = world.config.recovery.clone();
+    let reboot = world.config.recovery.host_reboot;
     let hosts = topo.hosts_in_rack(rack, world.fleet.len() as u32);
     let mut fenced = 0;
     for (j, host) in hosts.iter().enumerate() {
-        let host_back =
-            now + rc.rack_power_restore + rc.host_reboot + rc.host_boot_stagger * j as u64;
+        let host_back = now + RACK_POWER_RESTORE + reboot + HOST_BOOT_STAGGER * j as u64;
         fenced += fence_host_gpus(world, eng, *host, host_back, "rack-power");
     }
     fenced

@@ -102,9 +102,7 @@ fn rack_power_fences_every_host_in_the_rack() {
         gpus_per_host: 1,
         hosts_per_rack: 2,
     };
-    config.recovery.rack_power_restore = SimDuration::from_secs(10);
     config.recovery.host_reboot = SimDuration::from_secs(20);
-    config.recovery.host_boot_stagger = SimDuration::from_secs(5);
     config.recovery.gpu_reenroll_stagger = SimDuration::from_secs(2);
     let mut w = FaasWorld::new(config, fleet_n(2, DeviceMode::TimeSharing), 43);
     let mut eng = Engine::new();
@@ -124,12 +122,15 @@ fn rack_power_fences_every_host_in_the_rack() {
     assert_eq!(w.recovery.stats.domain_outages, 1, "one rack outage");
     assert_eq!(w.recovery.stats.workers_lost, 2);
 
-    // Host 0 back at 10+10+20 = 40 s, GPU at 42 s; host 1 back at 45 s
-    // (one boot stagger later), GPU at 47 s.
-    eng.run_until(&mut w, SimTime::from_secs(43));
+    // Power returns after 60 s and a boot takes 20 s: host 0 back at
+    // 10+60+20 = 90 s, GPU at 92 s; host 1 back at 105 s (one 15 s boot
+    // stagger later), GPU at 107 s.
+    assert_eq!(config::RACK_POWER_RESTORE, SimDuration::from_secs(60));
+    assert_eq!(config::HOST_BOOT_STAGGER, SimDuration::from_secs(15));
+    eng.run_until(&mut w, SimTime::from_secs(93));
     assert!(!gpu_quarantined(&w, GpuId(0)), "host 0's GPU re-enrolled");
     assert!(gpu_quarantined(&w, GpuId(1)), "host 1 still booting");
-    eng.run_until(&mut w, SimTime::from_secs(48));
+    eng.run_until(&mut w, SimTime::from_secs(108));
     assert!(!gpu_quarantined(&w, GpuId(1)), "host 1's GPU re-enrolled");
 
     eng.run(&mut w);
@@ -152,8 +153,6 @@ fn rack_fault_extends_existing_quarantine() {
         gpus_per_host: 1,
         hosts_per_rack: 1,
     };
-    config.recovery.breaker_cooldown = SimDuration::from_secs(10);
-    config.recovery.rack_power_restore = SimDuration::from_secs(30);
     config.recovery.host_reboot = SimDuration::from_secs(20);
     config.recovery.gpu_reenroll_stagger = SimDuration::from_secs(2);
     let mut w = FaasWorld::new(config, fleet_n(1, DeviceMode::TimeSharing), 44);
@@ -161,8 +160,10 @@ fn rack_fault_extends_existing_quarantine() {
     boot(&mut w, &mut eng);
     let id = submit(&mut w, &mut eng, seq_call("t", 60));
 
-    // Quarantine at 5 s (cooldown would re-admit at 15 s), then the rack
-    // dies at 6 s (re-admission at 6+30+20+2 = 58 s).
+    // Quarantine at 5 s (the 30 s cooldown would re-admit at 35 s), then
+    // the rack dies at 6 s (re-admission at 6+60+20+2 = 88 s).
+    assert_eq!(config::BREAKER_COOLDOWN, SimDuration::from_secs(30));
+    assert_eq!(config::RACK_POWER_RESTORE, SimDuration::from_secs(60));
     eng.run_until(&mut w, SimTime::from_secs(5));
     quarantine_gpu(&mut w, &mut eng, GpuId(0), "test: breaker trip");
     assert!(gpu_quarantined(&w, GpuId(0)));
@@ -175,15 +176,15 @@ fn rack_fault_extends_existing_quarantine() {
 
     // The original cooldown elapses with the rack still dark: the stale
     // re-admission event must not close the extended fence.
-    eng.run_until(&mut w, SimTime::from_secs(20));
+    eng.run_until(&mut w, SimTime::from_secs(40));
     assert!(
         gpu_quarantined(&w, GpuId(0)),
         "breaker cooldown must not re-admit a GPU whose rack is down"
     );
-    eng.run_until(&mut w, SimTime::from_secs(57));
+    eng.run_until(&mut w, SimTime::from_secs(87));
     assert!(gpu_quarantined(&w, GpuId(0)), "still fenced just before");
-    eng.run_until(&mut w, SimTime::from_secs(59));
-    assert!(!gpu_quarantined(&w, GpuId(0)), "re-admitted at 58 s");
+    eng.run_until(&mut w, SimTime::from_secs(89));
+    assert!(!gpu_quarantined(&w, GpuId(0)), "re-admitted at 88 s");
     assert_eq!(
         w.recovery.stats.quarantines, 1,
         "extension is not a second quarantine"
@@ -198,30 +199,50 @@ fn rack_fault_extends_existing_quarantine() {
 /// (or from the previous committed snapshot) — never from a torn one.
 #[test]
 fn checkpoint_write_torn_by_host_reboot_is_not_restored() {
-    let mut config = Config::new(vec![ExecutorConfig::gpu(
-        "gpu",
-        vec![AcceleratorSpec::Gpu(0)],
-    )]);
-    config.retries = 3;
-    config.checkpoint = CheckpointPolicy::every(SimDuration::from_secs(10));
-    config.checkpoint.jitter = 0.0;
-    // A long writeback window so the reboot lands mid-write: the timer
-    // fires at 10 s, the snapshot is captured at the next step boundary
-    // and commits ~5 s later — the reboot at 12 s interrupts it.
-    config.checkpoint.overhead = SimDuration::from_secs(5);
-    config.recovery.host_reboot = SimDuration::from_secs(10);
-    config.recovery.gpu_reenroll_stagger = SimDuration::from_secs(1);
-    let mut w = FaasWorld::new(config, fleet_n(1, DeviceMode::TimeSharing), 45);
-    let mut eng = Engine::new();
-    boot(&mut w, &mut eng);
-    let id = submit(&mut w, &mut eng, seq_call("t", 30));
+    fn platform() -> (FaasWorld, Engine<FaasWorld>, TaskId) {
+        let mut config = Config::new(vec![ExecutorConfig::gpu(
+            "gpu",
+            vec![AcceleratorSpec::Gpu(0)],
+        )]);
+        config.retries = 3;
+        config.checkpoint_interval = Some(SimDuration::from_secs(10));
+        config.recovery.host_reboot = SimDuration::from_secs(10);
+        config.recovery.gpu_reenroll_stagger = SimDuration::from_secs(1);
+        let mut w = FaasWorld::new(config, fleet_n(1, DeviceMode::TimeSharing), 45);
+        let mut eng = Engine::new();
+        boot(&mut w, &mut eng);
+        let id = submit(&mut w, &mut eng, seq_call("t", 30));
+        (w, eng, id)
+    }
+
+    // The world is deterministic: a first, fault-free run of it reads
+    // the first snapshot's write window — captured at a step boundary
+    // after the jittered 10 s timer, committed 200 ms plus the
+    // writeback later.
+    let (mut probe, mut probe_eng, probe_id) = platform();
+    while probe.recovery.stats.checkpoints_committed == 0 {
+        assert!(probe_eng.step(&mut probe), "the probe must commit");
+    }
+    let captured = probe.checkpoints[&probe_id].captured_at;
+    let committed = probe_eng.now();
+    let window = committed.duration_since(captured);
+    assert!(window > config::CHECKPOINT_OVERHEAD, "window {window}");
+
+    // Replay the same world with a host reboot halfway through that
+    // window.
+    let (mut w, mut eng, id) = platform();
+    let reboot = captured + SimDuration::from_nanos(window.as_nanos() / 2);
     install_faults(
         &mut w,
         &mut eng,
-        &FaultPlan::one(SimTime::from_secs(12), FaultKind::HostReboot { host: 0 }),
+        &FaultPlan::one(reboot, FaultKind::HostReboot { host: 0 }),
     );
 
-    eng.run_until(&mut w, SimTime::from_secs(18));
+    eng.run_until(&mut w, committed + SimDuration::from_secs(5));
+    assert_eq!(
+        w.recovery.stats.workers_lost, 1,
+        "the reboot hit the writer"
+    );
     assert_eq!(
         w.recovery.stats.checkpoints_committed, 0,
         "the in-flight write died with the worker"
@@ -254,8 +275,7 @@ fn resume_from_checkpoint_skips_completed_work() {
         )]);
         config.retries = 3;
         if ckpt {
-            config.checkpoint = CheckpointPolicy::every(SimDuration::from_secs(5));
-            config.checkpoint.jitter = 0.0;
+            config.checkpoint_interval = Some(SimDuration::from_secs(5));
         }
         config.recovery.host_reboot = SimDuration::from_secs(10);
         config.recovery.gpu_reenroll_stagger = SimDuration::from_secs(1);

@@ -277,7 +277,6 @@ fn breaker_trips_after_repeated_contained_faults() {
         vec![AcceleratorSpec::Gpu(0)],
     )]);
     config.retries = 5;
-    config.recovery.breaker_threshold = 2;
     let mut w = FaasWorld::new(config, fleet_one(DeviceMode::TimeSharing), 13);
     let mut eng = Engine::new();
     boot(&mut w, &mut eng);
@@ -290,15 +289,25 @@ fn breaker_trips_after_repeated_contained_faults() {
         .with(
             SimTime::from_secs(30),
             FaultKind::GpuClientFault { worker: 0 },
+        )
+        .with(
+            SimTime::from_secs(45),
+            FaultKind::GpuClientFault { worker: 0 },
         );
     install_faults(&mut w, &mut eng, &plan);
+    assert_eq!(config::BREAKER_THRESHOLD, 3);
     eng.run_until(&mut w, SimTime::from_secs(20));
     assert!(
         !gpu_quarantined(&w, GpuId(0)),
         "below threshold: no quarantine yet"
     );
-    eng.run_until(&mut w, SimTime::from_secs(31));
-    assert!(gpu_quarantined(&w, GpuId(0)), "second fault trips");
+    eng.run_until(&mut w, SimTime::from_secs(35));
+    assert!(
+        !gpu_quarantined(&w, GpuId(0)),
+        "still below threshold after the second fault"
+    );
+    eng.run_until(&mut w, SimTime::from_secs(46));
+    assert!(gpu_quarantined(&w, GpuId(0)), "third fault trips");
     eng.run(&mut w);
     assert_eq!(w.recovery.stats.quarantines, 1);
     // 100 SM-seconds never fit before a fault; the task exhausts retries
@@ -606,15 +615,14 @@ impl TaskBody for ScratchSeq {
 
 /// Arrival `i` of the faulty-fleet scenario: 2–5 kernels of half a
 /// whole-device second, host time before each, and 2 GiB of scratch
-/// held throughout; every third call needs a model, every seventh has a
-/// tight walltime.
+/// held throughout; every third call needs a model.
 fn scratch_call(i: usize) -> AppCall {
     let kernels = 2 + i % 4;
     let model = i
         .is_multiple_of(3)
         .then(|| ModelProfile::private(i as u64 % 2, 4 * GIB));
     let executor = if i.is_multiple_of(2) { "mps" } else { "ts" };
-    let call = AppCall::new(format!("app{}", i % 3), executor, move |_| {
+    AppCall::new(format!("app{}", i % 3), executor, move |_| {
         let mut steps = vec![TaskStep::AllocGpu(2 * GIB)];
         for _ in 0..kernels {
             steps.push(TaskStep::Cpu(SimDuration::from_millis(20)));
@@ -629,17 +637,12 @@ fn scratch_call(i: usize) -> AppCall {
         })
     })
     .with_est_service(SimDuration::from_secs(kernels as u64))
-    .with_deadline(SimDuration::from_secs(40));
-    if i.is_multiple_of(7) {
-        call.with_walltime(SimDuration::from_secs(4))
-    } else {
-        call
-    }
+    .with_deadline(SimDuration::from_secs(40))
 }
 
 /// One run of the faulty-fleet scenario: 4 A100s (2 MPS-partitioned,
 /// 2 time-sharing) on 2 hosts, an executor per sharing mode, every
-/// protection on, elastic scaling on the time-sharing executor, 600
+/// protection on, brownout on the time-sharing executor, 600
 /// bursty arrivals and a stochastic plan with every fault kind. Returns
 /// the drained world and its fired-event count.
 fn faulty_fleet_run(seed: u64, fast_paths: bool) -> (FaasWorld, u64) {
@@ -682,15 +685,11 @@ fn faulty_fleet_run(seed: u64, fast_paths: bool) -> (FaasWorld, u64) {
         gpus_per_host: 2,
         hosts_per_rack: 2,
     };
-    config.checkpoint.interval = Some(SimDuration::from_secs(2));
+    config.checkpoint_interval = Some(SimDuration::from_secs(2));
     config.overload.queue_cap = Some(12);
-    config.overload.shed_policy = ShedPolicy::ShedOldest;
     config.overload.deadline_admission = true;
-    config.overload.retry_budget = Some(RetryBudget {
-        ratio: 0.3,
-        burst: 4.0,
-    });
-    config.overload.hedge = Some(HedgePolicy::default());
+    config.overload.retry_budget = true;
+    config.overload.hedge_trigger = Some(1.5);
     config.recovery.progress_timeout = Some(SimDuration::from_secs(20));
     config.recovery.fail_slow = true;
     let mut w = FaasWorld::new(config, fleet, seed);
@@ -698,16 +697,13 @@ fn faulty_fleet_run(seed: u64, fast_paths: bool) -> (FaasWorld, u64) {
     w.fleet.set_dirty_tracking(fast_paths);
     let mut eng = Engine::new();
     boot(&mut w, &mut eng);
-    enable_elastic(
+    // The burst backlog engages a degraded tier of two more
+    // time-sharing workers, so `add_worker` runs on both index sides.
+    enable_brownout(
         &mut w,
         &mut eng,
         1,
-        ElasticPolicy {
-            max_workers: 6,
-            min_workers: 2,
-            idle_ttl: SimDuration::from_secs(20),
-            ..ElasticPolicy::default()
-        },
+        vec![AcceleratorSpec::Gpu(2), AcceleratorSpec::Gpu(3)],
     );
     // Bursts of 24 arrivals every 8 s overflow the queue caps.
     for i in 0..600 {
@@ -773,9 +769,10 @@ fn index_off_reference_run_matches_on_a_faulty_fleet() {
         )
     };
     // Quarantines, fail-overs, probations, parks, hedges, drain forced
-    // kills, deadline rejections, suppressed retries: summed over seeds,
-    // so the scenario provably reaches each fault path.
-    let mut reached = [0u64; 8];
+    // kills, deadline rejections, suppressed retries, brownout
+    // engagements: summed over seeds, so the scenario provably reaches
+    // each fault path.
+    let mut reached = [0u64; 9];
     for seed in 1..=6 {
         let (fast, fast_fired) = faulty_fleet_run(seed, true);
         let (reference, reference_fired) = faulty_fleet_run(seed, false);
@@ -803,6 +800,7 @@ fn index_off_reference_run_matches_on_a_faulty_fleet() {
             fast.reconfig.stats.drains_forced_kills,
             o.tasks_rejected,
             o.retries_suppressed,
+            u64::from(o.brownout_seconds > 0.0),
         ];
         for (sum, n) in reached.iter_mut().zip(counts) {
             *sum += n;

@@ -173,13 +173,9 @@ fn zombie_on_hedge_primary_survivor_wins_exactly_once() {
         vec![AcceleratorSpec::Gpu(0), AcceleratorSpec::Gpu(1)],
     )]);
     config.retries = 3;
-    config.overload.hedge = Some(HedgePolicy {
-        trigger_factor: 1.2,
-        jitter: 0.0,
-        cancel_latency: SimDuration::from_millis(50),
-    });
-    // Long enough that the hedge (armed at est · 1.2 = 12 s) resolves
-    // the task before the zombie is reaped.
+    config.overload.hedge_trigger = Some(1.2);
+    // Long enough that the hedge (armed at est · 1.2 = 12 s, plus up to
+    // 10% jitter) resolves the task before the zombie is reaped.
     config.recovery.progress_timeout = Some(SimDuration::from_secs(30));
     let mut w = FaasWorld::new(config, fleet_n(2, DeviceMode::TimeSharing), 21);
     let mut eng = Engine::new();

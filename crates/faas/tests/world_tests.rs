@@ -90,6 +90,13 @@ fn settled_tasks_release_their_body_factory() {
             Box::new(CpuBurn::new(SimDuration::from_secs(secs)))
         })
     };
+    let gpu_call = || {
+        let m = std::rc::Rc::clone(&marker);
+        AppCall::new("a", "cpu", move |_| {
+            let _ = std::rc::Rc::clone(&m);
+            Box::new(KernelSeq::new(vec![gpu_kernel(1.0)], SimDuration::ZERO))
+        })
+    };
 
     let ok = submit(&mut w, &mut eng, call(1));
     assert_eq!(std::rc::Rc::strong_count(&marker), 2);
@@ -97,12 +104,8 @@ fn settled_tasks_release_their_body_factory() {
     assert_eq!(w.dfk.task(ok).state, TaskState::Done);
     assert_eq!(std::rc::Rc::strong_count(&marker), 1, "released at Done");
 
-    // A 5 s body under a 1 s walltime fails every attempt (retries: 1).
-    let doomed = submit(
-        &mut w,
-        &mut eng,
-        call(5).with_walltime(SimDuration::from_secs(1)),
-    );
+    // A GPU step on the CPU-only worker fails every attempt (retries: 1).
+    let doomed = submit(&mut w, &mut eng, gpu_call());
     while w.dfk.task(doomed).error.is_none() {
         assert!(eng.step(&mut w), "the first attempt must fail");
     }
@@ -507,8 +510,6 @@ fn monitoring_samples_gpu_utilization() {
         .map(|s| s.utilization)
         .fold(0.0, f64::max);
     assert!(peak > 0.9, "kernel should saturate the GPU, peak={peak}");
-    // Timeline recorded the task span on the app's track.
-    assert_eq!(w.timeline.tracks(), vec!["infer".to_string()]);
 }
 
 #[test]
@@ -596,49 +597,20 @@ fn concurrent_streams_within_one_context() {
 }
 
 #[test]
-fn thread_pool_executor_is_instantly_warm() {
-    // §2.2.1: ThreadPoolExecutor schedules onto threads of the running
-    // process — no provider spawn, no cold start.
-    let config = Config::new(vec![ExecutorConfig::thread_pool("tp", 4)]);
-    let mut w = FaasWorld::new(config, GpuFleet::new(), 21);
-    let mut eng = Engine::new();
-    boot(&mut w, &mut eng);
-    let id = submit(
-        &mut w,
-        &mut eng,
-        AppCall::new("quick", "tp", |_| {
-            Box::new(CpuBurn::new(SimDuration::from_secs(1)))
-        }),
-    );
-    eng.run(&mut w);
-    let t = w.dfk.task(id);
-    assert_eq!(t.state, TaskState::Done);
-    // Only the wire-dispatch millisecond before start; no seconds of
-    // cold start.
-    let started = t.started.unwrap().as_secs_f64();
-    assert!(started < 0.01, "thread pool started at {started}s");
-    assert!(w.workers.iter().all(|wk| wk.cold_breakdown.is_none()));
-}
-
-#[test]
 fn cpu_oversubscription_slows_compute_steps() {
     // 48 compute-bound workers on a 24-core node: each 10 s step takes
-    // ~2x; with 24 workers it runs at full speed.
+    // ~2x; with 24 workers it runs at full speed. Tasks are submitted
+    // once every worker is warm, so all steps start together.
     let run = |workers: usize| -> f64 {
-        let config = Config::new(vec![ExecutorConfig::thread_pool("tp", workers)]);
+        let config = Config::new(vec![ExecutorConfig::cpu("cpu", workers)]);
         let mut w = FaasWorld::new(config, GpuFleet::new(), 22);
         let mut eng = Engine::new();
         boot(&mut w, &mut eng);
+        run_until_cond(&mut w, &mut eng, 60, |w| {
+            w.workers.iter().all(|wk| wk.state == WorkerState::Idle)
+        });
         let ids: Vec<TaskId> = (0..workers)
-            .map(|_| {
-                submit(
-                    &mut w,
-                    &mut eng,
-                    AppCall::new("burn", "tp", |_| {
-                        Box::new(CpuBurn::new(SimDuration::from_secs(10)))
-                    }),
-                )
-            })
+            .map(|_| submit(&mut w, &mut eng, cpu_call("burn", 10)))
             .collect();
         eng.run(&mut w);
         ids.iter()
@@ -658,36 +630,6 @@ fn cpu_oversubscription_slows_compute_steps() {
         (18.0..=22.0).contains(&over),
         "48 workers on 24 cores should take ~2x: {over}s"
     );
-}
-
-#[test]
-fn slurm_provider_adds_queue_wait() {
-    // SlurmProvider workers wait in the batch queue before spawning; the
-    // LocalProvider ones do not.
-    let mk = |slurm: bool| -> f64 {
-        let mut e = ExecutorConfig::cpu("cpu", 4);
-        if slurm {
-            e.provider = ProviderConfig::Slurm {
-                queue_wait_mean: SimDuration::from_secs(60),
-                spawn_delay: SimDuration::from_millis(500),
-            };
-        }
-        let config = Config::new(vec![e]);
-        let mut w = FaasWorld::new(config, GpuFleet::new(), 31);
-        let mut eng = Engine::new();
-        boot(&mut w, &mut eng);
-        submit(&mut w, &mut eng, cpu_call("probe", 1));
-        eng.run(&mut w);
-        w.workers
-            .iter()
-            .filter_map(|wk| wk.ready_at)
-            .map(|t| t.as_secs_f64())
-            .fold(0.0, f64::max)
-    };
-    let local = mk(false);
-    let slurm = mk(true);
-    assert!(local < 5.0, "local workers ready fast: {local}");
-    assert!(slurm > 10.0, "slurm queue wait must show: {slurm}");
 }
 
 /// Records every task the platform reports settled, in report order.
@@ -747,7 +689,7 @@ fn cancel_during_retry_backoff_purges_checkpoint() {
         "gpu",
         vec![AcceleratorSpec::Gpu(0)],
     )]);
-    config.checkpoint = CheckpointPolicy::every(SimDuration::from_secs(2));
+    config.checkpoint_interval = Some(SimDuration::from_secs(2));
     let mut w = FaasWorld::new(config, fleet_one(DeviceMode::TimeSharing), 43);
     let mut eng = Engine::new();
     boot(&mut w, &mut eng);
@@ -773,82 +715,6 @@ fn cancel_during_retry_backoff_purges_checkpoint() {
     );
     eng.run(&mut w);
     assert_eq!(w.dfk.task(id).error.as_deref(), Some("cancelled"));
-}
-
-#[test]
-fn walltime_kills_attempt_but_not_worker() {
-    // Parsl's `walltime` app option: the attempt dies at the limit; the
-    // worker survives and serves the next task.
-    let config = Config::new(vec![ExecutorConfig::gpu(
-        "gpu",
-        vec![AcceleratorSpec::Gpu(0)],
-    )]);
-    let mut w = FaasWorld::new(config, fleet_one(DeviceMode::TimeSharing), 51);
-    let mut eng = Engine::new();
-    boot(&mut w, &mut eng);
-    // A task that would run 100 s of kernels, capped at 5 s; retries = 1
-    // so it fails permanently after two attempts.
-    let runaway = submit(
-        &mut w,
-        &mut eng,
-        AppCall::new("runaway", "gpu", |_| {
-            Box::new(KernelSeq::new(
-                vec![gpu_kernel(108.0 * 100.0)],
-                SimDuration::ZERO,
-            ))
-        })
-        .with_walltime(SimDuration::from_secs(5)),
-    );
-    let healthy = submit(
-        &mut w,
-        &mut eng,
-        AppCall::new("healthy", "gpu", |_| {
-            Box::new(KernelSeq::new(vec![gpu_kernel(54.0)], SimDuration::ZERO))
-        }),
-    );
-    eng.run(&mut w);
-    let rt = w.dfk.task(runaway);
-    assert_eq!(rt.state, TaskState::Failed);
-    assert_eq!(rt.error.as_deref(), Some("walltime exceeded"));
-    assert_eq!(w.dfk.task(healthy).state, TaskState::Done);
-    assert_eq!(w.workers[0].state, WorkerState::Idle, "worker survived");
-    // The aborted kernels are gone from the device.
-    assert_eq!(w.fleet.device(GpuId(0)).active_kernels(), 0);
-    // Wall time: 2 × 5 s attempts + ~0.5 s healthy + startup, not 100 s.
-    assert!(eng.now().as_secs_f64() < 20.0, "ended at {}", eng.now());
-}
-
-#[test]
-fn orphaned_kernel_completion_cannot_resume_next_task() {
-    // Regression guard for the tag-sequencing: a kernel launched by a
-    // walltime-killed attempt completes later; the worker is already on
-    // another task and must not be double-advanced.
-    let config = Config::new(vec![ExecutorConfig::gpu(
-        "gpu",
-        vec![AcceleratorSpec::Gpu(0)],
-    )]);
-    let mut w = FaasWorld::new(config, fleet_one(DeviceMode::TimeSharing), 52);
-    let mut eng = Engine::new();
-    boot(&mut w, &mut eng);
-    for _ in 0..3 {
-        submit(
-            &mut w,
-            &mut eng,
-            AppCall::new("mixed", "gpu", |_| {
-                Box::new(KernelSeq::new(
-                    vec![gpu_kernel(108.0 * 3.0), gpu_kernel(54.0)],
-                    SimDuration::from_millis(200),
-                ))
-            })
-            .with_walltime(SimDuration::from_secs(2)),
-        );
-    }
-    eng.run(&mut w);
-    assert!(w.dfk.all_settled());
-    // Every attempt exceeds 2 s (first kernel alone is 3 s), so all fail
-    // by walltime — cleanly, with no stuck tasks or panics.
-    assert_eq!(w.dfk.failed_count(), 3);
-    assert_eq!(w.fleet.device(GpuId(0)).active_kernels(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -953,43 +819,89 @@ fn kill_mid_model_load_keeps_cache_and_device_consistent() {
     assert_eq!(w.dfk.reexecuted_attempts(), 1);
 }
 
-#[test]
-fn walltime_expiry_racing_kernel_completion_is_clean() {
+/// The primary (the first body made) runs a 432 SM-second kernel; its
+/// hedge duplicate runs `hedge_work` SM-seconds. Both workers share one
+/// MPS-partitioned GPU at 50 % each.
+fn shared_gpu_race(hedge_work: f64) -> (FaasWorld, Engine<FaasWorld>, TaskId) {
     let mut config = Config::new(vec![ExecutorConfig::gpu(
         "gpu",
-        vec![AcceleratorSpec::Gpu(0)],
+        vec![
+            AcceleratorSpec::GpuPercentage(0, 50),
+            AcceleratorSpec::GpuPercentage(0, 50),
+        ],
     )]);
     config.retries = 0;
-    let mut w = FaasWorld::new(config, fleet_one(DeviceMode::TimeSharing), 31);
+    config.overload.hedge_trigger = Some(1.5);
+    let mut w = FaasWorld::new(config, fleet_one(DeviceMode::MpsPartitioned), 31);
     let mut eng = Engine::new();
     boot(&mut w, &mut eng);
-    // 216 SM-seconds on 108 SMs = exactly 2 s of device time; the
-    // walltime limit expires at the very nanosecond the kernel would
-    // complete. The walltime timer is scheduled first (at body start),
-    // so FIFO ordering fires it first and the completion must be inert.
-    let racing = submit(
+    let made = Rc::new(std::cell::Cell::new(0u32));
+    let id = submit(
         &mut w,
         &mut eng,
-        AppCall::new("racing", "gpu", |_| {
-            Box::new(KernelSeq::new(vec![gpu_kernel(216.0)], SimDuration::ZERO))
+        AppCall::new("racing", "gpu", move |_| {
+            let n = made.get();
+            made.set(n + 1);
+            let work = if n == 0 { 432.0 } else { hedge_work };
+            Box::new(KernelSeq::new(vec![gpu_kernel(work)], SimDuration::ZERO))
         })
-        .with_walltime(SimDuration::from_secs(2)),
+        .with_est_service(SimDuration::from_secs(2)),
+    );
+    // Stop on the primary's completion event itself.
+    while w.dfk.task(id).state != TaskState::Done {
+        assert!(eng.step(&mut w), "the primary completes");
+    }
+    (w, eng, id)
+}
+
+#[test]
+fn hedge_cancel_racing_kernel_completion_is_clean() {
+    // The loser's kernel is sized to complete at the very nanosecond its
+    // cancellation fires, 50 ms after the primary wins. The primary's
+    // completion schedules the cancellation before the device re-arms
+    // its wake, so FIFO ordering fires the cancellation first and the
+    // completion must be inert.
+    let (probe, probe_eng, id) = shared_gpu_race(432.0);
+    let t = probe.dfk.task(id);
+    let rate = 432.0
+        / t.finished
+            .unwrap()
+            .duration_since(t.started.unwrap())
+            .as_secs_f64();
+    let won_at = t.finished.unwrap();
+    let lead = probe
+        .fleet
+        .device(GpuId(0))
+        .next_wake(probe_eng.now())
+        .unwrap()
+        .duration_since(won_at);
+    let cancel = config::HEDGE_CANCEL_LATENCY;
+    let hedge_work = 432.0 - rate * (lead.as_secs_f64() - cancel.as_secs_f64());
+    let (mut w, mut eng, id) = shared_gpu_race(hedge_work);
+    let won_at = w.dfk.task(id).finished.unwrap();
+    let loser = 1 - w.dfk.task(id).worker.unwrap();
+    assert_eq!(
+        w.fleet.device(GpuId(0)).next_wake(eng.now()),
+        Some(won_at + cancel),
+        "the loser's kernel completes as its cancellation fires"
     );
     eng.run(&mut w);
-    let t = w.dfk.task(racing);
-    assert_eq!(t.state, TaskState::Failed);
-    assert!(t.error.as_deref().unwrap().contains("walltime exceeded"));
+    assert_eq!(w.overload.stats.hedges_wasted, 1, "the primary won");
+    assert_eq!(w.dfk.done_count(), 1);
     assert_eq!(w.fleet.device(GpuId(0)).active_kernels(), 0);
     assert_eq!(w.fleet.device(GpuId(0)).memory_used(), 0);
-    assert_eq!(w.workers[0].state, WorkerState::Idle, "worker survives");
-    // The worker is immediately reusable for a task that fits its limit.
+    assert_eq!(w.workers[loser].state, WorkerState::Idle, "worker survives");
+    assert_eq!(w.workers[loser].tasks_completed, 0, "completion was inert");
+    assert!(w.monitor.worker_events.iter().any(|e| e.worker == loser
+        && e.kind == monitoring::WorkerEventKind::TaskEnd
+        && e.detail == format!("task {} cancelled (hedge loser)", id.0)));
+    // The loser is immediately reusable.
     let ok = submit(
         &mut w,
         &mut eng,
         AppCall::new("fits", "gpu", |_| {
             Box::new(KernelSeq::new(vec![gpu_kernel(54.0)], SimDuration::ZERO))
-        })
-        .with_walltime(SimDuration::from_secs(2)),
+        }),
     );
     eng.run(&mut w);
     assert_eq!(w.dfk.task(ok).state, TaskState::Done);

@@ -52,7 +52,7 @@ use crate::kernel::KernelDesc;
 use crate::memory::MemoryPool;
 use crate::mig::MigManager;
 use crate::mps::MpsDaemon;
-use crate::sharing::{CtxBinding, DeviceMode, ShareConfig};
+use crate::sharing::{CtxBinding, DeviceMode, TS_QUANTUM, TS_SWITCH_PENALTY};
 use crate::spec::{GpuSpec, Vendor};
 use parfait_simcore::stats::TimeWeighted;
 use parfait_simcore::{EventId, SimDuration, SimTime};
@@ -292,7 +292,13 @@ pub struct GpuDevice {
     /// Hardware spec.
     pub spec: GpuSpec,
     mode: DeviceMode,
-    cfg: ShareConfig,
+    /// MPS co-residency interference: with `n` client processes actively
+    /// running kernels, every MPS kernel's rate is scaled by
+    /// `1 / (1 + mps_interference * (n - 1))` — the L2/scheduler
+    /// contention MPS does not isolate (Table 1's "resource starved due
+    /// to contention"). Zero (the default) disables the term; the paper
+    /// reproduction scenarios use 0.06.
+    mps_interference: f64,
     allow_uvm: bool,
 
     ctxs: BTreeMap<u32, GpuContext>,
@@ -379,7 +385,7 @@ impl GpuDevice {
             id,
             spec,
             mode: DeviceMode::TimeSharing,
-            cfg: ShareConfig::default(),
+            mps_interference: 0.0,
             allow_uvm: false,
             ctxs: BTreeMap::new(),
             next_ctx: 0,
@@ -412,9 +418,10 @@ impl GpuDevice {
         }
     }
 
-    /// Override arbitration tunables.
-    pub fn set_share_config(&mut self, cfg: ShareConfig) {
-        self.cfg = cfg;
+    /// Set the MPS co-residency interference coefficient (see the
+    /// field's doc; 0 disables the term).
+    pub fn set_mps_interference(&mut self, mps_interference: f64) {
+        self.mps_interference = mps_interference;
         self.mark_all_dirty();
     }
 
@@ -894,8 +901,8 @@ impl GpuDevice {
         Ok(KernelId(id))
     }
 
-    /// Abort every in-flight kernel carrying `tag` (a walltime-killed
-    /// task's launches). Returns how many were removed. The owner should
+    /// Abort every in-flight kernel carrying `tag` (a cancelled
+    /// attempt's launches). Returns how many were removed. The owner should
     /// `resync` afterwards.
     pub fn abort_tagged(&mut self, now: SimTime, tag: u64) -> usize {
         self.advance(now);
@@ -999,7 +1006,7 @@ impl GpuDevice {
         // Complete an in-flight switch.
         if self.ts_pending.is_some() && now >= self.ts_switch_end {
             self.ts_current = self.ts_pending.take();
-            self.ts_quantum_end = now + self.cfg.quantum;
+            self.ts_quantum_end = now + TS_QUANTUM;
         }
         if self.ts_pending.is_some() {
             return; // mid-switch: nothing runs
@@ -1027,21 +1034,21 @@ impl GpuDevice {
             if self.ts_current.is_none() {
                 // GPU was idle: adopt immediately, no switch cost.
                 self.ts_current = Some(nxt);
-                self.ts_quantum_end = now + self.cfg.quantum;
+                self.ts_quantum_end = now + TS_QUANTUM;
             } else {
                 // Current process went host-side; rotate with penalty.
                 self.ts_pending = Some(nxt);
-                self.ts_switch_end = now + self.cfg.switch_penalty;
+                self.ts_switch_end = now + TS_SWITCH_PENALTY;
                 self.ts_current = None;
             }
         } else if now >= self.ts_quantum_end {
             if active.len() >= 2 {
                 let nxt = next_after(self.ts_current);
                 self.ts_pending = Some(nxt);
-                self.ts_switch_end = now + self.cfg.switch_penalty;
+                self.ts_switch_end = now + TS_SWITCH_PENALTY;
                 self.ts_current = None;
             } else {
-                self.ts_quantum_end = now + self.cfg.quantum;
+                self.ts_quantum_end = now + TS_QUANTUM;
             }
         }
     }
@@ -1140,8 +1147,8 @@ impl GpuDevice {
                 }
             }
             // MPS co-residency interference (L2/scheduler contention).
-            let mut interference = if mps_mode && self.cfg.mps_interference > 0.0 {
-                1.0 / (1.0 + self.cfg.mps_interference * (ctxs_in_dom.saturating_sub(1)) as f64)
+            let mut interference = if mps_mode && self.mps_interference > 0.0 {
+                1.0 / (1.0 + self.mps_interference * (ctxs_in_dom.saturating_sub(1)) as f64)
             } else {
                 1.0
             };

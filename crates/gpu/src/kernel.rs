@@ -14,7 +14,7 @@
 //! exceeds available bandwidth — this is the "no isolation"/contention
 //! column of Table 1 made quantitative.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Immutable description of one kernel launch.
 ///
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(k.effective_sms(14.0), 10.0);  // 2 waves of ≤14 blocks
 /// assert_eq!(k.solo_runtime(20.0), 0.1);    // 2 SM·s / 20 SMs
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelDesc {
     /// Human-readable kernel name (e.g. `"llama2.decode"`).
     pub name: &'static str,

@@ -39,5 +39,5 @@ pub use device::{CtxId, GpuDevice, GpuId, KernelDone, KernelId};
 pub use error::{GpuError, Result};
 pub use host::{launch_kernel, resync, GpuFleet, GpuHost};
 pub use kernel::KernelDesc;
-pub use sharing::{CtxBinding, DeviceMode, ShareConfig};
+pub use sharing::{CtxBinding, DeviceMode};
 pub use spec::{GpuSpec, Vendor, GIB};

@@ -1,4 +1,4 @@
-//! Multiplexing modes and arbitration configuration — Table 1 of the paper
+//! Multiplexing modes and time-sharing constants — Table 1 of the paper
 //! as a type.
 //!
 //! | Mode | Table 1 row | Mechanism modelled |
@@ -15,10 +15,10 @@
 //! `Mig`/`Vgpu`.
 
 use parfait_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a device arbitrates SMs between process contexts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DeviceMode {
     /// Default NVIDIA behaviour without MPS: one process's kernels own the
     /// GPU at a time, rotated on a scheduling quantum.
@@ -60,38 +60,17 @@ impl DeviceMode {
     }
 }
 
-/// Tunables of the arbitration model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShareConfig {
-    /// Time-sharing scheduling quantum.
-    pub quantum: SimDuration,
-    /// Context-switch penalty when time-sharing rotates processes
-    /// (pipeline drain + context restore).
-    pub switch_penalty: SimDuration,
-    /// MPS co-residency interference: with `n` client processes actively
-    /// running kernels, every MPS kernel's rate is scaled by
-    /// `1 / (1 + mps_interference * (n - 1))` — the L2/scheduler
-    /// contention MPS does not isolate (Table 1's "resource starved due
-    /// to contention"). Zero (the default) disables the term; the paper
-    /// reproduction scenarios use 0.06.
-    pub mps_interference: f64,
-}
+/// Time-sharing scheduling quantum: a few kernel launches worth of
+/// exclusive access before the driver rotates runlists between processes.
+pub const TS_QUANTUM: SimDuration = SimDuration::from_millis(25);
 
-impl Default for ShareConfig {
-    fn default() -> Self {
-        ShareConfig {
-            // A few kernel launches worth of exclusive access before the
-            // driver rotates runlists between processes.
-            quantum: SimDuration::from_millis(25),
-            switch_penalty: SimDuration::from_micros(750),
-            mps_interference: 0.0,
-        }
-    }
-}
+/// Context-switch penalty when time-sharing rotates processes (pipeline
+/// drain + context restore).
+pub const TS_SWITCH_PENALTY: SimDuration = SimDuration::from_micros(750);
 
 /// How a new process context binds to the device, mirroring what the
 /// Parsl worker environment expresses (§4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum CtxBinding {
     /// Plain `CUDA_VISIBLE_DEVICES=<gpu>`; valid in `TimeSharing` and
     /// `MpsDefault` modes.

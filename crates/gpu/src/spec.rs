@@ -6,14 +6,14 @@
 //! than the ratios — every experiment in the paper is a comparison across
 //! sharing modes on the same part.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Gibibytes → bytes.
 pub const GIB: u64 = 1 << 30;
 
 /// Vendor of a device (controls which sharing mechanisms exist — Table 1's
 /// "AMD equivalent" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Vendor {
     /// NVIDIA: time-sharing, CUDA MPS (default + percentage), MIG, vGPU.
     Nvidia,
@@ -22,7 +22,7 @@ pub enum Vendor {
 }
 
 /// Static description of one accelerator model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"A100-SXM4-40GB"`.
     pub name: &'static str,

@@ -12,9 +12,7 @@
 //! same device.
 
 use parfait_gpu::host::{launch_kernel, resync, GpuFleet, GpuHost};
-use parfait_gpu::{
-    CtxBinding, CtxId, DeviceMode, GpuId, GpuSpec, KernelDesc, KernelDone, ShareConfig, GIB,
-};
+use parfait_gpu::{CtxBinding, CtxId, DeviceMode, GpuId, GpuSpec, KernelDesc, KernelDone, GIB};
 use parfait_simcore::{Engine, SimDuration, SimTime};
 
 struct World {
@@ -184,10 +182,6 @@ impl GpuHost for ChainWorld {
 /// - gpu 4, default MPS with interference and a slowdown window.
 fn run_mixed_trace() -> (Completions, Vec<u64>, u64) {
     let spec = GpuSpec::a100_80gb();
-    let mps_share = ShareConfig {
-        mps_interference: 0.06,
-        ..ShareConfig::default()
-    };
     let mut fleet = GpuFleet::new();
     let gpus: Vec<GpuId> = (0..5).map(|_| fleet.add(spec.clone())).collect();
     let t0 = SimTime::ZERO;
@@ -205,7 +199,7 @@ fn run_mixed_trace() -> (Completions, Vec<u64>, u64) {
     let mpsp = fleet.device_mut(gpus[1]);
     mpsp.mps.start();
     mpsp.set_mode(DeviceMode::MpsPartitioned).expect("mode");
-    mpsp.set_share_config(mps_share.clone());
+    mpsp.set_mps_interference(0.06);
     mpsp.set_uvm(true);
     for (i, pct) in [50, 30, 20].into_iter().enumerate() {
         let c = mpsp
@@ -250,7 +244,7 @@ fn run_mixed_trace() -> (Completions, Vec<u64>, u64) {
     let mpsd = fleet.device_mut(gpus[4]);
     mpsd.mps.start();
     mpsd.set_mode(DeviceMode::MpsDefault).expect("mode");
-    mpsd.set_share_config(mps_share);
+    mpsd.set_mps_interference(0.06);
     for i in 0..3 {
         let c = mpsd
             .create_context(t0, &format!("mpsd{i}"), CtxBinding::Bare)

@@ -2,10 +2,11 @@
 //! scheduling details, MIG fragmentation, and per-process accounting.
 
 use parfait_gpu::host::{launch_kernel, GpuFleet, GpuHost};
+use parfait_gpu::sharing::{TS_QUANTUM, TS_SWITCH_PENALTY};
 use parfait_gpu::{
-    nvml, CtxBinding, DeviceMode, GpuDevice, GpuId, GpuSpec, KernelDesc, KernelDone, ShareConfig,
+    nvml, CtxBinding, DeviceMode, GpuDevice, GpuId, GpuSpec, KernelDesc, KernelDone,
 };
-use parfait_simcore::{Engine, SimDuration, SimTime};
+use parfait_simcore::{Engine, SimTime};
 
 fn device(mode: DeviceMode) -> GpuDevice {
     let mut d = GpuDevice::new(GpuId(0), GpuSpec::a100_80gb());
@@ -62,11 +63,6 @@ fn timesharing_quantum_rotation_is_fair() {
     // Two contexts with long kernels must each attain ~half of the device
     // over a long window (round-robin quanta).
     let mut d = device(DeviceMode::TimeSharing);
-    d.set_share_config(ShareConfig {
-        quantum: SimDuration::from_millis(10),
-        switch_penalty: SimDuration::from_micros(100),
-        mps_interference: 0.0,
-    });
     let a = d
         .create_context(SimTime::ZERO, "a", CtxBinding::Bare)
         .unwrap();
@@ -102,7 +98,12 @@ fn timesharing_quantum_rotation_is_fair() {
     let sb = d.attained_service(b);
     let total = sa + sb;
     assert!((sa / total - 0.5).abs() < 0.02, "share {:.3}", sa / total);
-    // Switch overhead: 100 µs per 10 ms quantum ≈ 1% loss.
+    // Switch overhead: one penalty per quantum, 750 µs per 25 ms ≈ 2.9%
+    // loss.
+    let q = TS_QUANTUM.as_secs_f64();
+    let efficiency = q / (q + TS_SWITCH_PENALTY.as_secs_f64());
+    let expected = efficiency * 108.0 * 10.0;
+    assert!((total / expected - 1.0).abs() < 1e-3, "attained {total}");
     assert!(total > 0.97 * 108.0 * 10.0, "attained {total}");
     assert!(total <= 108.0 * 10.0 + 1e-6);
 }

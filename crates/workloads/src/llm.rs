@@ -22,10 +22,10 @@
 use parfait_faas::{ModelProfile, TaskBody, TaskCtx, TaskStep};
 use parfait_gpu::{GpuSpec, KernelDesc, GIB};
 use parfait_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Architecture + deployment parameters of one LLM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LlmSpec {
     /// Name, e.g. `"llama2-7b"`.
     pub name: &'static str,
@@ -221,7 +221,7 @@ impl LlmSpec {
 /// expected runtime behavior due to the expected varying length of
 /// interaction time and input". Prompt and response lengths are lognormal
 /// (dialogue traffic is heavy-tailed).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RequestProfile {
     /// Use-case label.
     pub name: &'static str,

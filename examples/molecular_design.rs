@@ -6,6 +6,7 @@
 //! cargo run --release --example molecular_design
 //! ```
 
+use parfait::core::metrics;
 use parfait::faas::{run, AcceleratorSpec, Config, ExecutorConfig, FaasWorld};
 use parfait::gpu::host::GpuFleet;
 use parfait::gpu::GpuSpec;
@@ -34,18 +35,17 @@ fn campaign(selection: Selection) -> (f64, Vec<f64>, String, f64) {
     run(&mut world, &mut eng);
     let wall = eng.now();
     let best: Vec<f64> = history.borrow().iter().map(|r| r.best_ip).collect();
-    let gpu_busy = world
-        .timeline
+    let timeline = metrics::timeline(&world);
+    let gpu_busy = timeline
         .union_busy("training", SimTime::ZERO, wall)
         .as_secs_f64()
-        + world
-            .timeline
+        + timeline
             .union_busy("inference", SimTime::ZERO, wall)
             .as_secs_f64();
     (
         wall.as_secs_f64(),
         best,
-        world.timeline.render_ascii(96),
+        timeline.render_ascii(96),
         gpu_busy,
     )
 }

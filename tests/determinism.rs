@@ -79,8 +79,8 @@ fn assert_correlated_double_run_identical(strategy: Strategy, ckpt_s: Option<u64
 }
 
 /// The PR-5 overload scenario (bounded queues, deadline admission,
-/// hedging, brownout) draws from two new RNG streams (`ADMISSION`,
-/// `HEDGE_TIMING`); byte-compare a fully-protected 2×-load cell across
+/// hedging, brownout) draws hedge jitter from its own RNG stream
+/// (`HEDGE_TIMING`); byte-compare a fully-protected 2×-load cell across
 /// double runs.
 #[test]
 fn overload_scenario_is_bit_identical_across_runs() {

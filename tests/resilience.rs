@@ -4,10 +4,11 @@ use parfait::core::{
     apply_plan, begin_resize_mps, plan, reconfigure_mig_equal, resize_mps, ReconfigError, Strategy,
 };
 use parfait::faas::app::bodies::CpuBurn;
+use parfait::faas::drain::DRAIN_TIMEOUT;
 use parfait::faas::{
     boot, crash_worker, fault_host, fault_rack, inject_fault, kill_worker, quarantine_gpu,
-    respawn_worker, submit, AcceleratorSpec, AppCall, CheckpointPolicy, Config, ExecutorConfig,
-    FaasWorld, FaultKind, InjectOutcome, WorkerState,
+    respawn_worker, submit, AcceleratorSpec, AppCall, Config, ExecutorConfig, FaasWorld, FaultKind,
+    InjectOutcome, WorkerState,
 };
 use parfait::gpu::host::GpuFleet;
 use parfait::gpu::{GpuId, GpuSpec};
@@ -171,13 +172,19 @@ fn mps_pcts(w: &FaasWorld) -> Vec<u32> {
         .collect()
 }
 
-/// A ~35 s chat session — long enough that a reconfig drain has to wait
-/// on it (and a checkpoint restore saves real work).
-fn long_session(llm: &LlmSpec) -> AppCall {
+/// A chat session generating `new_tokens` tokens (220 run ~35 s on a
+/// half share) — long enough that a reconfig drain has to wait on it
+/// (and a checkpoint restore saves real work).
+fn long_session(llm: &LlmSpec, new_tokens: u32) -> AppCall {
     let llm = llm.clone();
     let gpu = GpuSpec::a100_80gb();
     AppCall::new("session", "gpu", move |_| {
-        Box::new(CompletionBody::new(llm.clone(), gpu.clone(), 96, 220))
+        Box::new(CompletionBody::new(
+            llm.clone(),
+            gpu.clone(),
+            96,
+            new_tokens,
+        ))
     })
 }
 
@@ -244,7 +251,7 @@ fn immediate_resize_commit_failure_rolls_back() {
     let (mut w, mut eng, llm) = mps_platform(|_| {});
     boot(&mut w, &mut eng);
     for _ in 0..2 {
-        submit(&mut w, &mut eng, long_session(&llm));
+        submit(&mut w, &mut eng, long_session(&llm, 220));
     }
     eng.run_until(&mut w, SimTime::from_secs(5));
     assert_eq!(
@@ -275,7 +282,7 @@ fn rack_fence_mid_drain_aborts_transaction() {
     let (mut w, mut eng, llm) = mps_platform(|_| {});
     boot(&mut w, &mut eng);
     for _ in 0..2 {
-        submit(&mut w, &mut eng, long_session(&llm));
+        submit(&mut w, &mut eng, long_session(&llm, 220));
     }
     eng.schedule_at(SimTime::from_secs(5), |w: &mut FaasWorld, e| {
         begin_resize_mps(w, e, 0, vec![70, 30]).expect("gpu is healthy at begin");
@@ -308,12 +315,11 @@ fn rack_fence_mid_drain_aborts_transaction() {
 #[test]
 fn drain_timeout_forced_kill_restores_from_checkpoint() {
     let (mut w, mut eng, llm) = mps_platform(|c| {
-        c.checkpoint = CheckpointPolicy::every(SimDuration::from_secs(2));
-        c.reconfig.drain_timeout = SimDuration::from_secs(5);
+        c.checkpoint_interval = Some(SimDuration::from_secs(2));
     });
     boot(&mut w, &mut eng);
     for _ in 0..2 {
-        submit(&mut w, &mut eng, long_session(&llm));
+        submit(&mut w, &mut eng, long_session(&llm, 660));
     }
     eng.schedule_at(SimTime::from_secs(10), |w: &mut FaasWorld, e| {
         begin_resize_mps(w, e, 0, vec![70, 30]).expect("gpu is healthy at begin");
@@ -321,9 +327,10 @@ fn drain_timeout_forced_kill_restores_from_checkpoint() {
     eng.run(&mut w);
 
     assert_eq!(w.reconfig.stats.drains_started, 1);
+    assert_eq!(DRAIN_TIMEOUT, SimDuration::from_secs(30));
     assert!(
         w.reconfig.stats.drains_forced_kills > 0,
-        "35 s sessions must outlive a 5 s drain timeout"
+        "~105 s sessions must outlive the 30 s drain timeout"
     );
     assert_eq!(w.reconfig.stats.txns_committed, 1);
     assert_eq!(mps_pcts(&w), vec![70, 30], "committed shares apply");
