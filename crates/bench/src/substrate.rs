@@ -19,10 +19,13 @@
 //! - `relaunch_chain` — 4 partitioned-MPS contexts × 8 kernels, each
 //!   launched from its predecessor's completion handler (the wake
 //!   re-arm path of multi-kernel requests, in kernels/sec).
+//! - `timeshare` — 3 time-shared contexts × 8 chained 1 s kernels: about
+//!   1,900 quantum and switch ends that the device replays lazily rather
+//!   than as engine events (in kernels/sec).
 
 use crate::report::write_report;
 use parfait_gpu::host::{launch_kernel, GpuFleet, GpuHost};
-use parfait_gpu::{CtxBinding, CtxId, DeviceMode, GpuSpec, KernelDesc, KernelDone};
+use parfait_gpu::{CtxBinding, CtxId, DeviceMode, GpuId, GpuSpec, KernelDesc, KernelDone};
 use parfait_simcore::{Engine, SimTime};
 use serde::Serialize;
 use std::time::Instant;
@@ -87,6 +90,14 @@ pub struct CostProxy {
     pub relaunch_heap_pushes: u64,
     /// `GpuDevice::recompute` invocations on `relaunch_chain`.
     pub relaunch_recompute_calls: u64,
+    /// Events fired by `timeshare`: one wake per completion, so a return
+    /// to one wake per quantum shows up here.
+    pub timeshare_events_fired: u64,
+    /// Event-heap pushes on `timeshare`.
+    pub timeshare_heap_pushes: u64,
+    /// `GpuDevice::recompute` invocations on `timeshare`, counting the
+    /// replayed rotation ticks.
+    pub timeshare_recompute_calls: u64,
     /// Events fired by the scaled-down fleet case (4 GPUs × 2 000 tasks,
     /// seed 42, optimized driver) — extends the ratchet over the whole
     /// FaaS dispatch/monitoring path, not just the event substrate.
@@ -128,6 +139,9 @@ impl CostProxy {
             ("relaunch_events_fired", self.relaunch_events_fired),
             ("relaunch_heap_pushes", self.relaunch_heap_pushes),
             ("relaunch_recompute_calls", self.relaunch_recompute_calls),
+            ("timeshare_events_fired", self.timeshare_events_fired),
+            ("timeshare_heap_pushes", self.timeshare_heap_pushes),
+            ("timeshare_recompute_calls", self.timeshare_recompute_calls),
             ("fleet_events_fired", self.fleet_events_fired),
             ("fleet_heap_pushes", self.fleet_heap_pushes),
             ("fleet_heap_pops", self.fleet_heap_pops),
@@ -320,6 +334,8 @@ const CHAIN_LEN: u64 = 8;
 struct ChainWorld {
     fleet: GpuFleet,
     completions: u64,
+    /// The kernel a context launches, by context id.
+    kernel: fn(u32) -> KernelDesc,
 }
 
 /// A 432-block kernel: 50 ms at a 25 % share of an A100 (27 SMs), a
@@ -335,8 +351,8 @@ impl GpuHost for ChainWorld {
     fn on_kernel_done(&mut self, e: &mut Engine<Self>, d: KernelDone) {
         self.completions += 1;
         if d.tag + 1 < CHAIN_LEN {
-            launch_kernel(self, e, d.gpu, d.ctx, chain_kernel(d.ctx.0), d.tag + 1)
-                .expect("relaunch");
+            let next = (self.kernel)(d.ctx.0);
+            launch_kernel(self, e, d.gpu, d.ctx, next, d.tag + 1).expect("relaunch");
         }
     }
 }
@@ -360,22 +376,61 @@ fn relaunch_chain_instrumented() -> (u64, u64, u64, u64) {
             .expect("ctx")
         })
         .collect();
-    let mut w = ChainWorld {
-        fleet,
-        completions: 0,
-    };
-    let mut eng = Engine::new();
-    for &ctx in &ctxs {
-        launch_kernel(&mut w, &mut eng, gid, ctx, chain_kernel(ctx.0), 0).expect("launch");
-    }
-    eng.run(&mut w);
-    assert_eq!(w.completions, 4 * CHAIN_LEN);
-    let (calls, _visited, _skipped) = w.fleet.cost_counters();
-    (w.completions, eng.events_fired(), eng.heap_pushes(), calls)
+    run_chains(fleet, &ctxs, chain_kernel)
 }
 
 fn relaunch_chain() -> u64 {
     relaunch_chain_instrumented().0
+}
+
+/// Launch one chain of [`CHAIN_LEN`] `kernel`s per context on the
+/// fleet's only device and run to the end. Returns `(completions, events
+/// fired, heap pushes, recompute calls)`.
+fn run_chains(
+    fleet: GpuFleet,
+    ctxs: &[CtxId],
+    kernel: fn(u32) -> KernelDesc,
+) -> (u64, u64, u64, u64) {
+    let mut w = ChainWorld {
+        fleet,
+        completions: 0,
+        kernel,
+    };
+    let mut eng = Engine::new();
+    for &ctx in ctxs {
+        launch_kernel(&mut w, &mut eng, GpuId(0), ctx, kernel(ctx.0), 0).expect("launch");
+    }
+    eng.run(&mut w);
+    assert_eq!(w.completions, ctxs.len() as u64 * CHAIN_LEN);
+    let (calls, _visited, _skipped) = w.fleet.cost_counters();
+    (w.completions, eng.events_fired(), eng.heap_pushes(), calls)
+}
+
+/// A full-grid kernel of 108 SM-s: 1 s alone on an A100.
+fn one_second_kernel(_ctx: u32) -> KernelDesc {
+    KernelDesc::new("slice", 108.0, 75_600, 75_600, 0.0)
+}
+
+/// One time-shared A100-80GB, 3 contexts × [`CHAIN_LEN`] one-second
+/// kernels chained from `on_kernel_done`: 24 s of quanta and switches
+/// with a completion only every second or so. Returns `(completions,
+/// events fired, heap pushes, recompute calls)`.
+fn timeshare_instrumented() -> (u64, u64, u64, u64) {
+    let mut fleet = GpuFleet::new();
+    let gid = fleet.add(GpuSpec::a100_80gb());
+    let ctxs: Vec<CtxId> = (0..3)
+        .map(|i| {
+            fleet
+                .device_mut(gid)
+                .create_context(SimTime::ZERO, &format!("p{i}"), CtxBinding::Bare)
+                .expect("ctx")
+        })
+        .collect();
+    run_chains(fleet, &ctxs, one_second_kernel)
+}
+
+fn timeshare() -> u64 {
+    timeshare_instrumented().0
 }
 
 /// One instrumented pass over the deterministic cases, collecting the
@@ -386,6 +441,7 @@ pub fn cost_proxy() -> CostProxy {
     let (_, cancel_pops) = cancel_heavy_instrumented(N);
     let (_, arb_fired, calls, visited) = contended_arbitration_instrumented();
     let (_, relaunch_fired, relaunch_pushes, relaunch_calls) = relaunch_chain_instrumented();
+    let (_, timeshare_fired, timeshare_pushes, timeshare_calls) = timeshare_instrumented();
     let (fleet, heap) =
         crate::alloc::section(|| crate::fleet::run_fleet(4, 2_000, 42, true).sim.behavior);
     CostProxy {
@@ -399,6 +455,9 @@ pub fn cost_proxy() -> CostProxy {
         relaunch_events_fired: relaunch_fired,
         relaunch_heap_pushes: relaunch_pushes,
         relaunch_recompute_calls: relaunch_calls,
+        timeshare_events_fired: timeshare_fired,
+        timeshare_heap_pushes: timeshare_pushes,
+        timeshare_recompute_calls: timeshare_calls,
         fleet_events_fired: fleet.events_fired,
         fleet_heap_pushes: fleet.heap_pushes,
         fleet_heap_pops: fleet.heap_pops,
@@ -417,6 +476,7 @@ pub fn measure() -> SubstrateReport {
         case("reschedule_heavy_100k", || reschedule_heavy(N)),
         case("contended_arbitration", contended_arbitration),
         case("relaunch_chain", relaunch_chain),
+        case("timeshare", timeshare),
     ];
     SubstrateReport {
         events_per_sec: cases[0].ops_per_sec,
@@ -539,6 +599,7 @@ mod tests {
         assert_eq!(reschedule_heavy(500), 500);
         assert_eq!(contended_arbitration(), 400);
         assert_eq!(relaunch_chain(), 32);
+        assert_eq!(timeshare(), 24);
     }
 
     #[test]

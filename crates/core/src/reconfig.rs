@@ -44,7 +44,7 @@ use parfait_faas::{
     auto_respawn, begin_drain, gpu_quarantined, kill_worker, quarantine_gpu, reconfig_commit_fails,
     respawn_worker, AcceleratorSpec, FaasWorld, FaultPhase, WorkerState,
 };
-use parfait_gpu::{context, DeviceMode, GpuId};
+use parfait_gpu::{context, resync, DeviceMode, GpuId};
 use parfait_simcore::{Engine, SimDuration, SimTime};
 use serde::Serialize;
 
@@ -479,8 +479,10 @@ fn commit_replan(
         kill_worker(world, eng, wid, reason);
     }
     // Reset: drops contexts, allocations, instances — and the weight
-    // cache contents on this GPU.
+    // cache contents on this GPU. A kernel no victim owned (a fail-slow
+    // canary's) goes too, so disarm a wake still armed for it.
     world.fleet.device_mut(GpuId(gpu)).reset(now);
+    resync(world, eng, GpuId(gpu));
     world.weight_cache.clear_gpu(gpu);
     let k = victims.len();
     let specs = plan(&world.fleet.device(GpuId(gpu)).spec, gpu, k, strategy)

@@ -6,7 +6,9 @@
 //! reporting, and eviction to reclaim pinned memory under pressure.
 
 use parfait_faas::FaasWorld;
+use parfait_gpu::host::resync;
 use parfait_gpu::GpuId;
+use parfait_simcore::Engine;
 use serde::Serialize;
 
 /// Turn the cache on for a platform (stock Parsl behaviour = off).
@@ -44,16 +46,19 @@ pub fn report(world: &FaasWorld) -> CacheReport {
     }
 }
 
-/// Evict one model's weights from one GPU, releasing the pinned memory.
-/// Returns the bytes released (0 if absent).
-pub fn evict(world: &mut FaasWorld, gpu: u32, model: u64) -> u64 {
+/// Evict one model's weights from one GPU, releasing the pinned memory,
+/// and resync the device. Returns the bytes released (0 if absent).
+pub fn evict(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, gpu: u32, model: u64) -> u64 {
     match world.weight_cache.remove(gpu, model) {
         Some(bytes) => {
-            world
-                .fleet
-                .device_mut(GpuId(gpu))
-                .cache_free(bytes)
+            let id = GpuId(gpu);
+            let dev = world.fleet.device_mut(id);
+            // Integrate to `now` first, so the resync predicts from the
+            // work actually left.
+            dev.advance(eng.now());
+            dev.cache_free(eng.now(), bytes)
                 .expect("cache accounting consistent");
+            resync(world, eng, id);
             bytes
         }
         None => 0,

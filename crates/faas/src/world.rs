@@ -1045,17 +1045,22 @@ fn begin_model_load(
         let full = world.fleet.device(gpu).spec.model_load_seconds(m.bytes) / lf;
         (m.bytes, 0, full)
     };
+    let now = eng.now();
     if cache_bytes > 0 {
-        if let Err(e) = world.fleet.device_mut(gpu).cache_alloc(cache_bytes) {
+        if let Err(e) = world.fleet.device_mut(gpu).cache_alloc(now, cache_bytes) {
             finish_task(world, eng, wid, Err(format!("model alloc failed: {e}")));
             return;
         }
         world.weight_cache.insert(gpu.0, m.id, cache_bytes);
     }
     if ctx_bytes > 0 {
-        if let Err(e) = world.fleet.device_mut(gpu).alloc_memory(ctx, ctx_bytes) {
+        if let Err(e) = world
+            .fleet
+            .device_mut(gpu)
+            .alloc_memory(now, ctx, ctx_bytes)
+        {
             if cache_bytes > 0 {
-                let _ = world.fleet.device_mut(gpu).cache_free(cache_bytes);
+                let _ = world.fleet.device_mut(gpu).cache_free(now, cache_bytes);
                 world.weight_cache.remove(gpu.0, m.id);
             }
             finish_task(world, eng, wid, Err(format!("model alloc failed: {e}")));
@@ -1342,12 +1347,13 @@ fn apply_mem_step(
         let op = if alloc { "alloc" } else { "free" };
         return Err(format!("GPU {op} on CPU-only worker"));
     };
+    let now = eng.now();
     let dev = world.fleet.device_mut(gpu);
     if alloc {
-        dev.alloc_memory(ctx, bytes)
+        dev.alloc_memory(now, ctx, bytes)
             .map_err(|e| format!("{alloc_failed}: {e}"))?;
     } else {
-        dev.free_memory(ctx, bytes)
+        dev.free_memory(now, ctx, bytes)
             .map_err(|e| format!("free failed: {e}"))?;
     }
     if let Some(r) = world.workers[wid].current.as_mut() {
@@ -1651,7 +1657,7 @@ fn release_attempt(
             let _ = world
                 .fleet
                 .device_mut(gpu)
-                .free_memory(ctx, run.task_allocs);
+                .free_memory(now, ctx, run.task_allocs);
             resync(world, eng, gpu);
         }
     }
@@ -2469,7 +2475,7 @@ fn settle_probation(
     } else {
         SimDuration::ZERO
     };
-    if !clear_probation(world, now, gpu, Some(now + cooldown)) {
+    if !clear_probation(world, eng, gpu, Some(now + cooldown)) {
         return;
     }
     if pass {
@@ -2510,15 +2516,16 @@ fn settle_probation(
 }
 
 /// Leave probation: drop the evidence the probation consumed (EWMAs,
-/// canary start), destroy a dedicated probe context, and release the
-/// dispatch gate. A verdict passes its re-probe `cooldown_until`; a fence
+/// canary start), destroy a dedicated probe context (aborting a canary
+/// still running there) and resync its device, and release the dispatch
+/// gate. A verdict passes its re-probe `cooldown_until`; a fence
 /// clears without one — the device is leaving service for something
 /// stronger than a fail-slow suspicion and has its own re-admission
 /// schedule, and no readmit/park counter moves. Returns whether a
 /// probation was in flight.
 fn clear_probation(
     world: &mut FaasWorld,
-    now: SimTime,
+    eng: &mut Engine<FaasWorld>,
     gpu: GpuId,
     cooldown_until: Option<SimTime>,
 ) -> bool {
@@ -2542,7 +2549,8 @@ fn clear_probation(
         slot.canary_probe_ctx.take()
     };
     if let Some(ctx) = probe {
-        let _ = world.fleet.device_mut(gpu).destroy_context(now, ctx);
+        let _ = world.fleet.device_mut(gpu).destroy_context(eng.now(), ctx);
+        resync(world, eng, gpu);
     }
     world.recovery.probations_active = world.recovery.probations_active.saturating_sub(1);
     true
@@ -2718,7 +2726,7 @@ pub(crate) fn fence_gpu(
     // device is leaving service anyway, and an aborted canary kernel
     // would otherwise never complete and leave the dispatch gate and
     // `probations_active` stuck.
-    clear_probation(world, now, gpu, None);
+    clear_probation(world, eng, gpu, None);
     let already = gpu_quarantined(world, gpu);
     let new_until = {
         let h = world.recovery.health_mut(gpu);
@@ -2905,7 +2913,10 @@ fn sample_monitors(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
     };
     let now = eng.now();
     for gi in 0..world.fleet.len() as u32 {
-        let d = world.fleet.device(GpuId(gi));
+        // Read through the barrier: a time-shared device shows its
+        // rotation as of `now`.
+        let d = world.fleet.device_mut(GpuId(gi));
+        d.sync(now);
         world.monitor.samples.push(UtilSample {
             t: now,
             gpu: gi,

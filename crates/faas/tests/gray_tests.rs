@@ -9,7 +9,7 @@ use std::rc::Rc;
 use parfait_faas::app::bodies::KernelSeq;
 use parfait_faas::monitoring::FaultPhase;
 use parfait_faas::*;
-use parfait_gpu::{DeviceMode, GpuFleet, GpuId, GpuSpec, KernelDesc};
+use parfait_gpu::{nvml, DeviceMode, GpuFleet, GpuId, GpuSpec, KernelDesc};
 use parfait_simcore::{Engine, SimDuration, SimTime};
 
 fn fleet_n(n: u32, mode: DeviceMode) -> GpuFleet {
@@ -271,6 +271,103 @@ fn device_wide_straggler_is_probed_not_misread_as_worker_deaths() {
     assert!(
         failslow_gpus.iter().all(|&g| g == Some(1)),
         "only the straggling device is accused, got {failslow_gpus:?}"
+    );
+    for id in &ids {
+        assert_eq!(w.dfk.task(*id).state, TaskState::Done);
+    }
+}
+
+/// How far `drive_probe_fence` has got.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Stage {
+    AwaitProbation,
+    AwaitProbeCanary,
+    Fenced,
+}
+
+/// Every 1 ms: once GPU 1 enters probation, kill its residents, so the
+/// canary has no context to borrow and brings its own probe context;
+/// once that canary runs, fence the device.
+fn drive_probe_fence(w: &mut FaasWorld, e: &mut Engine<FaasWorld>, stage: Rc<Cell<Stage>>) {
+    let gpu = GpuId(1);
+    match stage.get() {
+        Stage::AwaitProbation if w.recovery.gray.probations >= 1 => {
+            let residents: Vec<usize> = w
+                .workers
+                .iter()
+                .filter(|wk| wk.gpu.is_some_and(|(g, _)| g == gpu))
+                .map(|wk| wk.id)
+                .collect();
+            for wid in residents {
+                kill_worker(w, e, wid, "test: evacuation lost every resident");
+            }
+            stage.set(Stage::AwaitProbeCanary);
+        }
+        Stage::AwaitProbeCanary => {
+            let probe_busy = nvml::list_processes(&mut w.fleet, gpu, e.now())
+                .iter()
+                .any(|p| p.label == "gray.canary")
+                && w.fleet.device(gpu).busy_sms() > 0.0;
+            if probe_busy {
+                quarantine_gpu(w, e, gpu, "test: fence mid-canary");
+                stage.set(Stage::Fenced);
+                return;
+            }
+        }
+        _ => {}
+    }
+    if stage.get() != Stage::Fenced {
+        e.schedule_in(SimDuration::from_millis(1), move |w, e| {
+            drive_probe_fence(w, e, stage)
+        });
+    }
+}
+
+/// A fence that lands while the canary runs on its own probe context
+/// aborts the canary with the context. On a time-shared device the wake
+/// is armed only for a completion, so the teardown must resync the
+/// device: a wake left at the aborted canary's finish would deliver
+/// nothing (debug builds assert every time-sharing wake delivers a
+/// completion).
+#[test]
+fn fence_during_probe_context_canary_resyncs_the_device() {
+    let mut config = Config::new(vec![ExecutorConfig::gpu(
+        "gpu",
+        vec![AcceleratorSpec::Gpu(0), AcceleratorSpec::Gpu(1)],
+    )]);
+    config.retries = 3;
+    config.recovery.progress_timeout = Some(SimDuration::from_secs(10));
+    config.recovery.fail_slow = true;
+    let mut w = FaasWorld::new(config, fleet_n(2, DeviceMode::TimeSharing), 31);
+    let mut eng = Engine::new();
+    boot(&mut w, &mut eng);
+    let ids: Vec<TaskId> = (0..10)
+        .map(|i| submit(&mut w, &mut eng, seq_call(&format!("t{i}"), 6)))
+        .collect();
+    install_faults(
+        &mut w,
+        &mut eng,
+        &FaultPlan::one(
+            SimTime::from_secs(3),
+            FaultKind::Straggler {
+                gpu: 1,
+                factor: 0.5,
+                duration: SimDuration::from_secs(60),
+            },
+        ),
+    );
+    let stage = Rc::new(Cell::new(Stage::AwaitProbation));
+    let poll = stage.clone();
+    eng.schedule_at(SimTime::ZERO, move |w, e| drive_probe_fence(w, e, poll));
+    eng.run(&mut w);
+
+    assert_eq!(stage.get(), Stage::Fenced, "the fence hit a probe canary");
+    assert!(detected(&w, "gpu-quarantine") >= 1);
+    assert!(
+        nvml::list_processes(&mut w.fleet, GpuId(1), eng.now())
+            .iter()
+            .all(|p| p.label != "gray.canary"),
+        "the fence destroyed the probe context"
     );
     for id in &ids {
         assert_eq!(w.dfk.task(*id).state, TaskState::Done);

@@ -46,6 +46,44 @@
 //! order the reproduction's numbers were recorded with, so rates are
 //! bit-identical (`tests/arbitration_regression.rs` pins this for every
 //! mode).
+//!
+//! ## Lazy time-sharing rotation
+//!
+//! A time-shared device changes state at *ticks*: a running kernel's
+//! finish (`remaining / rate` after the tick, plus 1 ns) or a rotation
+//! boundary (quantum end, switch end). A tick integrates to its instant,
+//! collects finished kernels and recomputes, which rotates. Most ticks
+//! complete nothing, so the device keeps them as a chain rather than as
+//! engine events: `ts_next` is the next due tick, and every
+//! [`crate::host::resync`] re-bases it from the resync instant
+//! (`GpuDevice::rearm`). Every call that reads or writes arbitration
+//! state at `now` first replays the ticks due strictly before `now`
+//! ([`GpuDevice::sync`]), running what a wake at that tick would run at
+//! that instant, so trajectories are bit-identical to waking at every
+//! tick.
+//! The host wakes the device only at the first tick that delivers a
+//! completion, found by emulating the chain on scratch copies of every
+//! kernel's work and rate (`first_completing_tick`). The rates each
+//! context gets while it holds the GPU are derived once per context and
+//! cached (`Scratch::ts_rate`) until the next dirty mark: the emulation
+//! reads them, and so does a `recompute` whose only change is a
+//! rotation, which is what most replayed ticks are. The emulation
+//! stops after [`TS_EMULATED_TICKS`] ticks; a chain that long
+//! without a completion (a tiny straggler factor on a busy device) wakes
+//! the device at its last emulated tick, which runs as an ordinary tick,
+//! and the next re-arm emulates on from there.
+//!
+//! Readers (`busy_sms`, `ctx_busy_sms`, `attained_service`,
+//! `average_utilization`, `kernel_rates`) report the device as of its
+//! last call. A reader that needs the rotation as of `now` calls
+//! [`GpuDevice::sync`] first, as the `nvml` snapshots and the platform's
+//! monitoring sampler do.
+//!
+//! One order differs from an engine event per tick: an operation at the
+//! same nanosecond as a due tick runs before that tick, and its own
+//! `recompute` applies a boundary due then. With an event per tick the
+//! order followed whichever event had been scheduled first, as it still
+//! does for the ticks the engine wakes the device for.
 
 use crate::error::{GpuError, Result};
 use crate::kernel::KernelDesc;
@@ -57,7 +95,6 @@ use crate::spec::{GpuSpec, Vendor};
 use parfait_simcore::stats::TimeWeighted;
 use parfait_simcore::{EventId, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// Fleet-level device index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -153,9 +190,11 @@ struct KernelSlab {
     /// Live slots, kid-ascending. Appends stay sorted because kids are
     /// monotonic; removals preserve relative order.
     order: Vec<u32>,
-    /// In-flight kernel count per context; keys are exactly the
-    /// contexts with work on the device, ascending.
-    ctx_counts: BTreeMap<u32, u32>,
+    /// In-flight kernel count per context, ascending by context id:
+    /// exactly the contexts with work on the device. A device holds a
+    /// handful of contexts, so lookups are short scans, and the buffer
+    /// outlives idle spells.
+    ctx_counts: Vec<(u32, u32)>,
 }
 
 impl KernelSlab {
@@ -189,7 +228,11 @@ impl KernelSlab {
             }
         };
         self.order.push(slot);
-        *self.ctx_counts.entry(ctx).or_insert(0) += 1;
+        match self.ctx_counts.iter().position(|&(c, _)| c >= ctx) {
+            Some(i) if self.ctx_counts[i].0 == ctx => self.ctx_counts[i].1 += 1,
+            Some(i) => self.ctx_counts.insert(i, (ctx, 1)),
+            None => self.ctx_counts.push((ctx, 1)),
+        }
         slot
     }
 
@@ -198,11 +241,15 @@ impl KernelSlab {
     fn take_at(&mut self, slot: u32) -> ActiveKernel {
         let k = self.slots[slot as usize].take().expect("live slot");
         self.free.push(slot);
-        match self.ctx_counts.get_mut(&k.ctx) {
-            Some(n) if *n > 1 => *n -= 1,
-            _ => {
-                self.ctx_counts.remove(&k.ctx);
-            }
+        let i = self
+            .ctx_counts
+            .iter()
+            .position(|&(c, _)| c == k.ctx)
+            .expect("live kernel's context is counted");
+        if self.ctx_counts[i].1 > 1 {
+            self.ctx_counts[i].1 -= 1;
+        } else {
+            self.ctx_counts.remove(i);
         }
         k
     }
@@ -263,13 +310,14 @@ struct Dom {
 
 /// Reusable `recompute` buffers, hoisted onto the device so the
 /// per-change rate recomputation allocates nothing in steady state.
-/// `share`, `eff` and `dom_of` are parallel to `KernelSlab::order`.
+/// `share`, `dom_of` and `ts_rate` are parallel to `KernelSlab::order`.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Provisional SM share per kernel.
+    /// Per kernel of the domain `recompute` derives: the provisional SM
+    /// share, then, in place, the post-wave-quantization effective SMs.
+    /// `GpuDevice::first_completing_tick` reuses it for each kernel's
+    /// work left along the emulated chain.
     share: Vec<f64>,
-    /// Post-wave-quantization effective SMs.
-    eff: Vec<f64>,
     /// Arbitration domain key per kernel ([`NO_DOMAIN`] when parked).
     dom_of: Vec<u32>,
     /// Distinct domain keys, ascending.
@@ -278,11 +326,111 @@ struct Scratch {
     /// and indexed by accounting slot ([`UNSEEN`] for contexts with no
     /// kernel there).
     ctx_demand: Vec<f64>,
+    /// Time-sharing only, allocated on first use: the rate each kernel
+    /// runs at while its context holds the GPU, read by the wake
+    /// emulation and by a `recompute` that only rotates. Valid while it
+    /// holds one entry per kernel: every dirty mark clears it, and a
+    /// rotation changes no rate input, so it keeps it.
+    ts_rate: Vec<f64>,
 }
 
 /// `Scratch::ctx_demand` entry of a context with no kernel in the
 /// domain being processed (demands are never negative).
 const UNSEEN: f64 = -1.0;
+
+/// Most time-sharing ticks one re-arm emulates looking for a completion
+/// (module docs).
+const TS_EMULATED_TICKS: u32 = 1024;
+
+/// Work a kernel serves over `dt` seconds at `rate` with `remaining`
+/// left.
+fn served(rate: f64, dt: f64, remaining: f64) -> f64 {
+    (rate * dt).min(remaining)
+}
+
+/// Does a kernel complete at a tick? Work left below [`WORK_EPS`] at a
+/// positive rate; a zero-work kernel completes even while parked.
+fn finished(remaining: f64, rate: f64, work: f64) -> bool {
+    remaining <= WORK_EPS && (rate > 0.0 || work <= WORK_EPS)
+}
+
+/// When a kernel integrated to `now` with `remaining` work left at
+/// `rate > 0` finishes: one nanosecond past the exact instant, so the
+/// tick there finds it done.
+fn finish_at(now: SimTime, remaining: f64, rate: f64) -> SimTime {
+    now.saturating_add(SimDuration::from_secs_f64(remaining / rate))
+        .saturating_add(SimDuration::from_nanos(1))
+}
+
+/// Time-sharing rotation state: which context holds the GPU, which one
+/// it is switching to, and when the quantum and the switch end.
+#[derive(Debug, Clone, Copy)]
+struct Rotation {
+    current: Option<u32>,
+    pending: Option<u32>,
+    quantum_end: SimTime,
+    switch_end: SimTime,
+}
+
+impl Rotation {
+    /// Nobody holds the GPU and no switch is in flight.
+    const IDLE: Rotation = Rotation {
+        current: None,
+        pending: None,
+        quantum_end: SimTime::ZERO,
+        switch_end: SimTime::ZERO,
+    };
+
+    /// Rotation bookkeeping at `now` over the contexts with work
+    /// (`active`, [`KernelSlab::ctx_counts`]). Returns whether the
+    /// holder or the switch target changed.
+    fn housekeeping(&mut self, now: SimTime, active: &[(u32, u32)]) -> bool {
+        let before = (self.current, self.pending);
+        // Complete an in-flight switch.
+        if self.pending.is_some() && now >= self.switch_end {
+            self.current = self.pending.take();
+            self.quantum_end = now + TS_QUANTUM;
+        }
+        // Mid-switch nothing runs; an idle device has nothing to rotate.
+        if let (None, Some(&(first, _))) = (self.pending, active.first()) {
+            let holder_active = self
+                .current
+                .is_some_and(|c| active.iter().any(|&(a, _)| a == c));
+            // The next context with work after the holder, wrapping.
+            let next = self
+                .current
+                .and_then(|c| active.iter().find(|&&(a, _)| a > c))
+                .map_or(first, |&(a, _)| a);
+            if !holder_active && self.current.is_none() {
+                // GPU was idle: adopt immediately, no switch cost.
+                self.current = Some(next);
+                self.quantum_end = now + TS_QUANTUM;
+            } else if !holder_active || (now >= self.quantum_end && active.len() >= 2) {
+                // The holder went host-side, or its quantum ended with
+                // another context waiting: switch, paying the penalty.
+                self.pending = Some(next);
+                self.switch_end = now + TS_SWITCH_PENALTY;
+                self.current = None;
+            } else if now >= self.quantum_end {
+                self.quantum_end = now + TS_QUANTUM;
+            }
+        }
+        (self.current, self.pending) != before
+    }
+
+    /// The rotation boundary the device must next wake for, given how
+    /// many contexts have work: the end of an in-flight switch, or the
+    /// quantum end while two or more contexts compete.
+    fn next_boundary(&self, now: SimTime, active: usize) -> Option<SimTime> {
+        if self.pending.is_some() {
+            Some(self.switch_end.max(now))
+        } else if active >= 2 {
+            Some(self.quantum_end.max(now))
+        } else {
+            None
+        }
+    }
+}
 
 /// The simulated GPU.
 #[derive(Debug)]
@@ -322,11 +470,15 @@ pub struct GpuDevice {
     /// MPS control daemon.
     pub mps: MpsDaemon,
 
-    // Time-sharing rotation state.
-    ts_current: Option<u32>,
-    ts_pending: Option<u32>,
-    ts_quantum_end: SimTime,
-    ts_switch_end: SimTime,
+    /// Time-sharing rotation state.
+    rot: Rotation,
+    /// Time-sharing: the next due tick of the chain (module docs), where
+    /// the device would wake if every tick were an engine event;
+    /// `SimTime::MAX` when the chain has ended or was never armed.
+    ts_next: SimTime,
+    /// Time-sharing: the last re-arm stopped at [`TS_EMULATED_TICKS`],
+    /// so the armed wake may deliver no completion.
+    ts_capped: bool,
 
     /// Cleared by an uncorrectable (ECC/Xid-style) fault; an unhealthy
     /// device refuses new contexts and launches until re-admitted.
@@ -398,10 +550,9 @@ impl GpuDevice {
             vgpu_mem: Vec::new(),
             mig: MigManager::new(),
             mps: MpsDaemon::new(),
-            ts_current: None,
-            ts_pending: None,
-            ts_quantum_end: SimTime::ZERO,
-            ts_switch_end: SimTime::ZERO,
+            rot: Rotation::IDLE,
+            ts_next: SimTime::MAX,
+            ts_capped: false,
             healthy: true,
             slowdown: 1.0,
             dirty_domains: Vec::new(),
@@ -419,7 +570,8 @@ impl GpuDevice {
     }
 
     /// Set the MPS co-residency interference coefficient (see the
-    /// field's doc; 0 disables the term).
+    /// field's doc; 0 disables the term). A setup call: it takes no
+    /// instant, so make it before the device runs kernels.
     pub fn set_mps_interference(&mut self, mps_interference: f64) {
         self.mps_interference = mps_interference;
         self.mark_all_dirty();
@@ -428,6 +580,7 @@ impl GpuDevice {
     /// Mark one arbitration domain as needing re-derivation.
     #[inline]
     fn mark_domain_dirty(&mut self, dom: u32) {
+        self.scratch.ts_rate.clear();
         if !self.all_dirty && !self.dirty_domains.contains(&dom) {
             self.dirty_domains.push(dom);
         }
@@ -436,6 +589,7 @@ impl GpuDevice {
     /// Mark every domain dirty (device-wide parameter change).
     #[inline]
     fn mark_all_dirty(&mut self) {
+        self.scratch.ts_rate.clear();
         self.all_dirty = true;
         self.dirty_domains.clear();
     }
@@ -463,13 +617,15 @@ impl GpuDevice {
     }
 
     /// `(kernel id, current rate)` for every in-flight kernel,
-    /// kid-ascending. Test hook for the full-vs-incremental recompute
-    /// equivalence property.
+    /// kid-ascending, as of the last device call (see
+    /// [`GpuDevice::sync`]). Test hook for the full-vs-incremental
+    /// recompute equivalence property.
     pub fn kernel_rates(&self) -> Vec<(u64, f64)> {
         self.kernels.iter().map(|k| (k.kid, k.rate)).collect()
     }
 
     /// Enable CUDA unified-memory oversubscription on all memory pools.
+    /// A setup call, like [`GpuDevice::set_mps_interference`].
     pub fn set_uvm(&mut self, allow: bool) {
         self.allow_uvm = allow;
         self.mark_all_dirty();
@@ -558,6 +714,7 @@ impl GpuDevice {
             self.vgpu_mem.clear();
         }
         self.mode = mode;
+        self.ts_next = SimTime::MAX;
         self.mark_all_dirty();
         Ok(())
     }
@@ -726,11 +883,11 @@ impl GpuDevice {
         let aborted = self.kernels.retain(|k| k.ctx != ctx.0);
         self.mem_pool_for(&c).release_owner(ctx.0);
         self.mps.disconnect(ctx.0);
-        if self.ts_current == Some(ctx.0) {
-            self.ts_current = None;
+        if self.rot.current == Some(ctx.0) {
+            self.rot.current = None;
         }
-        if self.ts_pending == Some(ctx.0) {
-            self.ts_pending = None;
+        if self.rot.pending == Some(ctx.0) {
+            self.rot.pending = None;
         }
         self.recompute(now);
         Ok(aborted)
@@ -760,13 +917,16 @@ impl GpuDevice {
         }
     }
 
-    /// Allocate device memory on behalf of `ctx`.
-    pub fn alloc_memory(&mut self, ctx: CtxId, bytes: u64) -> Result<()> {
+    /// Allocate device memory on behalf of `ctx` at `now`. Ticks due
+    /// before `now` replay first, so the new pool state cannot leak into
+    /// them.
+    pub fn alloc_memory(&mut self, now: SimTime, ctx: CtxId, bytes: u64) -> Result<()> {
         let c = self
             .ctxs
             .get(&ctx.0)
             .ok_or(GpuError::UnknownContext(ctx.0))?
             .clone();
+        self.sync(now);
         self.mem_pool_for(&c).alloc(ctx.0, bytes)?;
         // UVM overcommit state may have flipped; the *next* recompute
         // re-derives the domain (memory ops never recompute directly,
@@ -776,13 +936,15 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// Free device memory held by `ctx`.
-    pub fn free_memory(&mut self, ctx: CtxId, bytes: u64) -> Result<()> {
+    /// Free device memory held by `ctx` at `now` (replays first, like
+    /// [`GpuDevice::alloc_memory`]).
+    pub fn free_memory(&mut self, now: SimTime, ctx: CtxId, bytes: u64) -> Result<()> {
         let c = self
             .ctxs
             .get(&ctx.0)
             .ok_or(GpuError::UnknownContext(ctx.0))?
             .clone();
+        self.sync(now);
         self.mem_pool_for(&c).freeb(ctx.0, bytes)?;
         let dom = domain_key(self.mode, &c);
         self.mark_domain_dirty(dom);
@@ -791,8 +953,10 @@ impl GpuDevice {
 
     /// Reserve device-wide memory for the GPU-resident model weight cache
     /// (the paper's §7 future-work apparatus). Cache memory belongs to no
-    /// process context and survives context teardown.
-    pub fn cache_alloc(&mut self, bytes: u64) -> Result<()> {
+    /// process context and survives context teardown. Replays first,
+    /// like [`GpuDevice::alloc_memory`].
+    pub fn cache_alloc(&mut self, now: SimTime, bytes: u64) -> Result<()> {
+        self.sync(now);
         self.mem.alloc(Self::CACHE_OWNER, bytes)?;
         // The cache lives in the device-wide pool, whose overcommit
         // state feeds every whole-device domain; rare op, so be blunt.
@@ -800,8 +964,9 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// Release weight-cache memory.
-    pub fn cache_free(&mut self, bytes: u64) -> Result<()> {
+    /// Release weight-cache memory at `now` (replays first).
+    pub fn cache_free(&mut self, now: SimTime, bytes: u64) -> Result<()> {
+        self.sync(now);
         self.mem.freeb(Self::CACHE_OWNER, bytes)?;
         self.mark_all_dirty();
         Ok(())
@@ -934,12 +1099,14 @@ impl GpuDevice {
         self.kernels_completed
     }
 
-    /// Instantaneous busy SMs (sum of kernel rates).
+    /// Instantaneous busy SMs (sum of kernel rates), as of the last
+    /// device call (see [`GpuDevice::sync`]).
     pub fn busy_sms(&self) -> f64 {
         self.busy_sms.current()
     }
 
-    /// Instantaneous busy SMs of one context's kernels.
+    /// Instantaneous busy SMs of one context's kernels, as of the last
+    /// device call (see [`GpuDevice::sync`]).
     pub fn ctx_busy_sms(&self, ctx: CtxId) -> f64 {
         self.kernels
             .iter()
@@ -966,21 +1133,32 @@ impl GpuDevice {
         }
     }
 
-    /// Time-averaged SM utilization in `[0,1]` since device creation.
+    /// Time-averaged SM utilization in `[0,1]` from device creation to
+    /// `now`; exact once the device is synced to `now` (see
+    /// [`GpuDevice::sync`]).
     pub fn average_utilization(&self, now: SimTime) -> f64 {
         self.busy_sms.average(now) / self.spec.sms as f64
     }
 
-    /// Integrate kernel progress up to `now`. Only the `running` list
-    /// (kernels with a positive rate, kid-ascending) is walked — stalled
-    /// kernels cannot make progress, so skipping them is exact.
+    /// Integrate kernel progress up to `now`: replay the time-sharing
+    /// ticks due before `now` ([`GpuDevice::sync`]), then integrate the
+    /// rest of the way.
     pub fn advance(&mut self, now: SimTime) {
+        self.sync(now);
+        self.integrate(now);
+    }
+
+    /// Integrate kernel progress from the last integration to `now` at
+    /// the current rates. Only the `running` list (kernels with a
+    /// positive rate, kid-ascending) is walked — stalled kernels cannot
+    /// make progress, so skipping them is exact.
+    fn integrate(&mut self, now: SimTime) {
         let dt = now.duration_since(self.last).as_secs_f64();
         if dt > 0.0 {
             for i in 0..self.running.len() {
                 let k = self.kernels.get_mut(self.running[i]);
                 if k.rate > 0.0 {
-                    let served = (k.rate * dt).min(k.remaining);
+                    let served = served(k.rate, dt, k.remaining);
                     k.remaining -= served;
                     self.attained[k.acct as usize] += served;
                 }
@@ -989,68 +1167,37 @@ impl GpuDevice {
         self.last = now;
     }
 
+    /// The read barrier: replay every tick of the time-sharing chain due
+    /// strictly before `now`, as the per-tick wake events would have run
+    /// it — integrate to the tick, `recompute` (which rotates), and take
+    /// the next tick from that instant. Integration stops at the last
+    /// tick: integrating on to `now` would split an interval and change
+    /// the floats. A no-op in the spatial modes, which have no chain.
+    pub fn sync(&mut self, now: SimTime) {
+        while self.ts_next < now {
+            let t = self.ts_next;
+            self.integrate(t);
+            debug_assert!(
+                !self
+                    .kernels
+                    .iter()
+                    .any(|k| finished(k.remaining, k.rate, k.desc.work_sm_s)),
+                "replayed tick at {t} would deliver a completion"
+            );
+            self.recompute(t);
+            self.ts_next = self.next_wake(t).unwrap_or(SimTime::MAX);
+        }
+    }
+
     /// SM-seconds of service a context has attained (DCGM-style
-    /// accounting). Quantifies Table 1's "resource starved due to
-    /// contention" drawback of default MPS: compare attained service
+    /// accounting), as of the last device call (see
+    /// [`GpuDevice::sync`]). Quantifies Table 1's "resource starved due
+    /// to contention" drawback of default MPS: compare attained service
     /// across tenants.
     pub fn attained_service(&self, ctx: CtxId) -> f64 {
         self.ctxs
             .get(&ctx.0)
             .map_or(0.0, |c| self.attained[c.acct as usize])
-    }
-
-    /// Time-sharing rotation bookkeeping; called from `recompute`. The
-    /// active-context set is read straight off the slab's incrementally
-    /// maintained per-context counts — no per-call collect/sort/dedup.
-    fn ts_housekeeping(&mut self, now: SimTime) {
-        // Complete an in-flight switch.
-        if self.ts_pending.is_some() && now >= self.ts_switch_end {
-            self.ts_current = self.ts_pending.take();
-            self.ts_quantum_end = now + TS_QUANTUM;
-        }
-        if self.ts_pending.is_some() {
-            return; // mid-switch: nothing runs
-        }
-        let active = &self.kernels.ctx_counts;
-        let Some(&first) = active.keys().next() else {
-            return;
-        };
-        let current_active = self
-            .ts_current
-            .map(|c| active.contains_key(&c))
-            .unwrap_or(false);
-        let next_after = |cur: Option<u32>| -> u32 {
-            match cur {
-                Some(c) => active
-                    .range((Bound::Excluded(c), Bound::Unbounded))
-                    .next()
-                    .map(|(&a, _)| a)
-                    .unwrap_or(first),
-                None => first,
-            }
-        };
-        if !current_active {
-            let nxt = next_after(self.ts_current);
-            if self.ts_current.is_none() {
-                // GPU was idle: adopt immediately, no switch cost.
-                self.ts_current = Some(nxt);
-                self.ts_quantum_end = now + TS_QUANTUM;
-            } else {
-                // Current process went host-side; rotate with penalty.
-                self.ts_pending = Some(nxt);
-                self.ts_switch_end = now + TS_SWITCH_PENALTY;
-                self.ts_current = None;
-            }
-        } else if now >= self.ts_quantum_end {
-            if active.len() >= 2 {
-                let nxt = next_after(self.ts_current);
-                self.ts_pending = Some(nxt);
-                self.ts_switch_end = now + TS_SWITCH_PENALTY;
-                self.ts_current = None;
-            } else {
-                self.ts_quantum_end = now + TS_QUANTUM;
-            }
-        }
     }
 
     /// Recompute all kernel rates for the regime starting at `now`.
@@ -1072,32 +1219,55 @@ impl GpuDevice {
     /// call are re-derived; every kernel in a clean domain keeps its
     /// exact previous f64 rate, so the final summation below is
     /// bit-identical to a full re-derivation (the clean inputs have not
-    /// changed, and f64 arithmetic is deterministic).
+    /// changed, and f64 arithmetic is deterministic). Under time-sharing
+    /// with nothing dirty, a rotation takes the new holder's cached
+    /// rates (module docs).
     pub fn recompute(&mut self, now: SimTime) {
         self.recompute_calls += 1;
-        if self.mode == DeviceMode::TimeSharing {
-            // A rotation re-partitions kernels between domain 0 and the
-            // parked set, so it dirties the whole-device domain.
-            let before = (self.ts_current, self.ts_pending);
-            self.ts_housekeeping(now);
-            if (self.ts_current, self.ts_pending) != before {
-                self.mark_domain_dirty(0);
+        // A rotation re-partitions kernels between domain 0 (the only
+        // one under time-sharing) and the parked set, so it dirties that
+        // domain. It changes no rate input, so it does not mark: the
+        // cached time-sharing rates stay valid.
+        let ts = self.mode == DeviceMode::TimeSharing;
+        let rotated = ts && self.rot.housekeeping(now, &self.kernels.ctx_counts);
+        if ts && self.dirty_tracking && !self.all_dirty && self.dirty_domains.is_empty() {
+            // No rate input changed, so at most the holder did: its
+            // kernels take the rates cached for it, bit for bit what a
+            // re-derivation gives, and every other kernel parks. Most
+            // replayed ticks take this path.
+            let holder = self.rot.current;
+            if rotated {
+                if self.scratch.ts_rate.len() != self.kernels.len() {
+                    let mut s = std::mem::take(&mut self.scratch);
+                    self.derive_ts_rates(&mut s);
+                    self.scratch = s;
+                }
+                for p in 0..self.kernels.len() {
+                    let k = self.kernels.get_mut(self.kernels.order[p]);
+                    k.rate = if Some(k.ctx) == holder {
+                        self.scratch.ts_rate[p]
+                    } else {
+                        0.0
+                    };
+                }
             }
+            if holder.is_some_and(|c| self.kernels.ctx_counts.iter().any(|&(a, _)| a == c)) {
+                self.visit_domain(rotated);
+            }
+            self.settle(now);
+            return;
         }
         let mut scratch = std::mem::take(&mut self.scratch);
         let n = self.kernels.len();
         scratch.share.clear();
         scratch.share.resize(n, 0.0);
-        scratch.eff.clear();
-        scratch.eff.resize(n, 0.0);
         scratch.dom_of.clear();
         scratch.domains.clear();
 
-        let ts_parks = self.mode == DeviceMode::TimeSharing;
         for p in 0..n {
             let k = self.kernels.get_mut(self.kernels.order[p]);
             // Time-sharing: only the current context's kernels run.
-            if ts_parks && Some(k.ctx) != self.ts_current {
+            if ts && Some(k.ctx) != self.rot.current {
                 k.rate = 0.0;
                 scratch.dom_of.push(NO_DOMAIN);
                 continue;
@@ -1112,107 +1282,49 @@ impl GpuDevice {
         scratch.domains.sort_unstable();
         scratch.domains.dedup();
 
-        let mps_mode = matches!(
-            self.mode,
-            DeviceMode::MpsDefault | DeviceMode::MpsPartitioned
-        );
         for di in 0..scratch.domains.len() {
             let dom_key = scratch.domains[di];
-            if self.dirty_tracking && !self.all_dirty && !self.dirty_domains.contains(&dom_key) {
-                // Clean domain: no membership or rate-input change since
-                // the last recompute; its kernels keep their rates.
-                self.domains_skipped += 1;
+            // A clean domain has had no membership or rate-input change
+            // since the last recompute; its kernels keep their rates.
+            let dirty = self.all_dirty || rotated || self.dirty_domains.contains(&dom_key);
+            if !self.visit_domain(dirty) {
                 continue;
             }
-            self.domains_visited += 1;
-            // Per-context block demand, one kid-ordered pass; a context's
-            // first kernel sets its total (the `0.0 + d` of a fresh sum).
-            // Every member carries the same domain geometry.
-            scratch.ctx_demand.clear();
-            scratch.ctx_demand.resize(self.attained.len(), UNSEEN);
-            let mut ctxs_in_dom = 0usize;
-            let mut dom = Dom { sms: 0.0, bw: 0.0 };
+            let rate = self.derive_domain(
+                &scratch.dom_of,
+                &mut scratch.ctx_demand,
+                &mut scratch.share,
+                dom_key,
+            );
             for p in 0..n {
                 if scratch.dom_of[p] == dom_key {
-                    let k = self.kernels.get(self.kernels.order[p]);
-                    dom = k.geom;
-                    let d = k.desc.peak_parallelism() as f64;
-                    let total = &mut scratch.ctx_demand[k.acct as usize];
-                    if *total == UNSEEN {
-                        ctxs_in_dom += 1;
-                        *total = d;
-                    } else {
-                        *total += d;
-                    }
-                }
-            }
-            // MPS co-residency interference (L2/scheduler contention).
-            let mut interference = if mps_mode && self.mps_interference > 0.0 {
-                1.0 / (1.0 + self.mps_interference * (ctxs_in_dom.saturating_sub(1)) as f64)
-            } else {
-                1.0
-            };
-            if matches!(self.mode, DeviceMode::Vgpu { .. }) {
-                interference *= VGPU_SCHED_EFFICIENCY;
-            }
-            // Provisional shares: each context's kernels split its cap in
-            // proportion to their demand. Then domain-wide overload.
-            let mut total = 0.0;
-            for p in 0..n {
-                if scratch.dom_of[p] == dom_key {
-                    let k = self.kernels.get(self.kernels.order[p]);
-                    let d = k.desc.peak_parallelism() as f64;
-                    let ctx_total = scratch.ctx_demand[k.acct as usize];
-                    let share = if ctx_total > k.cap {
-                        d * k.cap / ctx_total
-                    } else {
-                        d
-                    };
-                    scratch.share[p] = share;
-                    total += share;
-                }
-            }
-            let scale = if total > dom.sms {
-                dom.sms / total
-            } else {
-                1.0
-            };
-            // Wave quantization + bandwidth.
-            let mut bw_total = 0.0;
-            for p in 0..n {
-                if scratch.dom_of[p] == dom_key {
-                    let desc = &self.kernels.get(self.kernels.order[p]).desc;
-                    let eff = desc.effective_sms(scratch.share[p] * scale);
-                    bw_total += desc.bandwidth_demand(eff);
-                    scratch.eff[p] = eff;
-                }
-            }
-            let bw_scale = if bw_total > dom.bw {
-                dom.bw / bw_total
-            } else {
-                1.0
-            };
-            let uvm_penalty = self.domain_overcommitted(dom_key);
-            for p in 0..n {
-                if scratch.dom_of[p] == dom_key {
-                    let mut rate = scratch.eff[p] * bw_scale * interference;
-                    if uvm_penalty {
-                        rate *= self.spec.uvm_penalty;
-                    }
-                    // Gated so the nominal case multiplies by nothing and
-                    // the arbitration bit-stream is untouched.
-                    if self.slowdown != 1.0 {
-                        rate *= self.slowdown;
-                    }
-                    self.kernels.get_mut(self.kernels.order[p]).rate = rate;
+                    self.kernels.get_mut(self.kernels.order[p]).rate = rate(scratch.share[p]);
                 }
             }
         }
+        self.scratch = scratch;
+        self.settle(now);
+    }
 
-        // Sum busy SMs and rebuild the running list, both kid-ascending.
+    /// Count one arbitration domain a `recompute` finds, and say whether
+    /// to re-derive it: when it is `dirty`, and always with dirty
+    /// tracking off.
+    fn visit_domain(&mut self, dirty: bool) -> bool {
+        if self.dirty_tracking && !dirty {
+            self.domains_skipped += 1;
+            false
+        } else {
+            self.domains_visited += 1;
+            true
+        }
+    }
+
+    /// Close a `recompute` at `now`: sum busy SMs and rebuild the
+    /// running list, both kid-ascending, and clear the dirty marks.
+    fn settle(&mut self, now: SimTime) {
         let mut busy = 0.0;
         self.running.clear();
-        for p in 0..n {
+        for p in 0..self.kernels.len() {
             let slot = self.kernels.order[p];
             let rate = self.kernels.get(slot).rate;
             busy += rate;
@@ -1221,44 +1333,272 @@ impl GpuDevice {
             }
         }
         self.busy_sms.set(now, busy);
-        self.scratch = scratch;
         self.dirty_domains.clear();
         self.all_dirty = false;
     }
 
+    /// Derive arbitration domain `dom_key`, whose members are the kernels
+    /// at the positions where `dom_of` holds `dom_key`: leave each
+    /// member's effective SMs in `eff` at its position (other positions
+    /// are left alone) and return the map from effective SMs to rate
+    /// (bandwidth, interference, UVM and slowdown scaling). The one
+    /// derivation behind `recompute` and the time-sharing rate cache.
+    fn derive_domain(
+        &self,
+        dom_of: &[u32],
+        ctx_demand: &mut Vec<f64>,
+        eff: &mut [f64],
+        dom_key: u32,
+    ) -> impl Fn(f64) -> f64 {
+        let n = self.kernels.len();
+        // Per-context block demand, one kid-ordered pass; a context's
+        // first kernel sets its total (the `0.0 + d` of a fresh sum).
+        // Every member carries the same domain geometry.
+        ctx_demand.clear();
+        ctx_demand.resize(self.attained.len(), UNSEEN);
+        let mut ctxs_in_dom = 0usize;
+        let mut dom = Dom { sms: 0.0, bw: 0.0 };
+        for (&slot, &key) in self.kernels.order.iter().zip(dom_of) {
+            if key == dom_key {
+                let k = self.kernels.get(slot);
+                dom = k.geom;
+                let d = k.desc.peak_parallelism() as f64;
+                let total = &mut ctx_demand[k.acct as usize];
+                if *total == UNSEEN {
+                    ctxs_in_dom += 1;
+                    *total = d;
+                } else {
+                    *total += d;
+                }
+            }
+        }
+        // MPS co-residency interference (L2/scheduler contention).
+        let mps_mode = matches!(
+            self.mode,
+            DeviceMode::MpsDefault | DeviceMode::MpsPartitioned
+        );
+        let mut interference = if mps_mode && self.mps_interference > 0.0 {
+            1.0 / (1.0 + self.mps_interference * (ctxs_in_dom.saturating_sub(1)) as f64)
+        } else {
+            1.0
+        };
+        if matches!(self.mode, DeviceMode::Vgpu { .. }) {
+            interference *= VGPU_SCHED_EFFICIENCY;
+        }
+        // Provisional shares: each context's kernels split its cap in
+        // proportion to their demand. Then domain-wide overload.
+        let mut total = 0.0;
+        for p in 0..n {
+            if dom_of[p] == dom_key {
+                let k = self.kernels.get(self.kernels.order[p]);
+                let d = k.desc.peak_parallelism() as f64;
+                let ctx_total = ctx_demand[k.acct as usize];
+                let share = if ctx_total > k.cap {
+                    d * k.cap / ctx_total
+                } else {
+                    d
+                };
+                eff[p] = share;
+                total += share;
+            }
+        }
+        let scale = if total > dom.sms {
+            dom.sms / total
+        } else {
+            1.0
+        };
+        // Wave quantization + bandwidth.
+        let mut bw_total = 0.0;
+        for p in 0..n {
+            if dom_of[p] == dom_key {
+                let desc = &self.kernels.get(self.kernels.order[p]).desc;
+                let sms = desc.effective_sms(eff[p] * scale);
+                bw_total += desc.bandwidth_demand(sms);
+                eff[p] = sms;
+            }
+        }
+        let bw_scale = if bw_total > dom.bw {
+            dom.bw / bw_total
+        } else {
+            1.0
+        };
+        let uvm_penalty = self
+            .domain_overcommitted(dom_key)
+            .then_some(self.spec.uvm_penalty);
+        let slowdown = self.slowdown;
+        move |eff| {
+            let mut rate = eff * bw_scale * interference;
+            if let Some(penalty) = uvm_penalty {
+                rate *= penalty;
+            }
+            // Gated so the nominal case multiplies by nothing and the
+            // arbitration bit-stream is untouched.
+            if slowdown != 1.0 {
+                rate *= slowdown;
+            }
+            rate
+        }
+    }
+
+    /// Derive into `s.ts_rate`, for every context with work, the rates
+    /// its kernels get from a dirty `recompute` once the rotation hands
+    /// it the GPU. They stay valid until the next dirty mark clears
+    /// them.
+    fn derive_ts_rates(&self, s: &mut Scratch) {
+        s.ts_rate.clear();
+        s.ts_rate.resize(self.kernels.len(), 0.0);
+        // Each context's kernels are their own domain while it holds the
+        // GPU; their positions are disjoint, so each derivation works
+        // straight in the cache.
+        for &(ctx, _) in &self.kernels.ctx_counts {
+            s.dom_of.clear();
+            s.dom_of.extend(
+                self.kernels
+                    .iter()
+                    .map(|k| if k.ctx == ctx { 0 } else { NO_DOMAIN }),
+            );
+            let rate = self.derive_domain(&s.dom_of, &mut s.ctx_demand, &mut s.ts_rate, 0);
+            for (r, &key) in s.ts_rate.iter_mut().zip(&s.dom_of) {
+                if key == 0 {
+                    *r = rate(*r);
+                }
+            }
+        }
+    }
+
     /// When should the engine next wake this device? `None` = nothing
-    /// scheduled (fully idle or permanently blocked).
+    /// scheduled (fully idle or permanently blocked). Under time-sharing
+    /// this is the next tick of the chain; [`crate::host::resync`] arms
+    /// `GpuDevice::rearm` instead.
     pub fn next_wake(&self, now: SimTime) -> Option<SimTime> {
         let mut t = SimTime::MAX;
         for &slot in &self.running {
             let k = self.kernels.get(slot);
             if k.rate > 0.0 {
-                let secs = k.remaining / k.rate;
-                let at = now
-                    .saturating_add(SimDuration::from_secs_f64(secs))
-                    .saturating_add(SimDuration::from_nanos(1));
-                t = t.min(at);
+                t = t.min(finish_at(now, k.remaining, k.rate));
             }
         }
         if self.mode == DeviceMode::TimeSharing {
-            if self.ts_pending.is_some() {
-                t = t.min(self.ts_switch_end.max(now));
-            } else if self.kernels.ctx_counts.len() >= 2 {
-                t = t.min(self.ts_quantum_end.max(now));
+            if let Some(b) = self.rot.next_boundary(now, self.kernels.ctx_counts.len()) {
+                t = t.min(b);
             }
         }
         (t < SimTime::MAX).then_some(t)
+    }
+
+    /// Re-base the tick chain at `now` and say when the engine should
+    /// wake this device: [`GpuDevice::next_wake`] in the spatial modes;
+    /// under time-sharing, the first tick of the chain that delivers a
+    /// completion. Ticks due before `now` replay first.
+    pub(crate) fn rearm(&mut self, now: SimTime) -> Option<SimTime> {
+        if self.mode != DeviceMode::TimeSharing {
+            return self.next_wake(now);
+        }
+        self.sync(now);
+        self.ts_next = self.next_wake(now).unwrap_or(SimTime::MAX);
+        self.first_completing_tick()
+    }
+
+    /// Emulate the chain from `ts_next`, tick by tick as
+    /// [`GpuDevice::sync`] would replay it: the same integration on a
+    /// scratch copy of every kernel's work left, the same
+    /// `Rotation::housekeeping`, and, once the holder changes or a dirty
+    /// domain is re-derived, the cached rates. Returns the first tick at
+    /// which a kernel completes, or the last one emulated when
+    /// [`TS_EMULATED_TICKS`] ticks complete nothing (then `ts_capped`
+    /// is set); `None` when the chain ends first.
+    fn first_completing_tick(&mut self) -> Option<SimTime> {
+        self.ts_capped = false;
+        let mut t = self.ts_next;
+        if t == SimTime::MAX {
+            return None;
+        }
+        let mut s = std::mem::take(&mut self.scratch);
+        // Work left per kernel along the chain.
+        s.share.clear();
+        s.share.extend(self.kernels.iter().map(|k| k.remaining));
+        let active = &self.kernels.ctx_counts;
+        let mut rot = self.rot;
+        // A dirty domain is re-derived at the first tick.
+        let mut on_cache = false;
+        let mut rederive = self.all_dirty || !self.dirty_domains.is_empty();
+        let mut last = self.last;
+        let mut emulated = 0;
+        let mut capped = false;
+        // Each kernel's rate along the chain: today's until the first
+        // re-derivation, then its cached rate while its context holds
+        // the GPU.
+        let rate = |s: &Scratch, p: usize, on_cache: bool, holder: Option<u32>| {
+            let k = self.kernels.get(self.kernels.order[p]);
+            match on_cache {
+                false => k.rate,
+                true if Some(k.ctx) == holder => s.ts_rate[p],
+                true => 0.0,
+            }
+        };
+        let first = loop {
+            let dt = t.duration_since(last).as_secs_f64();
+            last = t;
+            let mut done = false;
+            for p in 0..s.share.len() {
+                let r = rate(&s, p, on_cache, rot.current);
+                if dt > 0.0 && r > 0.0 {
+                    s.share[p] -= served(r, dt, s.share[p]);
+                }
+                let work = self.kernels.get(self.kernels.order[p]).desc.work_sm_s;
+                done |= finished(s.share[p], r, work);
+            }
+            if done {
+                break Some(t);
+            }
+            emulated += 1;
+            if emulated == TS_EMULATED_TICKS {
+                capped = true;
+                break Some(t);
+            }
+            if rot.housekeeping(t, active) || rederive {
+                rederive = false;
+                on_cache = true;
+                if s.ts_rate.len() != self.kernels.len() {
+                    self.derive_ts_rates(&mut s);
+                }
+            }
+            let mut next = rot.next_boundary(t, active.len()).unwrap_or(SimTime::MAX);
+            for p in 0..s.share.len() {
+                let r = rate(&s, p, on_cache, rot.current);
+                if r > 0.0 {
+                    next = next.min(finish_at(t, s.share[p], r));
+                }
+            }
+            if next == SimTime::MAX {
+                break None;
+            }
+            t = next;
+        };
+        self.scratch = s;
+        self.ts_capped = capped;
+        first
+    }
+
+    /// Must the armed wake deliver a completion? Under time-sharing it
+    /// must, unless the re-arm that armed it stopped at
+    /// [`TS_EMULATED_TICKS`]. Debug builds of [`crate::host`] check it.
+    pub(crate) fn wake_completes(&self) -> bool {
+        self.mode == DeviceMode::TimeSharing && !self.ts_capped
     }
 
     /// Advance to `now`, pop finished kernels, and recompute rates
     /// (handling any due time-sharing rotation).
     pub fn collect_finished(&mut self, now: SimTime) -> Vec<KernelDone> {
         self.advance(now);
+        // This is the chain's tick at `now`; the owner's resync re-bases
+        // the chain after the handlers ran.
+        self.ts_next = SimTime::MAX;
         let mut done = Vec::new();
         for i in 0..self.kernels.order.len() {
             let slot = self.kernels.order[i];
             let k = self.kernels.get(slot);
-            if k.remaining <= WORK_EPS && (k.rate > 0.0 || k.desc.work_sm_s <= WORK_EPS) {
+            if finished(k.remaining, k.rate, k.desc.work_sm_s) {
                 let k = self.kernels.take_at(slot);
                 self.kernels_completed += 1;
                 self.mark_domain_dirty(k.dom);
@@ -1298,8 +1638,8 @@ impl GpuDevice {
         self.mig_mem.clear();
         self.mig.destroy_all();
         self.attained.clear();
-        self.ts_current = None;
-        self.ts_pending = None;
+        self.rot = Rotation::IDLE;
+        self.ts_next = SimTime::MAX;
         self.mark_all_dirty();
         self.recompute(now);
     }
@@ -1529,8 +1869,11 @@ mod tests {
             .unwrap();
         let cap = d.mig_memory(i0).unwrap().capacity();
         assert_eq!(cap, 10 * crate::spec::GIB);
-        assert!(d.alloc_memory(c0, cap + 1).is_err(), "exceeds slice");
-        d.alloc_memory(c0, cap).unwrap();
+        assert!(
+            d.alloc_memory(SimTime::ZERO, c0, cap + 1).is_err(),
+            "exceeds slice"
+        );
+        d.alloc_memory(SimTime::ZERO, c0, cap).unwrap();
     }
 
     #[test]
@@ -1542,7 +1885,8 @@ mod tests {
         let c0 = d
             .create_context(SimTime::ZERO, "p0", CtxBinding::MigInstance(u0))
             .unwrap();
-        d.alloc_memory(c0, 16 * crate::spec::GIB).unwrap(); // > 10 GiB slice
+        d.alloc_memory(SimTime::ZERO, c0, 16 * crate::spec::GIB)
+            .unwrap(); // > 10 GiB slice
         d.launch(SimTime::ZERO, c0, big_kernel(14.0), 0).unwrap();
         // 14 SMs × 0.90 penalty → rate 12.6.
         let k = d.kernels.iter().next().unwrap();
@@ -1580,7 +1924,9 @@ mod tests {
         let wake = d.next_wake(SimTime::ZERO).unwrap();
         assert!((wake.as_secs_f64() - 1.0).abs() < 1e-6);
         // Slot memory = 20 GiB.
-        assert!(d.alloc_memory(c0, 21 * crate::spec::GIB).is_err());
+        assert!(d
+            .alloc_memory(SimTime::ZERO, c0, 21 * crate::spec::GIB)
+            .is_err());
     }
 
     #[test]
@@ -1601,7 +1947,7 @@ mod tests {
         let c = d
             .create_context(SimTime::ZERO, "p", CtxBinding::Bare)
             .unwrap();
-        d.alloc_memory(c, 1024).unwrap();
+        d.alloc_memory(SimTime::ZERO, c, 1024).unwrap();
         d.launch(SimTime::ZERO, c, big_kernel(100.0), 0).unwrap();
         let aborted = d.destroy_context(t(0.5), c).unwrap();
         assert_eq!(aborted, 1);
@@ -1618,7 +1964,7 @@ mod tests {
         let c = d
             .create_context(SimTime::ZERO, "p", CtxBinding::MigInstance(u))
             .unwrap();
-        d.alloc_memory(c, 1 << 30).unwrap();
+        d.alloc_memory(SimTime::ZERO, c, 1 << 30).unwrap();
         d.launch(SimTime::ZERO, c, big_kernel(10.0), 0).unwrap();
         d.reset(t(0.1));
         assert_eq!(d.context_count(), 0);
@@ -1632,16 +1978,16 @@ mod tests {
         let c = d
             .create_context(SimTime::ZERO, "vm0", CtxBinding::VgpuSlot(0))
             .unwrap();
-        d.alloc_memory(c, 30 * gib).unwrap();
+        d.alloc_memory(SimTime::ZERO, c, 30 * gib).unwrap();
         d.reset(t(1.0));
         assert_eq!(d.memory_used(), 0);
         let c = d
             .create_context(t(1.0), "vm0", CtxBinding::VgpuSlot(0))
             .unwrap();
-        d.alloc_memory(c, 30 * gib).unwrap();
+        d.alloc_memory(t(1.0), c, 30 * gib).unwrap();
         // Same 40 GiB slot, still without UVM.
         assert_eq!(
-            d.alloc_memory(c, 11 * gib),
+            d.alloc_memory(t(1.0), c, 11 * gib),
             Err(GpuError::OutOfMemory {
                 requested: 11 * gib,
                 available: 10 * gib,

@@ -13,6 +13,18 @@
 //! could fire, and the trailing `resync` schedules the live wake at the
 //! same point either way, so every live event keeps its `(time, seq)`
 //! order. Resyncs of other devices are untouched.
+//!
+//! A time-shared device is woken only for completions. Its quantum ends
+//! and switch ends that complete nothing are ticks of a chain the device
+//! replays itself when it is next touched or read
+//! ([`GpuDevice::sync`]); `resync` re-bases that chain at `now` and arms
+//! the first tick that delivers a completion (`GpuDevice::rearm`).
+//! The armed wake therefore stays exact only if every direct device
+//! mutation is followed by a `resync` of that device at the same
+//! instant, which this module has always required. Debug builds assert
+//! that every time-sharing wake delivers a completion, except a wake at
+//! the last tick a capped emulation reached, which runs as an ordinary
+//! tick.
 
 use crate::device::{CtxId, GpuDevice, GpuId, KernelDone, KernelId};
 use crate::error::Result;
@@ -125,7 +137,7 @@ pub fn resync<W: GpuHost>(world: &mut W, eng: &mut Engine<W>, gpu: GpuId) {
     if let Some(ev) = dev.take_pending_event() {
         eng.cancel(ev);
     }
-    if let Some(at) = dev.next_wake(now) {
+    if let Some(at) = dev.rearm(now) {
         let ev = eng.schedule_at(at, move |w: &mut W, e| tick(w, e, gpu));
         world.fleet_mut().device_mut(gpu).set_pending_event(ev);
     }
@@ -138,6 +150,12 @@ fn tick<W: GpuHost>(world: &mut W, eng: &mut Engine<W>, gpu: GpuId) {
     let dev = world.fleet_mut().device_mut(gpu);
     dev.set_ticking(true);
     let done = dev.collect_finished(eng.now());
+    debug_assert!(
+        !done.is_empty() || !dev.wake_completes(),
+        "time-sharing wake of gpu {} at {} delivered no completion",
+        gpu.0,
+        eng.now()
+    );
     for d in done {
         world.on_kernel_done(eng, d);
     }

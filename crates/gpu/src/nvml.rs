@@ -6,6 +6,11 @@
 //! consume this API rather than poking [`crate::device::GpuDevice`]
 //! internals, mirroring how the paper's Parsl changes shell out to
 //! `nvidia-smi` / `nvidia-cuda-mps-control`.
+//!
+//! The snapshots that read SM occupancy or attained service take the
+//! current instant and sync the device to it first
+//! ([`crate::device::GpuDevice::sync`]), so a time-shared device reports
+//! its rotation as of `now`.
 
 use crate::device::GpuId;
 use crate::host::GpuFleet;
@@ -70,11 +75,12 @@ pub struct ProcessInfo {
     pub attained_sm_s: f64,
 }
 
-/// List resident processes on a device — the `nvidia-smi` process table,
-/// extended with the DCGM-style attained-service column that makes
-/// Table 1's contention/starvation story observable.
-pub fn list_processes(fleet: &GpuFleet, gpu: GpuId) -> Vec<ProcessInfo> {
-    let d = fleet.device(gpu);
+/// List resident processes on a device at `now` — the `nvidia-smi`
+/// process table, extended with the DCGM-style attained-service column
+/// that makes Table 1's contention/starvation story observable.
+pub fn list_processes(fleet: &mut GpuFleet, gpu: GpuId, now: SimTime) -> Vec<ProcessInfo> {
+    let d = fleet.device_mut(gpu);
+    d.sync(now);
     d.contexts()
         .map(|c| ProcessInfo {
             gpu_index: gpu.0,
@@ -92,9 +98,10 @@ pub fn device_count(fleet: &GpuFleet) -> usize {
     fleet.len()
 }
 
-/// Query one device.
-pub fn device_info(fleet: &GpuFleet, gpu: GpuId) -> DeviceInfo {
-    let d = fleet.device(gpu);
+/// Query one device at `now`.
+pub fn device_info(fleet: &mut GpuFleet, gpu: GpuId, now: SimTime) -> DeviceInfo {
+    let d = fleet.device_mut(gpu);
+    d.sync(now);
     DeviceInfo {
         index: gpu.0,
         name: d.spec.name,
@@ -108,16 +115,18 @@ pub fn device_info(fleet: &GpuFleet, gpu: GpuId) -> DeviceInfo {
     }
 }
 
-/// Query every device.
-pub fn list_devices(fleet: &GpuFleet) -> Vec<DeviceInfo> {
+/// Query every device at `now`.
+pub fn list_devices(fleet: &mut GpuFleet, now: SimTime) -> Vec<DeviceInfo> {
     (0..fleet.len() as u32)
-        .map(|i| device_info(fleet, GpuId(i)))
+        .map(|i| device_info(fleet, GpuId(i), now))
         .collect()
 }
 
-/// Time-averaged SM utilization of a device since boot.
-pub fn average_utilization(fleet: &GpuFleet, gpu: GpuId, now: SimTime) -> f64 {
-    fleet.device(gpu).average_utilization(now)
+/// Time-averaged SM utilization of a device from boot to `now`.
+pub fn average_utilization(fleet: &mut GpuFleet, gpu: GpuId, now: SimTime) -> f64 {
+    let d = fleet.device_mut(gpu);
+    d.sync(now);
+    d.average_utilization(now)
 }
 
 /// List MIG instances on a device (empty when MIG is off).
@@ -161,9 +170,9 @@ mod tests {
     #[test]
     fn enumerates_paper_testbed() {
         // §5.1: "a virtual machine with 2 A100-SXM4 GPUs with 40 GB".
-        let f = fleet();
+        let mut f = fleet();
         assert_eq!(device_count(&f), 2);
-        let infos = list_devices(&f);
+        let infos = list_devices(&mut f, SimTime::ZERO);
         assert!(infos.iter().all(|i| i.name == "A100-SXM4-40GB"));
         assert!(infos
             .iter()
@@ -178,7 +187,7 @@ mod tests {
         let g = GpuId(0);
         f.device_mut(g).set_mode(DeviceMode::Mig).unwrap();
         let i0 = f.device_mut(g).mig_create("2g.10gb").unwrap();
-        let info = device_info(&f, g);
+        let info = device_info(&mut f, g, SimTime::ZERO);
         assert_eq!(info.mode, "mig");
         assert!(info.mig_enabled);
         let insts = list_mig_instances(&f, g);
@@ -208,7 +217,9 @@ mod tests {
             .device_mut(g)
             .create_context(SimTime::ZERO, "worker-7", CtxBinding::Bare)
             .unwrap();
-        f.device_mut(g).alloc_memory(ctx, 1 << 30).unwrap();
+        f.device_mut(g)
+            .alloc_memory(SimTime::ZERO, ctx, 1 << 30)
+            .unwrap();
         f.device_mut(g)
             .launch(
                 SimTime::ZERO,
@@ -217,9 +228,9 @@ mod tests {
                 0,
             )
             .unwrap();
-        f.device_mut(g)
-            .advance(SimTime::ZERO + SimDuration::from_secs(2));
-        let ps = list_processes(&f, g);
+        let two = SimTime::ZERO + SimDuration::from_secs(2);
+        f.device_mut(g).advance(two);
+        let ps = list_processes(&mut f, g, two);
         assert_eq!(ps.len(), 1);
         assert_eq!(ps[0].label, "worker-7");
         assert_eq!(ps[0].memory_bytes, 1 << 30);
@@ -229,12 +240,12 @@ mod tests {
 
     #[test]
     fn utilization_starts_at_zero() {
-        let f = fleet();
-        let info = device_info(&f, GpuId(0));
+        let mut f = fleet();
+        let info = device_info(&mut f, GpuId(0), SimTime::ZERO);
         assert_eq!(info.utilization, 0.0);
         assert_eq!(info.contexts, 0);
         assert_eq!(
-            average_utilization(&f, GpuId(0), SimTime::from_secs(10)),
+            average_utilization(&mut f, GpuId(0), SimTime::from_secs(10)),
             0.0
         );
     }

@@ -9,7 +9,12 @@
 //! one device per arbitration path (time-sharing rotation, partitioned
 //! MPS caps, MIG slices of different sizes, vGPU slots, UVM overcommit,
 //! a slowdown window) with completion handlers that relaunch on the
-//! same device.
+//! same device. A third trace drives one time-shared device through the
+//! rotation's edge cases (memory ops on running and parked contexts, a
+//! UVM overcommit flip, a slowdown window, destroying the pending switch
+//! target, a zero-work kernel on a parked context) while a probe reads
+//! the device every 7 ms. A fourth slows a time-shared device so far
+//! that thousands of quanta pass between completions.
 
 use parfait_gpu::host::{launch_kernel, resync, GpuFleet, GpuHost};
 use parfait_gpu::{CtxBinding, CtxId, DeviceMode, GpuId, GpuSpec, KernelDesc, KernelDone, GIB};
@@ -28,6 +33,9 @@ impl GpuHost for World {
         self.completions.push((d.tag, d.finished.as_nanos()));
     }
 }
+
+/// FNV-1a offset basis: the hash of an empty stream.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a over a u64 stream; stable, dependency-free fingerprint.
 fn fnv1a(acc: u64, x: u64) -> u64 {
@@ -129,6 +137,21 @@ type Completions = Vec<(u32, u64, u64)>;
 struct ChainWorld {
     fleet: GpuFleet,
     completions: Completions,
+    /// FNV-1a over every probe reading (edge trace only).
+    probe_hash: u64,
+    /// Probe events fired (edge trace only).
+    probes: u64,
+}
+
+impl ChainWorld {
+    fn new(fleet: GpuFleet) -> Self {
+        ChainWorld {
+            fleet,
+            completions: Vec::new(),
+            probe_hash: FNV_OFFSET,
+            probes: 0,
+        }
+    }
 }
 
 /// Kernels per chain.
@@ -205,7 +228,7 @@ fn run_mixed_trace() -> (Completions, Vec<u64>, u64) {
         let c = mpsp
             .create_context(t0, &format!("mps{i}"), CtxBinding::MpsPercentage(pct))
             .expect("mps ctx");
-        mpsp.alloc_memory(c, 30 * GIB).expect("uvm alloc");
+        mpsp.alloc_memory(t0, c, 30 * GIB).expect("uvm alloc");
         starts.push((gpus[1], c, 2));
     }
     assert!(mpsp.memory().overcommitted(), "90 GiB on an 80 GiB pool");
@@ -225,7 +248,7 @@ fn run_mixed_trace() -> (Completions, Vec<u64>, u64) {
                 )
                 .expect("mig ctx");
             if profile == "1g.10gb" {
-                mig.alloc_memory(c, 16 * GIB).expect("uvm alloc");
+                mig.alloc_memory(t0, c, 16 * GIB).expect("uvm alloc");
                 assert!(mig.mig_memory(iid).expect("pool").overcommitted());
             }
             starts.push((gpus[2], c, 1));
@@ -252,10 +275,7 @@ fn run_mixed_trace() -> (Completions, Vec<u64>, u64) {
         starts.push((gpus[4], c, 1));
     }
 
-    let mut w = ChainWorld {
-        fleet,
-        completions: Vec::new(),
-    };
+    let mut w = ChainWorld::new(fleet);
     let mut eng = Engine::new();
     for &(g, c, lanes) in &starts {
         for lane in 0..lanes {
@@ -339,4 +359,249 @@ fn mixed_mode_trace_is_bit_identical_to_recorded_baseline() {
     assert_eq!(h, MIXED_TRACE_HASH, "completion stream diverged: {h:#x}");
     assert_eq!(a, MIXED_ATTAINED_HASH, "attained service diverged: {a:#x}");
     assert_eq!(end, MIXED_END_NANOS, "simulated makespan diverged");
+}
+
+/// The three contexts of the edge trace, in creation order.
+type EdgeCtxs = [CtxId; 3];
+
+/// Read the device the way a monitor does, through the read barrier:
+/// busy SMs and every context's attained service, folded into the probe
+/// hash. Re-arms itself every 7 ms while kernels remain.
+fn edge_probe(w: &mut ChainWorld, e: &mut Engine<ChainWorld>, gpu: GpuId, ctxs: EdgeCtxs) {
+    let d = w.fleet.device_mut(gpu);
+    d.sync(e.now());
+    let mut h = fnv1a(w.probe_hash, d.busy_sms().to_bits());
+    for c in ctxs {
+        h = fnv1a(h, d.attained_service(c).to_bits());
+    }
+    w.probe_hash = h;
+    w.probes += 1;
+    if d.active_kernels() > 0 {
+        e.schedule_in(SimDuration::from_millis(7), move |w: &mut ChainWorld, e| {
+            edge_probe(w, e, gpu, ctxs)
+        });
+    }
+}
+
+/// One time-shared A100 with UVM on and three relaunching contexts A, B
+/// and C. Each chain opens with a 10 SM-s full-grid kernel (92.6 ms at
+/// 108 SMs), so the first rotations are quantum-driven: A holds the GPU
+/// over [0, 25 ms), B over [25.75, 50.75 ms), and the switch to C runs
+/// over [50.75, 51.5 ms). Disturbances, at instants that fall on no
+/// rotation boundary:
+/// - 5.5 ms: a zero-work kernel on C, parked.
+/// - 12.3 ms: A (running) allocates 50 GiB and C (parked) 30 GiB.
+/// - 31.1 ms: B (running) allocates 10 GiB: 90 GiB on 80 flips the pool
+///   to UVM overcommit.
+/// - 40.1 ms to 120.3 ms: a 0.5 slowdown window.
+/// - 51.0 ms: C is destroyed mid-switch, as the pending target; its
+///   30 GiB go, which flips the pool back.
+/// - 63.3 ms: B (parked) frees its 10 GiB; 70.7 ms: A (running) frees
+///   its 50 GiB.
+///
+/// A probe reads busy SMs and attained service every 7 ms from 0.3 ms.
+fn run_edge_trace() -> (Completions, u64, u64, Vec<u64>, u64) {
+    let mut fleet = GpuFleet::new();
+    let gpu = fleet.add(GpuSpec::a100_80gb());
+    let t0 = SimTime::ZERO;
+    let dev = fleet.device_mut(gpu);
+    dev.set_uvm(true);
+    let ctxs: EdgeCtxs = [0, 1, 2].map(|i| {
+        dev.create_context(t0, &format!("ts{i}"), CtxBinding::Bare)
+            .expect("ts ctx")
+    });
+    let [a, b, c] = ctxs;
+    let mut w = ChainWorld::new(fleet);
+    let mut eng = Engine::new();
+    for ctx in ctxs {
+        let tag = chain_tag(gpu.0, ctx.0, 0, 0);
+        let opener = KernelDesc::new("opener", 10.0, 75_600, 75_600, 0.0);
+        launch_kernel(&mut w, &mut eng, gpu, ctx, opener, tag).expect("launch");
+    }
+    let at = |ms: f64| SimTime::ZERO + SimDuration::from_secs_f64(ms * 1e-3);
+    eng.schedule_at(at(0.3), move |w: &mut ChainWorld, e| {
+        edge_probe(w, e, gpu, ctxs)
+    });
+    // Lane 7 at the chain's last position: the handler does not relaunch.
+    let nop_tag = chain_tag(gpu.0, c.0, 7, CHAIN - 1);
+    eng.schedule_at(at(5.5), move |w: &mut ChainWorld, e| {
+        let nop = KernelDesc::new("nop", 0.0, 1, 1, 0.0);
+        launch_kernel(w, e, gpu, c, nop, nop_tag).expect("zero-work launch");
+    });
+    // (instant in ms, context, GiB, allocate?)
+    let mem_ops = [
+        (12.345_678, a, 50, true),
+        (12.345_678, c, 30, true),
+        (31.111_333, b, 10, true),
+        (63.333_111, b, 10, false),
+        (70.707_070, a, 50, false),
+    ];
+    for (ms, ctx, gib, alloc) in mem_ops {
+        eng.schedule_at(at(ms), move |w: &mut ChainWorld, e| {
+            let now = e.now();
+            let d = w.fleet.device_mut(gpu);
+            if alloc {
+                d.alloc_memory(now, ctx, gib * GIB).expect("alloc");
+            } else {
+                d.free_memory(now, ctx, gib * GIB).expect("free");
+            }
+            resync(w, e, gpu);
+        });
+    }
+    for (ms, factor) in [(40.101_010, 0.5), (120.303_030, 1.0)] {
+        eng.schedule_at(at(ms), move |w: &mut ChainWorld, e| {
+            let now = e.now();
+            w.fleet.device_mut(gpu).set_slowdown(now, factor);
+            resync(w, e, gpu);
+        });
+    }
+    eng.schedule_at(at(51.0), move |w: &mut ChainWorld, e| {
+        let now = e.now();
+        let d = w.fleet.device_mut(gpu);
+        d.sync(now);
+        assert_eq!(d.busy_sms(), 0.0, "mid-switch: nothing runs");
+        d.destroy_context(now, c).expect("destroy");
+        assert!(!d.memory().overcommitted(), "C's 30 GiB went with it");
+        resync(w, e, gpu);
+    });
+    eng.run(&mut w);
+    let attained = ctxs
+        .iter()
+        .map(|&ctx| w.fleet.device(gpu).attained_service(ctx).to_bits())
+        .collect();
+    (
+        w.completions,
+        w.probe_hash,
+        w.probes,
+        attained,
+        eng.now().as_nanos(),
+    )
+}
+
+/// Recorded before time-sharing rotation became lazy (one engine event
+/// per quantum end and per switch end): FNV-1a over the
+/// `(gpu, tag, finish-nanos)` completion stream.
+const EDGE_TRACE_HASH: u64 = 0x1000_a474_3015_e9c6;
+/// FNV-1a over every probe's busy-SM and attained-service bits.
+const EDGE_PROBE_HASH: u64 = 0x3955_7230_fa96_0743;
+/// Probe events fired.
+const EDGE_PROBES: u64 = 358;
+/// FNV-1a over the three contexts' final attained-service bits.
+const EDGE_ATTAINED_HASH: u64 = 0xe8c4_6d43_6e13_4b9f;
+/// Simulated end time of the edge trace: the last probe, the first one
+/// after the last completion.
+const EDGE_END_NANOS: u64 = 2_499_300_000;
+/// Completions: A's and B's chains of [`CHAIN`] kernels and the
+/// zero-work kernel; C is destroyed before its opener finishes.
+const EDGE_COMPLETIONS: usize = 25;
+
+#[test]
+fn time_sharing_edge_trace_is_bit_identical_to_recorded_baseline() {
+    let (completions, probe_hash, probes, attained, end) = run_edge_trace();
+    let mut h = FNV_OFFSET;
+    for &(gpu, tag, t) in &completions {
+        h = fnv1a(h, gpu as u64);
+        h = fnv1a(h, tag);
+        h = fnv1a(h, t);
+    }
+    let a = attained
+        .iter()
+        .fold(FNV_OFFSET, |acc, &bits| fnv1a(acc, bits));
+    assert_eq!(completions.len(), EDGE_COMPLETIONS, "completion count");
+    assert_eq!(h, EDGE_TRACE_HASH, "completion stream diverged: {h:#x}");
+    assert_eq!(probes, EDGE_PROBES, "probe count");
+    assert_eq!(
+        probe_hash, EDGE_PROBE_HASH,
+        "probe readings diverged: {probe_hash:#x}"
+    );
+    assert_eq!(a, EDGE_ATTAINED_HASH, "attained service diverged: {a:#x}");
+    assert_eq!(end, EDGE_END_NANOS, "simulated makespan diverged");
+}
+
+/// One time-shared A100 with three contexts, each running the last three
+/// kernels of a relaunching chain, slowed to 1e-3 from the start until
+/// 150 s: every kernel needs minutes of quanta, so thousands of rotation
+/// ticks separate completions and the wake emulation reaches its tick
+/// cap again and again. Returns the completions, each context's final
+/// attained-service bits, the end time and the engine events fired.
+fn run_straggler_trace() -> (Completions, Vec<u64>, u64, u64) {
+    let mut fleet = GpuFleet::new();
+    let gpu = fleet.add(GpuSpec::a100_80gb());
+    let t0 = SimTime::ZERO;
+    let dev = fleet.device_mut(gpu);
+    let ctxs: Vec<CtxId> = (0..3)
+        .map(|i| {
+            dev.create_context(t0, &format!("ts{i}"), CtxBinding::Bare)
+                .expect("ts ctx")
+        })
+        .collect();
+    dev.set_slowdown(t0, 1e-3);
+    let mut w = ChainWorld::new(fleet);
+    let mut eng = Engine::new();
+    for &ctx in &ctxs {
+        let tag = chain_tag(gpu.0, ctx.0, 0, CHAIN - 3);
+        launch_kernel(&mut w, &mut eng, gpu, ctx, chain_desc(tag), tag).expect("launch");
+    }
+    eng.schedule_at(
+        t0 + SimDuration::from_secs(150),
+        move |w: &mut ChainWorld, e| {
+            let now = e.now();
+            w.fleet.device_mut(gpu).set_slowdown(now, 1.0);
+            resync(w, e, gpu);
+        },
+    );
+    eng.run(&mut w);
+    let attained = ctxs
+        .iter()
+        .map(|&ctx| w.fleet.device(gpu).attained_service(ctx).to_bits())
+        .collect();
+    (
+        w.completions,
+        attained,
+        eng.now().as_nanos(),
+        eng.events_fired(),
+    )
+}
+
+/// Recorded with one engine event per device tick: FNV-1a over the
+/// `(gpu, tag, finish-nanos)` completion stream.
+const STRAGGLER_TRACE_HASH: u64 = 0xdf1e_72a5_abc3_e1e1;
+/// FNV-1a over the three contexts' final attained-service bits.
+const STRAGGLER_ATTAINED_HASH: u64 = 0xab41_5610_a8ba_9a4a;
+/// Simulated end time of the straggler trace: the last completion.
+const STRAGGLER_END_NANOS: u64 = 150_810_829_072;
+/// Engine events the trace fired with one event per device tick.
+const STRAGGLER_TICK_EVENTS: u64 = 11_680;
+
+#[test]
+fn time_sharing_straggler_trace_is_bit_identical_to_recorded_baseline() {
+    let (completions, attained, end, events) = run_straggler_trace();
+    let mut h = FNV_OFFSET;
+    for &(gpu, tag, t) in &completions {
+        h = fnv1a(h, gpu as u64);
+        h = fnv1a(h, tag);
+        h = fnv1a(h, t);
+    }
+    let a = attained
+        .iter()
+        .fold(FNV_OFFSET, |acc, &bits| fnv1a(acc, bits));
+    assert_eq!(completions.len(), 9, "three chains of three kernels");
+    assert_eq!(
+        h, STRAGGLER_TRACE_HASH,
+        "completion stream diverged: {h:#x}"
+    );
+    assert_eq!(
+        a, STRAGGLER_ATTAINED_HASH,
+        "attained service diverged: {a:#x}"
+    );
+    assert_eq!(end, STRAGGLER_END_NANOS, "simulated makespan diverged");
+    // Completions, the slowdown's end, and the capped emulation's wakes.
+    assert!(
+        events > completions.len() as u64 + 1,
+        "the emulation cap woke the device: {events} events"
+    );
+    assert!(
+        events * 100 < STRAGGLER_TICK_EVENTS,
+        "rotation ticks are not engine events: {events} events"
+    );
 }

@@ -139,9 +139,11 @@ fn vgpu_slots_are_memory_isolated() {
         .create_context(SimTime::ZERO, "vm1", CtxBinding::VgpuSlot(1))
         .unwrap();
     // Each slot owns 20 GiB; one tenant cannot eat another's share.
-    d.alloc_memory(a, 20 * parfait_gpu::GIB).unwrap();
-    assert!(d.alloc_memory(a, 1).is_err(), "slot 0 full");
-    d.alloc_memory(b, 20 * parfait_gpu::GIB).unwrap();
+    d.alloc_memory(SimTime::ZERO, a, 20 * parfait_gpu::GIB)
+        .unwrap();
+    assert!(d.alloc_memory(SimTime::ZERO, a, 1).is_err(), "slot 0 full");
+    d.alloc_memory(SimTime::ZERO, b, 20 * parfait_gpu::GIB)
+        .unwrap();
 }
 
 #[test]
@@ -210,7 +212,7 @@ fn end_to_end_two_tenant_attained_service_via_nvml() {
     // Bring the accounting up to "now" before reading it (the device
     // integrates lazily, at events).
     w.fleet.device_mut(g).advance(eng.now());
-    let ps = nvml::list_processes(&w.fleet, g);
+    let ps = nvml::list_processes(&mut w.fleet, g, eng.now());
     let sa = ps
         .iter()
         .find(|p| p.label == "tenant-a")

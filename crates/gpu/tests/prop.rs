@@ -1,8 +1,8 @@
 //! Property-based tests for the GPU arbitration model.
 
-use parfait_gpu::host::{launch_kernel, GpuFleet, GpuHost};
+use parfait_gpu::host::{launch_kernel, resync, GpuFleet, GpuHost};
 use parfait_gpu::CtxId;
-use parfait_gpu::{CtxBinding, DeviceMode, GpuDevice, GpuId, GpuSpec, KernelDesc, KernelDone};
+use parfait_gpu::{CtxBinding, DeviceMode, GpuDevice, GpuId, GpuSpec, KernelDesc, KernelDone, GIB};
 use parfait_simcore::{Engine, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -104,6 +104,130 @@ fn rate_trace(
         );
     }
     trace
+}
+
+/// One op of a time-shared run driven through `host`: `(kind, kernel,
+/// (context selector, microseconds after the previous op), (relaunches,
+/// GiB))`. Kinds: 0 launches a kernel that its handler relaunches that
+/// many times, 1 allocates and 2 frees memory on the context, 3
+/// destroys the context and creates a fresh one in its place.
+type TsOp = (u8, KernelDesc, (usize, u64), (u64, u64));
+
+/// Short kernels, so a case runs a few hundred rotation ticks.
+fn arb_ts_op() -> impl Strategy<Value = TsOp> {
+    (
+        0u8..4,
+        (0.001f64..1.0, 1u32..500, 1u32..200)
+            .prop_map(|(work, blocks, max_u)| KernelDesc::new("ts", work, blocks, max_u, 0.0)),
+        (0usize..3, 0u64..60_000),
+        (0u64..4, 1u64..40),
+    )
+}
+
+/// The world of [`observed_run`]: completions as `(tag, finish nanos)`;
+/// tag `op << 8 | relaunches left`.
+struct ObsWorld {
+    fleet: GpuFleet,
+    /// The three contexts ops select from; a recreated one replaces its
+    /// predecessor.
+    ctxs: Vec<CtxId>,
+    descs: Vec<KernelDesc>,
+    completions: Vec<(u64, u64)>,
+}
+
+impl GpuHost for ObsWorld {
+    fn fleet_mut(&mut self) -> &mut GpuFleet {
+        &mut self.fleet
+    }
+    fn on_kernel_done(&mut self, e: &mut Engine<Self>, d: KernelDone) {
+        self.completions.push((d.tag, d.finished.as_nanos()));
+        if d.tag & 0xFF > 0 {
+            let desc = self.descs[(d.tag >> 8) as usize].clone();
+            launch_kernel(self, e, d.gpu, d.ctx, desc, d.tag - 1).unwrap();
+        }
+    }
+}
+
+/// Replay `ops` on one time-shared A100 with three contexts. With
+/// `probe`, an event every 3 ms reads the device through the barrier
+/// (busy SMs, every context's attained service). Returns the completion
+/// stream, then the end-of-run attained-service bits and average
+/// utilization bits, read at the last completion or op.
+fn observed_run(ops: &[TsOp], probe: bool) -> (Vec<(u64, u64)>, Vec<u64>) {
+    let mut fleet = GpuFleet::new();
+    let gpu = fleet.add(GpuSpec::a100_80gb());
+    let ctxs: Vec<CtxId> = (0..3)
+        .map(|i| {
+            fleet
+                .device_mut(gpu)
+                .create_context(SimTime::ZERO, &format!("p{i}"), CtxBinding::Bare)
+                .unwrap()
+        })
+        .collect();
+    let mut w = ObsWorld {
+        fleet,
+        ctxs,
+        descs: ops.iter().map(|op| op.1.clone()).collect(),
+        completions: Vec::new(),
+    };
+    let mut eng: Engine<ObsWorld> = Engine::new();
+    let mut at = SimTime::ZERO;
+    for (i, (kind, _, (sel, dt_us), (relaunches, gib))) in ops.iter().cloned().enumerate() {
+        at += SimDuration::from_micros(dt_us);
+        eng.schedule_at(at, move |w: &mut ObsWorld, e| {
+            let now = e.now();
+            let ctx = w.ctxs[sel];
+            let d = w.fleet.device_mut(gpu);
+            match kind {
+                0 => {
+                    let desc = w.descs[i].clone();
+                    let tag = (i as u64) << 8 | relaunches;
+                    launch_kernel(w, e, gpu, ctx, desc, tag).unwrap();
+                }
+                1 => {
+                    let _ = d.alloc_memory(now, ctx, gib * GIB);
+                }
+                2 => {
+                    let _ = d.free_memory(now, ctx, gib * GIB);
+                }
+                _ => {
+                    d.destroy_context(now, ctx).unwrap();
+                    w.ctxs[sel] = d.create_context(now, "fresh", CtxBinding::Bare).unwrap();
+                }
+            }
+            resync(w, e, gpu);
+        });
+    }
+    let last_op = at;
+    if probe {
+        fn probe(w: &mut ObsWorld, e: &mut Engine<ObsWorld>, gpu: GpuId, last_op: SimTime) {
+            let now = e.now();
+            let d = w.fleet.device_mut(gpu);
+            d.sync(now);
+            let attained: f64 = d.contexts().map(|c| d.attained_service(c.id)).sum();
+            assert!((d.busy_sms() + attained).is_finite());
+            if d.active_kernels() > 0 || now < last_op {
+                e.schedule_in(SimDuration::from_millis(3), move |w: &mut ObsWorld, e| {
+                    probe(w, e, gpu, last_op)
+                });
+            }
+        }
+        eng.schedule_at(SimTime::ZERO, move |w: &mut ObsWorld, e| {
+            probe(w, e, gpu, last_op)
+        });
+    }
+    eng.run(&mut w);
+    let last_done = w.completions.iter().map(|c| c.1).max().unwrap_or(0);
+    let end = last_op.max(SimTime::from_nanos(last_done));
+    let d = w.fleet.device_mut(gpu);
+    d.sync(end);
+    let mut finals: Vec<u64> = w
+        .ctxs
+        .iter()
+        .map(|&c| d.attained_service(c).to_bits())
+        .collect();
+    finals.push(d.average_utilization(end).to_bits());
+    (w.completions, finals)
 }
 
 proptest! {
@@ -210,12 +334,12 @@ proptest! {
         for (op, bytes) in ops {
             match op {
                 0 => {
-                    if d.alloc_memory(c, bytes).is_ok() {
+                    if d.alloc_memory(SimTime::ZERO, c, bytes).is_ok() {
                         ledger += bytes;
                     }
                 }
                 _ => {
-                    if d.free_memory(c, bytes).is_ok() {
+                    if d.free_memory(SimTime::ZERO, c, bytes).is_ok() {
                         ledger -= bytes;
                     }
                 }
@@ -265,5 +389,19 @@ proptest! {
             let occupied: u8 = live.iter().map(|(_, g)| *g).sum();
             prop_assert_eq!(d.mig.free_slices() + occupied, 7);
         }
+    }
+
+    /// Observing never perturbs: reading a time-shared device through
+    /// the read barrier (`sync`) replays rotation ticks without
+    /// integrating past them, so a run probed every 3 ms completes the
+    /// same kernels at the same nanoseconds, and ends with the same
+    /// attained-service and utilization bits, as the same run unprobed.
+    #[test]
+    fn observing_never_perturbs_time_sharing(
+        ops in proptest::collection::vec(arb_ts_op(), 1..24),
+    ) {
+        let quiet = observed_run(&ops, false);
+        let probed = observed_run(&ops, true);
+        prop_assert_eq!(quiet, probed, "a read-barrier probe changed the run");
     }
 }

@@ -76,13 +76,14 @@ fn main() {
                 .unwrap_or_else(|| "-".into()),
         );
     }
-    let info = nvml::device_info(&world.fleet, GpuId(0));
+    let now = eng.now();
+    let info = nvml::device_info(&mut world.fleet, GpuId(0), now);
     println!(
         "\nGPU {} ({}): {} contexts, avg utilization {:.1}%",
         info.index,
         info.name,
         info.contexts,
-        nvml::average_utilization(&world.fleet, GpuId(0), eng.now()) * 100.0
+        nvml::average_utilization(&mut world.fleet, GpuId(0), now) * 100.0
     );
     println!("virtual wall time: {}", eng.now());
 }

@@ -265,11 +265,11 @@ fn weight_cache_eviction_releases_memory() {
     submit(&mut w, &mut eng, chat(&llm, &gpu, "warm"));
     eng.run(&mut w);
     let model_id = llm.model_profile().id;
-    let freed = weightcache::evict(&mut w, 0, model_id);
+    let freed = weightcache::evict(&mut w, &mut eng, 0, model_id);
     assert_eq!(freed, llm.weight_bytes());
     assert_eq!(w.fleet.device(GpuId(0)).cache_used(), 0);
     assert_eq!(
-        weightcache::evict(&mut w, 0, model_id),
+        weightcache::evict(&mut w, &mut eng, 0, model_id),
         0,
         "double evict is a no-op"
     );
