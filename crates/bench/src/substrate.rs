@@ -20,8 +20,8 @@
 //!   launched from its predecessor's completion handler (the wake
 //!   re-arm path of multi-kernel requests, in kernels/sec).
 //! - `timeshare` — 3 time-shared contexts × 8 chained 1 s kernels: about
-//!   1,900 quantum and switch ends that the device replays lazily rather
-//!   than as engine events (in kernels/sec).
+//!   1,900 quantum and switch ends that the device walks lazily rather
+//!   than as engine events, mostly as whole turns (in kernels/sec).
 
 use crate::report::write_report;
 use parfait_gpu::host::{launch_kernel, GpuFleet, GpuHost};
@@ -98,6 +98,13 @@ pub struct CostProxy {
     /// `GpuDevice::recompute` invocations on `timeshare`, counting the
     /// replayed rotation ticks.
     pub timeshare_recompute_calls: u64,
+    /// Time-sharing ticks walked one by one on `timeshare`, over
+    /// predictions and replays (`GpuDevice::chain_counters`): a change
+    /// that stops taking whole turns shows up here.
+    pub timeshare_chain_ticks: u64,
+    /// Whole turns walked on `timeshare`. Reported, not ratcheted: more
+    /// turns is the cheap direction.
+    pub timeshare_chain_turns: u64,
     /// Events fired by the scaled-down fleet case (4 GPUs × 2 000 tasks,
     /// seed 42, optimized driver) — extends the ratchet over the whole
     /// FaaS dispatch/monitoring path, not just the event substrate.
@@ -142,6 +149,7 @@ impl CostProxy {
             ("timeshare_events_fired", self.timeshare_events_fired),
             ("timeshare_heap_pushes", self.timeshare_heap_pushes),
             ("timeshare_recompute_calls", self.timeshare_recompute_calls),
+            ("timeshare_chain_ticks", self.timeshare_chain_ticks),
             ("fleet_events_fired", self.fleet_events_fired),
             ("fleet_heap_pushes", self.fleet_heap_pushes),
             ("fleet_heap_pops", self.fleet_heap_pops),
@@ -358,9 +366,8 @@ impl GpuHost for ChainWorld {
 }
 
 /// One partitioned-MPS A100-80GB, 4 contexts at 25 % × [`CHAIN_LEN`]
-/// kernels chained from `on_kernel_done`. Returns `(completions, events
-/// fired, heap pushes, recompute calls)`.
-fn relaunch_chain_instrumented() -> (u64, u64, u64, u64) {
+/// kernels chained from `on_kernel_done`.
+fn relaunch_chain_instrumented() -> ChainRun {
     let mut fleet = GpuFleet::new();
     let gid = fleet.add(GpuSpec::a100_80gb());
     let dev = fleet.device_mut(gid);
@@ -380,17 +387,22 @@ fn relaunch_chain_instrumented() -> (u64, u64, u64, u64) {
 }
 
 fn relaunch_chain() -> u64 {
-    relaunch_chain_instrumented().0
+    relaunch_chain_instrumented().completions
+}
+
+/// Counts from one [`run_chains`] run.
+struct ChainRun {
+    completions: u64,
+    events_fired: u64,
+    heap_pushes: u64,
+    recompute_calls: u64,
+    /// The device's time-sharing `(single ticks, turns)`.
+    chain: (u64, u64),
 }
 
 /// Launch one chain of [`CHAIN_LEN`] `kernel`s per context on the
-/// fleet's only device and run to the end. Returns `(completions, events
-/// fired, heap pushes, recompute calls)`.
-fn run_chains(
-    fleet: GpuFleet,
-    ctxs: &[CtxId],
-    kernel: fn(u32) -> KernelDesc,
-) -> (u64, u64, u64, u64) {
+/// fleet's only device and run to the end.
+fn run_chains(fleet: GpuFleet, ctxs: &[CtxId], kernel: fn(u32) -> KernelDesc) -> ChainRun {
     let mut w = ChainWorld {
         fleet,
         completions: 0,
@@ -403,7 +415,13 @@ fn run_chains(
     eng.run(&mut w);
     assert_eq!(w.completions, ctxs.len() as u64 * CHAIN_LEN);
     let (calls, _visited, _skipped) = w.fleet.cost_counters();
-    (w.completions, eng.events_fired(), eng.heap_pushes(), calls)
+    ChainRun {
+        completions: w.completions,
+        events_fired: eng.events_fired(),
+        heap_pushes: eng.heap_pushes(),
+        recompute_calls: calls,
+        chain: w.fleet.device(GpuId(0)).chain_counters(),
+    }
 }
 
 /// A full-grid kernel of 108 SM-s: 1 s alone on an A100.
@@ -413,9 +431,8 @@ fn one_second_kernel(_ctx: u32) -> KernelDesc {
 
 /// One time-shared A100-80GB, 3 contexts × [`CHAIN_LEN`] one-second
 /// kernels chained from `on_kernel_done`: 24 s of quanta and switches
-/// with a completion only every second or so. Returns `(completions,
-/// events fired, heap pushes, recompute calls)`.
-fn timeshare_instrumented() -> (u64, u64, u64, u64) {
+/// with a completion only every second or so.
+fn timeshare_instrumented() -> ChainRun {
     let mut fleet = GpuFleet::new();
     let gid = fleet.add(GpuSpec::a100_80gb());
     let ctxs: Vec<CtxId> = (0..3)
@@ -430,7 +447,7 @@ fn timeshare_instrumented() -> (u64, u64, u64, u64) {
 }
 
 fn timeshare() -> u64 {
-    timeshare_instrumented().0
+    timeshare_instrumented().completions
 }
 
 /// One instrumented pass over the deterministic cases, collecting the
@@ -440,8 +457,8 @@ pub fn cost_proxy() -> CostProxy {
     let (fired, pushes, pops) = timer_events_instrumented(N);
     let (_, cancel_pops) = cancel_heavy_instrumented(N);
     let (_, arb_fired, calls, visited) = contended_arbitration_instrumented();
-    let (_, relaunch_fired, relaunch_pushes, relaunch_calls) = relaunch_chain_instrumented();
-    let (_, timeshare_fired, timeshare_pushes, timeshare_calls) = timeshare_instrumented();
+    let relaunch = relaunch_chain_instrumented();
+    let timeshare = timeshare_instrumented();
     let (fleet, heap) =
         crate::alloc::section(|| crate::fleet::run_fleet(4, 2_000, 42, true).sim.behavior);
     CostProxy {
@@ -452,12 +469,14 @@ pub fn cost_proxy() -> CostProxy {
         arbitration_events_fired: arb_fired,
         arbitration_recompute_calls: calls,
         arbitration_domains_visited: visited,
-        relaunch_events_fired: relaunch_fired,
-        relaunch_heap_pushes: relaunch_pushes,
-        relaunch_recompute_calls: relaunch_calls,
-        timeshare_events_fired: timeshare_fired,
-        timeshare_heap_pushes: timeshare_pushes,
-        timeshare_recompute_calls: timeshare_calls,
+        relaunch_events_fired: relaunch.events_fired,
+        relaunch_heap_pushes: relaunch.heap_pushes,
+        relaunch_recompute_calls: relaunch.recompute_calls,
+        timeshare_events_fired: timeshare.events_fired,
+        timeshare_heap_pushes: timeshare.heap_pushes,
+        timeshare_recompute_calls: timeshare.recompute_calls,
+        timeshare_chain_ticks: timeshare.chain.0,
+        timeshare_chain_turns: timeshare.chain.1,
         fleet_events_fired: fleet.events_fired,
         fleet_heap_pushes: fleet.heap_pushes,
         fleet_heap_pops: fleet.heap_pops,

@@ -858,6 +858,9 @@ pub struct RecoveryState {
     pub(crate) watchdog_armed: bool,
     /// True while the progress watchdog is ticking.
     pub(crate) progress_watchdog_armed: bool,
+    /// The busy workers one progress-watchdog tick scans; kept across
+    /// ticks so a tick allocates nothing.
+    pub(crate) progress_scan: Vec<usize>,
     /// True while the fail-slow detector is ticking.
     pub(crate) failslow_armed: bool,
     /// Devices currently in a non-`Clear` probation state. The dispatch
@@ -881,6 +884,7 @@ impl RecoveryState {
             device_gray: (0..gpus).map(|_| DeviceGray::default()).collect(),
             watchdog_armed: false,
             progress_watchdog_armed: false,
+            progress_scan: Vec::new(),
             failslow_armed: false,
             probations_active: 0,
             stats: RecoveryStats::default(),

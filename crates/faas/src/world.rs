@@ -2115,8 +2115,12 @@ fn progress_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
         world.recovery.progress_watchdog_armed = false;
         return;
     };
-    let busy: Vec<usize> = world.busy_workers().collect();
-    for wid in busy {
+    // The scan list is reused from tick to tick: this runs every
+    // heartbeat period for the whole run.
+    let mut busy = std::mem::take(&mut world.recovery.progress_scan);
+    busy.clear();
+    busy.extend(world.busy_workers());
+    for &wid in &busy {
         if world.workers[wid].state != WorkerState::Busy {
             continue; // torn down earlier this tick (blast radius)
         }
@@ -2153,6 +2157,7 @@ fn progress_tick(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
         }
         auto_respawn(world, eng, wid);
     }
+    world.recovery.progress_scan = busy;
     if world.busy_workers().next().is_some() {
         eng.schedule_in(HEARTBEAT_PERIOD, progress_tick);
     } else {

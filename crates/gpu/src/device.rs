@@ -58,20 +58,28 @@
 //! [`crate::host::resync`] re-bases it from the resync instant
 //! (`GpuDevice::rearm`). Every call that reads or writes arbitration
 //! state at `now` first replays the ticks due strictly before `now`
-//! ([`GpuDevice::sync`]), running what a wake at that tick would run at
-//! that instant, so trajectories are bit-identical to waking at every
-//! tick.
-//! The host wakes the device only at the first tick that delivers a
-//! completion, found by emulating the chain on scratch copies of every
-//! kernel's work and rate (`first_completing_tick`). The rates each
-//! context gets while it holds the GPU are derived once per context and
-//! cached (`Scratch::ts_rate`) until the next dirty mark: the emulation
-//! reads them, and so does a `recompute` whose only change is a
-//! rotation, which is what most replayed ticks are. The emulation
-//! stops after [`TS_EMULATED_TICKS`] ticks; a chain that long
-//! without a completion (a tiny straggler factor on a busy device) wakes
-//! the device at its last emulated tick, which runs as an ordinary tick,
-//! and the next re-arm emulates on from there.
+//! ([`GpuDevice::sync`]), applying what a wake at that tick would apply
+//! at that instant, so trajectories are bit-identical to waking at every
+//! tick. The host wakes the device only at the first tick that delivers
+//! a completion (`first_completing_tick`, the prediction).
+//!
+//! The replay and the prediction are one walk over dense per-kernel
+//! copies of work left and rate (`Walk`). A single-tick step applies one
+//! tick as `integrate`, `recompute` and `next_wake` would. After a tick
+//! that hands the GPU to a context for a full quantum while another
+//! context waits, the walk applies whole *turns* (a quantum end, then
+//! the next context's switch end) in a tight loop with the same f64
+//! operations in the same order; they are most of the chain. Each
+//! context's rates while it holds the GPU, and their busy-SM sum, are
+//! derived once and cached (`Lanes::cached`) until the next dirty mark.
+//! Inside a turn, a kernel's finish instant is computed only when its
+//! work left could run out before the quantum ends; the single-tick step
+//! computes every running kernel's, as `next_wake` does. Debug builds
+//! re-walk every run of turns tick by tick and require bit-equal state. The prediction stops
+//! after [`TS_EMULATED_TICKS`] ticks; a chain that long without a
+//! completion (a tiny straggler factor on a busy device) wakes the
+//! device at its last walked tick, which runs as an ordinary tick, and
+//! the next re-arm walks on from there.
 //!
 //! Readers (`busy_sms`, `ctx_busy_sms`, `attained_service`,
 //! `average_utilization`, `kernel_rates`) report the device as of its
@@ -310,13 +318,11 @@ struct Dom {
 
 /// Reusable `recompute` buffers, hoisted onto the device so the
 /// per-change rate recomputation allocates nothing in steady state.
-/// `share`, `dom_of` and `ts_rate` are parallel to `KernelSlab::order`.
+/// `share` and `dom_of` are parallel to `KernelSlab::order`.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Per kernel of the domain `recompute` derives: the provisional SM
     /// share, then, in place, the post-wave-quantization effective SMs.
-    /// `GpuDevice::first_completing_tick` reuses it for each kernel's
-    /// work left along the emulated chain.
     share: Vec<f64>,
     /// Arbitration domain key per kernel ([`NO_DOMAIN`] when parked).
     dom_of: Vec<u32>,
@@ -326,21 +332,18 @@ struct Scratch {
     /// and indexed by accounting slot ([`UNSEEN`] for contexts with no
     /// kernel there).
     ctx_demand: Vec<f64>,
-    /// Time-sharing only, allocated on first use: the rate each kernel
-    /// runs at while its context holds the GPU, read by the wake
-    /// emulation and by a `recompute` that only rotates. Valid while it
-    /// holds one entry per kernel: every dirty mark clears it, and a
-    /// rotation changes no rate input, so it keeps it.
-    ts_rate: Vec<f64>,
 }
 
 /// `Scratch::ctx_demand` entry of a context with no kernel in the
 /// domain being processed (demands are never negative).
 const UNSEEN: f64 = -1.0;
 
-/// Most time-sharing ticks one re-arm emulates looking for a completion
-/// (module docs).
+/// Most time-sharing ticks one prediction walks looking for a
+/// completion (module docs).
 const TS_EMULATED_TICKS: u32 = 1024;
+
+/// Relative slack of the finish-instant rule ([`near`]).
+const NEAR_SLACK: f64 = 1e-6;
 
 /// Work a kernel serves over `dt` seconds at `rate` with `remaining`
 /// left.
@@ -362,9 +365,18 @@ fn finish_at(now: SimTime, remaining: f64, rate: f64) -> SimTime {
         .saturating_add(SimDuration::from_nanos(1))
 }
 
+/// Could a kernel with `remaining` work at `rate > 0` finish within
+/// `span` seconds? When it has more than `rate × span` left, with
+/// [`NEAR_SLACK`] to spare, its [`finish_at`] lands strictly after the
+/// span (the slack outweighs every rounding on the way, and `finish_at`
+/// adds a nanosecond), so the walk skips the division.
+fn near(remaining: f64, rate: f64, span: f64) -> bool {
+    remaining <= rate * span * (1.0 + NEAR_SLACK)
+}
+
 /// Time-sharing rotation state: which context holds the GPU, which one
 /// it is switching to, and when the quantum and the switch end.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Rotation {
     current: Option<u32>,
     pending: Option<u32>,
@@ -432,6 +444,338 @@ impl Rotation {
     }
 }
 
+/// Time-sharing walk buffers (module docs), allocated on a device's
+/// first walk so spatial devices carry one pointer for them.
+#[derive(Debug, Default)]
+struct TimeShare {
+    lanes: Lanes,
+    walk: Walk,
+}
+
+/// What a walk reads: per kernel in kid order, fixed while it runs.
+#[derive(Debug, Default)]
+struct Lanes {
+    /// Context, accounting slot and total work, loaded per walk.
+    ctx: Vec<u32>,
+    acct: Vec<u32>,
+    work: Vec<f64>,
+    /// Some kernel has no work: it completes at any tick, so no turn is
+    /// steady.
+    zero_work: bool,
+    /// The rate each kernel runs at while its context holds the GPU.
+    /// Valid while it holds one entry per kernel: every dirty mark
+    /// clears it, and a rotation changes no rate input, so it keeps it.
+    cached: Vec<f64>,
+    /// Busy SMs while each context with work holds the GPU (its cached
+    /// rates summed in kid order), by index in `KernelSlab::ctx_counts`.
+    ctx_busy: Vec<f64>,
+}
+
+/// What a walk moves: the state a tick changes, on dense copies.
+#[derive(Debug, Clone)]
+struct Walk {
+    /// The next due tick; `SimTime::MAX` once the chain has ended.
+    t: SimTime,
+    /// Instant work was last integrated to.
+    last: SimTime,
+    rot: Rotation,
+    /// The device holds dirty marks, which the first tick settles by
+    /// re-deriving.
+    refresh: bool,
+    /// Work left and rate per kernel, kid order.
+    left: Vec<f64>,
+    rate: Vec<f64>,
+    /// Replay only: the device's attained service and busy SMs, moved
+    /// in for the walk, and the cost counters it adds.
+    attained: Vec<f64>,
+    busy: TimeWeighted,
+    calls: u64,
+    visited: u64,
+    skipped: u64,
+    /// Prediction only: ticks walked without a completion.
+    emulated: u32,
+    /// Lifetime totals: single-tick steps and whole turns walked.
+    ticks: u64,
+    turns: u64,
+}
+
+impl Default for Walk {
+    fn default() -> Self {
+        Walk {
+            t: SimTime::MAX,
+            last: SimTime::ZERO,
+            rot: Rotation::IDLE,
+            refresh: false,
+            left: Vec::new(),
+            rate: Vec::new(),
+            attained: Vec::new(),
+            busy: TimeWeighted::new(SimTime::ZERO, 0.0),
+            calls: 0,
+            visited: 0,
+            skipped: 0,
+            emulated: 0,
+            ticks: 0,
+            turns: 0,
+        }
+    }
+}
+
+impl Walk {
+    /// Walk the chain over the contexts with work (`active`). Replaying
+    /// (`REPLAY`), apply every tick due before `horizon` and return
+    /// `None`. Predicting (`horizon` is `SimTime::MAX`), return the
+    /// first tick at which a kernel completes, or the
+    /// [`TS_EMULATED_TICKS`]-th tick; `None` when the chain ends first.
+    fn run<const REPLAY: bool>(
+        &mut self,
+        lanes: &Lanes,
+        active: &[(u32, u32)],
+        tracking: bool,
+        horizon: SimTime,
+    ) -> Option<SimTime> {
+        while self.t < horizon {
+            if self.step::<REPLAY>(lanes, active, tracking) {
+                return Some(self.t);
+            }
+            let Some(h) = self.steady(lanes, active) else {
+                continue;
+            };
+            #[cfg(debug_assertions)]
+            let reference = self.clone();
+            let stop = self.turns::<REPLAY>(lanes, active, h, horizon);
+            #[cfg(debug_assertions)]
+            reference.check_turns::<REPLAY>(self, lanes, active, tracking, stop);
+            if stop {
+                return Some(self.t);
+            }
+        }
+        None
+    }
+
+    /// Apply the tick at `self.t` as a wake there would: integrate to
+    /// it, check for completions, recompute (rotate, sum busy SMs,
+    /// count) and take the next tick as `next_wake` gives it. Returns
+    /// whether the prediction stops here.
+    fn step<const REPLAY: bool>(
+        &mut self,
+        lanes: &Lanes,
+        active: &[(u32, u32)],
+        tracking: bool,
+    ) -> bool {
+        let t = self.t;
+        let dt = t.duration_since(self.last).as_secs_f64();
+        self.last = t;
+        self.ticks += 1;
+        let mut done = false;
+        for p in 0..self.left.len() {
+            let r = self.rate[p];
+            if dt > 0.0 && r > 0.0 {
+                let served = served(r, dt, self.left[p]);
+                self.left[p] -= served;
+                if REPLAY {
+                    self.attained[lanes.acct[p] as usize] += served;
+                }
+            }
+            done |= finished(self.left[p], r, lanes.work[p]);
+        }
+        if !REPLAY {
+            if done {
+                return true;
+            }
+            self.emulated += 1;
+            if self.emulated == TS_EMULATED_TICKS {
+                return true;
+            }
+        }
+        debug_assert!(!done, "replayed tick at {t} would deliver a completion");
+        // The rotation, or a first tick's dirty marks, hands the holder
+        // its cached rates, bit for bit what `recompute` derives, and
+        // parks everyone else.
+        let refresh = self.rot.housekeeping(t, active) | std::mem::take(&mut self.refresh);
+        let holder = self.rot.current;
+        if refresh {
+            for p in 0..self.rate.len() {
+                self.rate[p] = if Some(lanes.ctx[p]) == holder {
+                    lanes.cached[p]
+                } else {
+                    0.0
+                };
+            }
+        }
+        if REPLAY {
+            self.calls += 1;
+            if holder.is_some_and(|c| active.iter().any(|&(a, _)| a == c)) {
+                if refresh || !tracking {
+                    self.visited += 1;
+                } else {
+                    self.skipped += 1;
+                }
+            }
+            let busy = self.rate.iter().fold(0.0, |busy, &r| busy + r);
+            self.busy.set(t, busy);
+        }
+        let mut next = self
+            .rot
+            .next_boundary(t, active.len())
+            .unwrap_or(SimTime::MAX);
+        for p in 0..self.rate.len() {
+            let r = self.rate[p];
+            if r > 0.0 {
+                next = next.min(finish_at(t, self.left[p], r));
+            }
+        }
+        self.t = next;
+        false
+    }
+
+    /// Where whole turns can take over: right after a tick that handed
+    /// the GPU to a context for a full quantum, with no kernel of it
+    /// finishing first, another context waiting and no zero-work
+    /// kernel. Returns the holder's index in `active`.
+    fn steady(&self, lanes: &Lanes, active: &[(u32, u32)]) -> Option<usize> {
+        let rot = &self.rot;
+        if lanes.zero_work
+            || active.len() < 2
+            || rot.pending.is_some()
+            || rot.quantum_end != self.last + TS_QUANTUM
+            || self.t != rot.quantum_end
+        {
+            return None;
+        }
+        let holder = rot.current?;
+        active.iter().position(|&(c, _)| c == holder)
+    }
+
+    /// Apply whole turns from a steady tick, with the holder at index
+    /// `h` of `active`: its kernels run out the quantum, everyone parks
+    /// for the switch, and the next context with work, ascending and
+    /// wrapping, takes the GPU with its cached rates and busy SMs for a
+    /// fresh quantum. A turn runs its two ticks' f64 operations with the
+    /// same operands in the same order (DESIGN.md §6). Stops before a
+    /// turn whose switch end is not before `horizon` or that would reach
+    /// the tick cap, and after a switch end whose new holder has a
+    /// kernel finishing inside its quantum. Returns true, predicting,
+    /// at a quantum end that completes a kernel.
+    fn turns<const REPLAY: bool>(
+        &mut self,
+        lanes: &Lanes,
+        active: &[(u32, u32)],
+        mut h: usize,
+        horizon: SimTime,
+    ) -> bool {
+        let quantum = TS_QUANTUM.as_secs_f64();
+        loop {
+            let quantum_end = self.t;
+            let switch_end = quantum_end + TS_SWITCH_PENALTY;
+            if switch_end >= horizon || (!REPLAY && self.emulated + 2 >= TS_EMULATED_TICKS) {
+                return false;
+            }
+            // The quantum end: only the holder's kernels run.
+            let mut done = false;
+            for ((left, &r), &acct) in self.left.iter_mut().zip(&self.rate).zip(&lanes.acct) {
+                if r > 0.0 {
+                    let served = served(r, quantum, *left);
+                    *left -= served;
+                    if REPLAY {
+                        self.attained[acct as usize] += served;
+                    }
+                    done |= *left <= WORK_EPS;
+                }
+            }
+            self.last = quantum_end;
+            if !REPLAY && done {
+                return true;
+            }
+            debug_assert!(
+                !done,
+                "replayed quantum end at {quantum_end} would deliver a completion"
+            );
+            // The switch end: the next context with work adopts.
+            h = if h + 1 == active.len() { 0 } else { h + 1 };
+            let holder = active[h].0;
+            self.rot = Rotation {
+                current: Some(holder),
+                pending: None,
+                quantum_end: switch_end + TS_QUANTUM,
+                switch_end,
+            };
+            self.last = switch_end;
+            let mut next = self.rot.quantum_end;
+            let lanes_in = lanes.ctx.iter().zip(&lanes.cached);
+            for ((rate, &left), (&ctx, &cached)) in
+                self.rate.iter_mut().zip(&self.left).zip(lanes_in)
+            {
+                let r = if ctx == holder { cached } else { 0.0 };
+                *rate = r;
+                if r > 0.0 && near(left, r, quantum) {
+                    next = next.min(finish_at(switch_end, left, r));
+                }
+            }
+            if REPLAY {
+                self.calls += 2;
+                self.visited += 1;
+                self.busy.set(quantum_end, 0.0);
+                self.busy.set(switch_end, lanes.ctx_busy[h]);
+            } else {
+                self.emulated += 2;
+            }
+            self.turns += 1;
+            self.t = next;
+            if next < self.rot.quantum_end {
+                return false;
+            }
+        }
+    }
+
+    /// Debug builds: re-walk the ticks a run of turns covered one by one
+    /// on `self`, a copy taken before it, and require the state the
+    /// turns left (`walked`), bit for bit.
+    #[cfg(debug_assertions)]
+    fn check_turns<const REPLAY: bool>(
+        mut self,
+        walked: &Walk,
+        lanes: &Lanes,
+        active: &[(u32, u32)],
+        tracking: bool,
+        stopped: bool,
+    ) {
+        for _ in 0..2 * (walked.turns - self.turns) {
+            assert!(
+                !self.step::<REPLAY>(lanes, active, tracking),
+                "a turn ran past the tick at {}",
+                self.t
+            );
+        }
+        if stopped {
+            assert!(
+                self.step::<REPLAY>(lanes, active, tracking),
+                "turns stopped at {}, where a tick does not",
+                self.t
+            );
+        }
+        let bits = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .map(|x| x.to_bits())
+                .eq(b.iter().map(|x| x.to_bits()))
+        };
+        assert!(
+            self.t == walked.t
+                && self.last == walked.last
+                && self.rot == walked.rot
+                && self.refresh == walked.refresh
+                && self.emulated == walked.emulated
+                && (self.calls, self.visited, self.skipped)
+                    == (walked.calls, walked.visited, walked.skipped)
+                && bits(&self.left, &walked.left)
+                && bits(&self.rate, &walked.rate)
+                && bits(&self.attained, &walked.attained)
+                && format!("{:?}", self.busy) == format!("{:?}", walked.busy),
+            "whole turns left other state than single ticks at {}:\n{self:?}\n{walked:?}",
+            walked.t
+        );
+    }
+}
+
 /// The simulated GPU.
 #[derive(Debug)]
 pub struct GpuDevice {
@@ -479,6 +823,9 @@ pub struct GpuDevice {
     /// Time-sharing: the last re-arm stopped at [`TS_EMULATED_TICKS`],
     /// so the armed wake may deliver no completion.
     ts_capped: bool,
+    /// Time-sharing: the walk buffers and the rate cache, allocated on
+    /// the first walk.
+    ts: Option<Box<TimeShare>>,
 
     /// Cleared by an uncorrectable (ECC/Xid-style) fault; an unhealthy
     /// device refuses new contexts and launches until re-admitted.
@@ -553,6 +900,7 @@ impl GpuDevice {
             rot: Rotation::IDLE,
             ts_next: SimTime::MAX,
             ts_capped: false,
+            ts: None,
             healthy: true,
             slowdown: 1.0,
             dirty_domains: Vec::new(),
@@ -580,7 +928,7 @@ impl GpuDevice {
     /// Mark one arbitration domain as needing re-derivation.
     #[inline]
     fn mark_domain_dirty(&mut self, dom: u32) {
-        self.scratch.ts_rate.clear();
+        self.drop_ts_rates();
         if !self.all_dirty && !self.dirty_domains.contains(&dom) {
             self.dirty_domains.push(dom);
         }
@@ -589,9 +937,17 @@ impl GpuDevice {
     /// Mark every domain dirty (device-wide parameter change).
     #[inline]
     fn mark_all_dirty(&mut self) {
-        self.scratch.ts_rate.clear();
+        self.drop_ts_rates();
         self.all_dirty = true;
         self.dirty_domains.clear();
+    }
+
+    /// A rate input changed: the cached time-sharing rates are stale.
+    #[inline]
+    fn drop_ts_rates(&mut self) {
+        if let Some(ts) = self.ts.as_deref_mut() {
+            ts.lanes.cached.clear();
+        }
     }
 
     /// Toggle per-domain dirty tracking (default on). Marks are always
@@ -614,6 +970,15 @@ impl GpuDevice {
             self.domains_visited,
             self.domains_skipped,
         )
+    }
+
+    /// Time-sharing chain counters: `(single-tick steps, whole turns)`
+    /// walked, summed over predictions and replays (module docs). Pure
+    /// functions of the event schedule, like the cost counters.
+    pub fn chain_counters(&self) -> (u64, u64) {
+        self.ts
+            .as_ref()
+            .map_or((0, 0), |ts| (ts.walk.ticks, ts.walk.turns))
     }
 
     /// `(kernel id, current rate)` for every in-flight kernel,
@@ -1169,24 +1534,78 @@ impl GpuDevice {
 
     /// The read barrier: replay every tick of the time-sharing chain due
     /// strictly before `now`, as the per-tick wake events would have run
-    /// it — integrate to the tick, `recompute` (which rotates), and take
-    /// the next tick from that instant. Integration stops at the last
-    /// tick: integrating on to `now` would split an interval and change
-    /// the floats. A no-op in the spatial modes, which have no chain.
+    /// it (module docs), then write back the work and rates the ticks
+    /// leave. Integration stops at the last tick: integrating on to
+    /// `now` would split an interval and change the floats. A no-op in
+    /// the spatial modes, which have no chain.
     pub fn sync(&mut self, now: SimTime) {
-        while self.ts_next < now {
-            let t = self.ts_next;
-            self.integrate(t);
-            debug_assert!(
-                !self
-                    .kernels
-                    .iter()
-                    .any(|k| finished(k.remaining, k.rate, k.desc.work_sm_s)),
-                "replayed tick at {t} would deliver a completion"
-            );
-            self.recompute(t);
-            self.ts_next = self.next_wake(t).unwrap_or(SimTime::MAX);
+        if self.ts_next >= now {
+            return;
         }
+        let mut ts = self.load_walk();
+        let TimeShare { lanes, walk } = &mut *ts;
+        // The device's accounting moves through the walk and back.
+        std::mem::swap(&mut walk.attained, &mut self.attained);
+        std::mem::swap(&mut walk.busy, &mut self.busy_sms);
+        walk.run::<true>(lanes, &self.kernels.ctx_counts, self.dirty_tracking, now);
+        std::mem::swap(&mut walk.attained, &mut self.attained);
+        std::mem::swap(&mut walk.busy, &mut self.busy_sms);
+        self.running.clear();
+        for p in 0..self.kernels.order.len() {
+            let slot = self.kernels.order[p];
+            let k = self.kernels.get_mut(slot);
+            k.remaining = walk.left[p];
+            k.rate = walk.rate[p];
+            if k.rate > 0.0 {
+                self.running.push(slot);
+            }
+        }
+        self.recompute_calls += walk.calls;
+        self.domains_visited += walk.visited;
+        self.domains_skipped += walk.skipped;
+        self.rot = walk.rot;
+        self.last = walk.last;
+        self.ts_next = walk.t;
+        // The first replayed tick settled the dirty marks.
+        self.dirty_domains.clear();
+        self.all_dirty = false;
+        self.ts = Some(ts);
+    }
+
+    /// The walk buffers (allocated on the first walk), loaded for a walk
+    /// from `ts_next`: every kernel's work left, rate, context,
+    /// accounting slot and total work in kid order, the rotation, and
+    /// the rates cached per context, derived again after a dirty mark.
+    fn load_walk(&mut self) -> Box<TimeShare> {
+        let mut ts = self.ts.take().unwrap_or_default();
+        let TimeShare { lanes, walk } = &mut *ts;
+        walk.left.clear();
+        walk.rate.clear();
+        lanes.ctx.clear();
+        lanes.acct.clear();
+        lanes.work.clear();
+        for k in self.kernels.iter() {
+            walk.left.push(k.remaining);
+            walk.rate.push(k.rate);
+            lanes.ctx.push(k.ctx);
+            lanes.acct.push(k.acct);
+            lanes.work.push(k.desc.work_sm_s);
+        }
+        lanes.zero_work = lanes.work.iter().any(|&w| w <= WORK_EPS);
+        if lanes.cached.len() != self.kernels.len() {
+            let mut s = std::mem::take(&mut self.scratch);
+            self.derive_ts_rates(&mut s, lanes);
+            self.scratch = s;
+        }
+        walk.t = self.ts_next;
+        walk.last = self.last;
+        walk.rot = self.rot;
+        walk.refresh = self.all_dirty || !self.dirty_domains.is_empty();
+        walk.calls = 0;
+        walk.visited = 0;
+        walk.skipped = 0;
+        walk.emulated = 0;
+        ts
     }
 
     /// SM-seconds of service a context has attained (DCGM-style
@@ -1219,9 +1638,7 @@ impl GpuDevice {
     /// call are re-derived; every kernel in a clean domain keeps its
     /// exact previous f64 rate, so the final summation below is
     /// bit-identical to a full re-derivation (the clean inputs have not
-    /// changed, and f64 arithmetic is deterministic). Under time-sharing
-    /// with nothing dirty, a rotation takes the new holder's cached
-    /// rates (module docs).
+    /// changed, and f64 arithmetic is deterministic).
     pub fn recompute(&mut self, now: SimTime) {
         self.recompute_calls += 1;
         // A rotation re-partitions kernels between domain 0 (the only
@@ -1230,33 +1647,6 @@ impl GpuDevice {
         // cached time-sharing rates stay valid.
         let ts = self.mode == DeviceMode::TimeSharing;
         let rotated = ts && self.rot.housekeeping(now, &self.kernels.ctx_counts);
-        if ts && self.dirty_tracking && !self.all_dirty && self.dirty_domains.is_empty() {
-            // No rate input changed, so at most the holder did: its
-            // kernels take the rates cached for it, bit for bit what a
-            // re-derivation gives, and every other kernel parks. Most
-            // replayed ticks take this path.
-            let holder = self.rot.current;
-            if rotated {
-                if self.scratch.ts_rate.len() != self.kernels.len() {
-                    let mut s = std::mem::take(&mut self.scratch);
-                    self.derive_ts_rates(&mut s);
-                    self.scratch = s;
-                }
-                for p in 0..self.kernels.len() {
-                    let k = self.kernels.get_mut(self.kernels.order[p]);
-                    k.rate = if Some(k.ctx) == holder {
-                        self.scratch.ts_rate[p]
-                    } else {
-                        0.0
-                    };
-                }
-            }
-            if holder.is_some_and(|c| self.kernels.ctx_counts.iter().any(|&(a, _)| a == c)) {
-                self.visit_domain(rotated);
-            }
-            self.settle(now);
-            return;
-        }
         let mut scratch = std::mem::take(&mut self.scratch);
         let n = self.kernels.len();
         scratch.share.clear();
@@ -1440,13 +1830,15 @@ impl GpuDevice {
         }
     }
 
-    /// Derive into `s.ts_rate`, for every context with work, the rates
-    /// its kernels get from a dirty `recompute` once the rotation hands
-    /// it the GPU. They stay valid until the next dirty mark clears
-    /// them.
-    fn derive_ts_rates(&self, s: &mut Scratch) {
-        s.ts_rate.clear();
-        s.ts_rate.resize(self.kernels.len(), 0.0);
+    /// Derive into `lanes.cached`, for every context with work, the
+    /// rates its kernels get from a dirty `recompute` once the rotation
+    /// hands it the GPU, and into `lanes.ctx_busy` their sum in kid
+    /// order, the busy SMs `settle` gives then. They stay valid until
+    /// the next dirty mark clears them.
+    fn derive_ts_rates(&self, s: &mut Scratch, lanes: &mut Lanes) {
+        lanes.cached.clear();
+        lanes.cached.resize(self.kernels.len(), 0.0);
+        lanes.ctx_busy.clear();
         // Each context's kernels are their own domain while it holds the
         // GPU; their positions are disjoint, so each derivation works
         // straight in the cache.
@@ -1457,12 +1849,15 @@ impl GpuDevice {
                     .iter()
                     .map(|k| if k.ctx == ctx { 0 } else { NO_DOMAIN }),
             );
-            let rate = self.derive_domain(&s.dom_of, &mut s.ctx_demand, &mut s.ts_rate, 0);
-            for (r, &key) in s.ts_rate.iter_mut().zip(&s.dom_of) {
+            let rate = self.derive_domain(&s.dom_of, &mut s.ctx_demand, &mut lanes.cached, 0);
+            let mut busy = 0.0;
+            for (r, &key) in lanes.cached.iter_mut().zip(&s.dom_of) {
                 if key == 0 {
                     *r = rate(*r);
+                    busy += *r;
                 }
             }
+            lanes.ctx_busy.push(busy);
         }
     }
 
@@ -1499,84 +1894,25 @@ impl GpuDevice {
         self.first_completing_tick()
     }
 
-    /// Emulate the chain from `ts_next`, tick by tick as
-    /// [`GpuDevice::sync`] would replay it: the same integration on a
-    /// scratch copy of every kernel's work left, the same
-    /// `Rotation::housekeeping`, and, once the holder changes or a dirty
-    /// domain is re-derived, the cached rates. Returns the first tick at
-    /// which a kernel completes, or the last one emulated when
-    /// [`TS_EMULATED_TICKS`] ticks complete nothing (then `ts_capped`
-    /// is set); `None` when the chain ends first.
+    /// Walk the chain from `ts_next` on throwaway copies (module docs).
+    /// Returns the first tick at which a kernel completes, or the last
+    /// one walked when [`TS_EMULATED_TICKS`] ticks complete nothing
+    /// (then `ts_capped` is set); `None` when the chain ends first.
     fn first_completing_tick(&mut self) -> Option<SimTime> {
         self.ts_capped = false;
-        let mut t = self.ts_next;
-        if t == SimTime::MAX {
+        if self.ts_next == SimTime::MAX {
             return None;
         }
-        let mut s = std::mem::take(&mut self.scratch);
-        // Work left per kernel along the chain.
-        s.share.clear();
-        s.share.extend(self.kernels.iter().map(|k| k.remaining));
-        let active = &self.kernels.ctx_counts;
-        let mut rot = self.rot;
-        // A dirty domain is re-derived at the first tick.
-        let mut on_cache = false;
-        let mut rederive = self.all_dirty || !self.dirty_domains.is_empty();
-        let mut last = self.last;
-        let mut emulated = 0;
-        let mut capped = false;
-        // Each kernel's rate along the chain: today's until the first
-        // re-derivation, then its cached rate while its context holds
-        // the GPU.
-        let rate = |s: &Scratch, p: usize, on_cache: bool, holder: Option<u32>| {
-            let k = self.kernels.get(self.kernels.order[p]);
-            match on_cache {
-                false => k.rate,
-                true if Some(k.ctx) == holder => s.ts_rate[p],
-                true => 0.0,
-            }
-        };
-        let first = loop {
-            let dt = t.duration_since(last).as_secs_f64();
-            last = t;
-            let mut done = false;
-            for p in 0..s.share.len() {
-                let r = rate(&s, p, on_cache, rot.current);
-                if dt > 0.0 && r > 0.0 {
-                    s.share[p] -= served(r, dt, s.share[p]);
-                }
-                let work = self.kernels.get(self.kernels.order[p]).desc.work_sm_s;
-                done |= finished(s.share[p], r, work);
-            }
-            if done {
-                break Some(t);
-            }
-            emulated += 1;
-            if emulated == TS_EMULATED_TICKS {
-                capped = true;
-                break Some(t);
-            }
-            if rot.housekeeping(t, active) || rederive {
-                rederive = false;
-                on_cache = true;
-                if s.ts_rate.len() != self.kernels.len() {
-                    self.derive_ts_rates(&mut s);
-                }
-            }
-            let mut next = rot.next_boundary(t, active.len()).unwrap_or(SimTime::MAX);
-            for p in 0..s.share.len() {
-                let r = rate(&s, p, on_cache, rot.current);
-                if r > 0.0 {
-                    next = next.min(finish_at(t, s.share[p], r));
-                }
-            }
-            if next == SimTime::MAX {
-                break None;
-            }
-            t = next;
-        };
-        self.scratch = s;
-        self.ts_capped = capped;
+        let mut ts = self.load_walk();
+        let TimeShare { lanes, walk } = &mut *ts;
+        let first = walk.run::<false>(
+            lanes,
+            &self.kernels.ctx_counts,
+            self.dirty_tracking,
+            SimTime::MAX,
+        );
+        self.ts_capped = walk.emulated == TS_EMULATED_TICKS;
+        self.ts = Some(ts);
         first
     }
 

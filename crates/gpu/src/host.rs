@@ -18,12 +18,14 @@
 //! and switch ends that complete nothing are ticks of a chain the device
 //! replays itself when it is next touched or read
 //! ([`GpuDevice::sync`]); `resync` re-bases that chain at `now` and arms
-//! the first tick that delivers a completion (`GpuDevice::rearm`).
+//! the first tick that delivers a completion (`GpuDevice::rearm`). Both
+//! walk the chain the same way, mostly in whole quantum/switch turns
+//! (the device module docs).
 //! The armed wake therefore stays exact only if every direct device
 //! mutation is followed by a `resync` of that device at the same
 //! instant, which this module has always required. Debug builds assert
 //! that every time-sharing wake delivers a completion, except a wake at
-//! the last tick a capped emulation reached, which runs as an ordinary
+//! the last tick a capped prediction reached, which runs as an ordinary
 //! tick.
 
 use crate::device::{CtxId, GpuDevice, GpuId, KernelDone, KernelId};

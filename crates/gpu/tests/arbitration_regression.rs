@@ -400,7 +400,7 @@ fn edge_probe(w: &mut ChainWorld, e: &mut Engine<ChainWorld>, gpu: GpuId, ctxs: 
 ///   its 50 GiB.
 ///
 /// A probe reads busy SMs and attained service every 7 ms from 0.3 ms.
-fn run_edge_trace() -> (Completions, u64, u64, Vec<u64>, u64) {
+fn run_edge_trace() -> (Completions, u64, u64, Vec<u64>, u64, (u64, u64, u64)) {
     let mut fleet = GpuFleet::new();
     let gpu = fleet.add(GpuSpec::a100_80gb());
     let t0 = SimTime::ZERO;
@@ -475,6 +475,7 @@ fn run_edge_trace() -> (Completions, u64, u64, Vec<u64>, u64) {
         w.probes,
         attained,
         eng.now().as_nanos(),
+        w.fleet.device(gpu).cost_counters(),
     )
 }
 
@@ -494,10 +495,14 @@ const EDGE_END_NANOS: u64 = 2_499_300_000;
 /// Completions: A's and B's chains of [`CHAIN`] kernels and the
 /// zero-work kernel; C is destroyed before its opener finishes.
 const EDGE_COMPLETIONS: usize = 25;
+/// `cost_counters()` at the end of the edge trace (recompute calls,
+/// domains visited, domains skipped), recorded when every replayed tick
+/// still ran the full `recompute`.
+const EDGE_COST_COUNTERS: (u64, u64, u64) = (242, 112, 0);
 
 #[test]
 fn time_sharing_edge_trace_is_bit_identical_to_recorded_baseline() {
-    let (completions, probe_hash, probes, attained, end) = run_edge_trace();
+    let (completions, probe_hash, probes, attained, end, counters) = run_edge_trace();
     let mut h = FNV_OFFSET;
     for &(gpu, tag, t) in &completions {
         h = fnv1a(h, gpu as u64);
@@ -516,6 +521,7 @@ fn time_sharing_edge_trace_is_bit_identical_to_recorded_baseline() {
     );
     assert_eq!(a, EDGE_ATTAINED_HASH, "attained service diverged: {a:#x}");
     assert_eq!(end, EDGE_END_NANOS, "simulated makespan diverged");
+    assert_eq!(counters, EDGE_COST_COUNTERS, "cost counters diverged");
 }
 
 /// One time-shared A100 with three contexts, each running the last three
@@ -523,8 +529,9 @@ fn time_sharing_edge_trace_is_bit_identical_to_recorded_baseline() {
 /// 150 s: every kernel needs minutes of quanta, so thousands of rotation
 /// ticks separate completions and the wake emulation reaches its tick
 /// cap again and again. Returns the completions, each context's final
-/// attained-service bits, the end time and the engine events fired.
-fn run_straggler_trace() -> (Completions, Vec<u64>, u64, u64) {
+/// attained-service bits, the end time, the engine events fired and the
+/// device's cost counters.
+fn run_straggler_trace() -> (Completions, Vec<u64>, u64, u64, (u64, u64, u64)) {
     let mut fleet = GpuFleet::new();
     let gpu = fleet.add(GpuSpec::a100_80gb());
     let t0 = SimTime::ZERO;
@@ -560,6 +567,7 @@ fn run_straggler_trace() -> (Completions, Vec<u64>, u64, u64) {
         attained,
         eng.now().as_nanos(),
         eng.events_fired(),
+        w.fleet.device(gpu).cost_counters(),
     )
 }
 
@@ -572,10 +580,13 @@ const STRAGGLER_ATTAINED_HASH: u64 = 0xab41_5610_a8ba_9a4a;
 const STRAGGLER_END_NANOS: u64 = 150_810_829_072;
 /// Engine events the trace fired with one event per device tick.
 const STRAGGLER_TICK_EVENTS: u64 = 11_680;
+/// `cost_counters()` at the end of the straggler trace, recorded when
+/// every replayed tick still ran the full `recompute`.
+const STRAGGLER_COST_COUNTERS: (u64, u64, u64) = (11_693, 5_844, 0);
 
 #[test]
 fn time_sharing_straggler_trace_is_bit_identical_to_recorded_baseline() {
-    let (completions, attained, end, events) = run_straggler_trace();
+    let (completions, attained, end, events, counters) = run_straggler_trace();
     let mut h = FNV_OFFSET;
     for &(gpu, tag, t) in &completions {
         h = fnv1a(h, gpu as u64);
@@ -595,6 +606,7 @@ fn time_sharing_straggler_trace_is_bit_identical_to_recorded_baseline() {
         "attained service diverged: {a:#x}"
     );
     assert_eq!(end, STRAGGLER_END_NANOS, "simulated makespan diverged");
+    assert_eq!(counters, STRAGGLER_COST_COUNTERS, "cost counters diverged");
     // Completions, the slowdown's end, and the capped emulation's wakes.
     assert!(
         events > completions.len() as u64 + 1,

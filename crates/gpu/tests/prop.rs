@@ -113,22 +113,50 @@ fn rate_trace(
 /// destroys the context and creates a fresh one in its place.
 type TsOp = (u8, KernelDesc, (usize, u64), (u64, u64));
 
-/// Short kernels, so a case runs a few hundred rotation ticks.
+/// Kernels with `work` SM·s on at least `min_sms` blocks and useful SMs
+/// (below 500 and 200).
+fn arb_ts_kernel(work: std::ops::Range<f64>, min_sms: u32) -> impl Strategy<Value = KernelDesc> {
+    (work, min_sms..500, min_sms..200)
+        .prop_map(|(work, blocks, max_u)| KernelDesc::new("ts", work, blocks, max_u, 0.0))
+}
+
+/// Ops carry kernels of up to 20 SM·s, so chains run dozens of
+/// quantum/switch turns, on grids and useful SMs down to one.
 fn arb_ts_op() -> impl Strategy<Value = TsOp> {
     (
         0u8..4,
-        (0.001f64..1.0, 1u32..500, 1u32..200)
-            .prop_map(|(work, blocks, max_u)| KernelDesc::new("ts", work, blocks, max_u, 0.0)),
-        (0usize..3, 0u64..60_000),
+        arb_ts_kernel(0.001..20.0, 1),
+        (0usize..4, 0u64..60_000),
         (0u64..4, 1u64..40),
     )
+}
+
+/// A time-shared run: contexts (2–4), whether dirty tracking is on, an
+/// optional slowdown window `(start µs, length µs, factor)`, and the
+/// ops. Two kernels of 3–20 SM·s on at least 20 SMs open it on the
+/// first two contexts at time zero, so every run has a chain of whole
+/// turns to walk.
+type TsRun = (usize, bool, Option<(u64, u64, f64)>, Vec<TsOp>);
+
+fn arb_ts_run() -> impl Strategy<Value = TsRun> {
+    (
+        (2usize..5, any::<bool>()),
+        (any::<bool>(), (0u64..200_000, 1u64..400_000, 0.05f64..3.0)),
+        (arb_ts_kernel(3.0..20.0, 20), arb_ts_kernel(3.0..20.0, 20)),
+        proptest::collection::vec(arb_ts_op(), 0..24),
+    )
+        .prop_map(|((ctxs, tracking), (slow, window), (a, b), ops)| {
+            let mut all = vec![(0, a, (0, 0), (1, 1)), (0, b, (1, 0), (1, 1))];
+            all.extend(ops);
+            (ctxs, tracking, slow.then_some(window), all)
+        })
 }
 
 /// The world of [`observed_run`]: completions as `(tag, finish nanos)`;
 /// tag `op << 8 | relaunches left`.
 struct ObsWorld {
     fleet: GpuFleet,
-    /// The three contexts ops select from; a recreated one replaces its
+    /// The contexts ops select from; a recreated one replaces its
     /// predecessor.
     ctxs: Vec<CtxId>,
     descs: Vec<KernelDesc>,
@@ -148,15 +176,21 @@ impl GpuHost for ObsWorld {
     }
 }
 
-/// Replay `ops` on one time-shared A100 with three contexts. With
-/// `probe`, an event every 3 ms reads the device through the barrier
-/// (busy SMs, every context's attained service). Returns the completion
-/// stream, then the end-of-run attained-service bits and average
-/// utilization bits, read at the last completion or op.
-fn observed_run(ops: &[TsOp], probe: bool) -> (Vec<(u64, u64)>, Vec<u64>) {
+/// What [`observed_run`] compares: the completion stream, the end-of-run
+/// attained-service and average-utilization bits, and the cost counters.
+type Observed = (Vec<(u64, u64)>, Vec<u64>, (u64, u64, u64));
+
+/// Replay `run` on one time-shared A100. With `probe`, an event every
+/// 3 ms reads the device through the barrier (busy SMs, every context's
+/// attained service): no 25.75 ms turn fits between probes, so that run
+/// replays tick by tick. Returns what the two runs must share, read at
+/// the last completion or op, and the device's chain counters.
+fn observed_run(run: &TsRun, probe: bool) -> (Observed, (u64, u64)) {
+    let (n_ctx, tracking, slow, ops) = run;
     let mut fleet = GpuFleet::new();
     let gpu = fleet.add(GpuSpec::a100_80gb());
-    let ctxs: Vec<CtxId> = (0..3)
+    fleet.device_mut(gpu).set_dirty_tracking(*tracking);
+    let ctxs: Vec<CtxId> = (0..*n_ctx)
         .map(|i| {
             fleet
                 .device_mut(gpu)
@@ -174,6 +208,7 @@ fn observed_run(ops: &[TsOp], probe: bool) -> (Vec<(u64, u64)>, Vec<u64>) {
     let mut at = SimTime::ZERO;
     for (i, (kind, _, (sel, dt_us), (relaunches, gib))) in ops.iter().cloned().enumerate() {
         at += SimDuration::from_micros(dt_us);
+        let sel = sel % n_ctx;
         eng.schedule_at(at, move |w: &mut ObsWorld, e| {
             let now = e.now();
             let ctx = w.ctxs[sel];
@@ -198,7 +233,18 @@ fn observed_run(ops: &[TsOp], probe: bool) -> (Vec<(u64, u64)>, Vec<u64>) {
             resync(w, e, gpu);
         });
     }
-    let last_op = at;
+    let mut last_op = at;
+    if let Some((start_us, len_us, factor)) = *slow {
+        let start = SimTime::ZERO + SimDuration::from_micros(start_us);
+        let end = start + SimDuration::from_micros(len_us);
+        for (t, f) in [(start, factor), (end, 1.0)] {
+            eng.schedule_at(t, move |w: &mut ObsWorld, e| {
+                w.fleet.device_mut(gpu).set_slowdown(e.now(), f);
+                resync(w, e, gpu);
+            });
+        }
+        last_op = last_op.max(end);
+    }
     if probe {
         fn probe(w: &mut ObsWorld, e: &mut Engine<ObsWorld>, gpu: GpuId, last_op: SimTime) {
             let now = e.now();
@@ -227,7 +273,8 @@ fn observed_run(ops: &[TsOp], probe: bool) -> (Vec<(u64, u64)>, Vec<u64>) {
         .map(|&c| d.attained_service(c).to_bits())
         .collect();
     finals.push(d.average_utilization(end).to_bits());
-    (w.completions, finals)
+    let observed = (w.completions, finals, d.cost_counters());
+    (observed, d.chain_counters())
 }
 
 proptest! {
@@ -395,13 +442,15 @@ proptest! {
     /// the read barrier (`sync`) replays rotation ticks without
     /// integrating past them, so a run probed every 3 ms completes the
     /// same kernels at the same nanoseconds, and ends with the same
-    /// attained-service and utilization bits, as the same run unprobed.
+    /// attained-service and utilization bits and cost counters, as the
+    /// same run unprobed, which walks most of its chain as whole turns.
+    /// With 2–4 contexts, dirty tracking on or off, and an optional
+    /// slowdown window.
     #[test]
-    fn observing_never_perturbs_time_sharing(
-        ops in proptest::collection::vec(arb_ts_op(), 1..24),
-    ) {
-        let quiet = observed_run(&ops, false);
-        let probed = observed_run(&ops, true);
+    fn observing_never_perturbs_time_sharing(run in arb_ts_run()) {
+        let (quiet, (_, turns)) = observed_run(&run, false);
+        let (probed, _) = observed_run(&run, true);
+        prop_assert!(turns > 0, "the unprobed run walked no whole turn");
         prop_assert_eq!(quiet, probed, "a read-barrier probe changed the run");
     }
 }

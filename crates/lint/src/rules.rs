@@ -954,6 +954,16 @@ fn pass_f2(
                     if RATE_FIELDS.contains(&name) && is_assignment_op(toks, i + 1) {
                         trigger = Some((format!("assignment to `.{name}`"), t.line));
                     }
+                    // The slab's raw storage reaches kernels past its
+                    // listed mutators, so any use counts as one.
+                    if name == "kernels"
+                        && toks.get(i + 1).is_some_and(|n| n.is_punct('.'))
+                        && toks
+                            .get(i + 2)
+                            .is_some_and(|n| n.kind == TokKind::Ident && n.text == "slots")
+                    {
+                        trigger = Some(("`.kernels.slots`".to_string(), t.line));
+                    }
                 }
             }
             i += 1;

@@ -219,6 +219,28 @@ fn f2_allow_annotation_suppresses() {
 }
 
 #[test]
+fn f2_raw_slot_write_is_flagged() {
+    let f = lint("f2", include_str!("../fixtures/f2_slots_violate.rs"));
+    assert_eq!(f.diagnostics.len(), 1, "{:?}", f.diagnostics);
+    let d = &f.diagnostics[0];
+    assert_eq!((d.code, d.id), ("F2", "dirty-domain"));
+    assert!(d.msg.contains("write_back"));
+    assert!(d.msg.contains("`.kernels.slots`"), "{}", d.msg);
+}
+
+#[test]
+fn f2_raw_slot_write_that_marks_passes() {
+    let f = lint("f2", include_str!("../fixtures/f2_slots_clean.rs"));
+    assert!(f.diagnostics.is_empty(), "{:?}", f.diagnostics);
+}
+
+#[test]
+fn f2_raw_slot_write_allow_suppresses() {
+    let f = lint("f2", include_str!("../fixtures/f2_slots_allowed.rs"));
+    assert!(f.diagnostics.is_empty(), "{:?}", f.diagnostics);
+}
+
+#[test]
 fn f3_violating_fixture_flags_loop_field_and_boundary() {
     let f = lint("f3", include_str!("../fixtures/f3_violate.rs"));
     assert_eq!(f.diagnostics.len(), 3, "{:?}", f.diagnostics);
