@@ -945,6 +945,7 @@ fn run_fleet(opts: &Opts) {
             format!("{}/{}", r.sim.domains_visited, r.sim.domains_skipped),
             f2(r.wall_s),
             format!("{:.3e}", r.events_per_sec),
+            f2(r.peak_live_bytes as f64 / (1u64 << 20) as f64),
         ]
     };
     emit(
@@ -967,6 +968,7 @@ fn run_fleet(opts: &Opts) {
             "domains visited/skipped",
             "wall (s)",
             "events/sec",
+            "peak heap (MiB)",
         ],
         vec![row(&report.optimized), row(&report.baseline)],
     );

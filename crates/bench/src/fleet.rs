@@ -125,6 +125,12 @@ pub struct FleetRun {
     pub wall_s: f64,
     /// `behavior.events_fired / wall_s` — the headline metric.
     pub events_per_sec: f64,
+    /// Peak of live heap bytes while the world is built, booted and run;
+    /// the reduction to this record is not counted.
+    pub peak_live_bytes: u64,
+    /// `peak_live_bytes / tasks`: the heap a request costs at the peak,
+    /// where the task table holds every request's record.
+    pub peak_live_bytes_per_task: f64,
 }
 
 /// The full report written to `BENCH_fleet.json`.
@@ -180,8 +186,14 @@ fn fleet_call(pool: usize) -> AppCall {
     })
 }
 
-/// Run the fleet scenario once and reduce it to [`FleetRun`].
-pub fn run_fleet(gpus: usize, tasks: usize, seed: u64, optimized: bool) -> FleetRun {
+/// Build, boot and run the fleet scenario; returns the finished world
+/// and engine, the pool count and the event loop's wall seconds.
+fn simulate(
+    gpus: usize,
+    tasks: usize,
+    seed: u64,
+    optimized: bool,
+) -> (FaasWorld, Engine<FaasWorld>, usize, f64) {
     let (mut world, mut eng, pools) = build_platform(gpus, seed);
     let workers = gpus * WORKERS_PER_GPU;
     world.set_index_enabled(optimized);
@@ -198,8 +210,20 @@ pub fn run_fleet(gpus: usize, tasks: usize, seed: u64, optimized: bool) -> Fleet
     chain_arrivals(&mut eng, tr.arrivals, 0, move |i| fleet_call(i % pools));
     let t = Instant::now();
     eng.run(&mut world);
-    let wall_s = t.elapsed().as_secs_f64();
+    (world, eng, pools, t.elapsed().as_secs_f64())
+}
 
+/// Run the fleet scenario once and reduce it to [`FleetRun`]. Also
+/// returns the allocator traffic of the simulation alone (build, boot
+/// and event loop), which excludes the reduction's own buffers.
+pub fn run_fleet(
+    gpus: usize,
+    tasks: usize,
+    seed: u64,
+    optimized: bool,
+) -> (FleetRun, crate::alloc::SectionCost) {
+    let ((mut world, eng, pools, wall_s), heap) =
+        crate::alloc::section(|| simulate(gpus, tasks, seed, optimized));
     let mut completed = 0usize;
     let mut failed = 0usize;
     let mut deltas: Vec<(u64, i32)> = Vec::with_capacity(2 * tasks);
@@ -235,11 +259,11 @@ pub fn run_fleet(gpus: usize, tasks: usize, seed: u64, optimized: bool) -> Fleet
         heap_pushes: eng.heap_pushes(),
         heap_pops: eng.heap_pops(),
     };
-    FleetRun {
+    let run = FleetRun {
         optimized,
         sim: FleetSimStats {
             gpus,
-            workers,
+            workers: gpus * WORKERS_PER_GPU,
             executors: pools,
             tasks,
             behavior,
@@ -249,7 +273,10 @@ pub fn run_fleet(gpus: usize, tasks: usize, seed: u64, optimized: bool) -> Fleet
         },
         wall_s,
         events_per_sec: eng.events_fired() as f64 / wall_s.max(1e-9),
-    }
+        peak_live_bytes: heap.peak_live_bytes,
+        peak_live_bytes_per_task: heap.peak_live_bytes as f64 / tasks.max(1) as f64,
+    };
+    (run, heap)
 }
 
 /// Run the full comparison: optimized at `tasks`, baseline (both
@@ -257,9 +284,9 @@ pub fn run_fleet(gpus: usize, tasks: usize, seed: u64, optimized: bool) -> Fleet
 /// cross-check at the baseline scale.
 pub fn measure(gpus: usize, tasks: usize, seed: u64) -> FleetReport {
     let base_tasks = (tasks / 10).max(1);
-    let optimized = run_fleet(gpus, tasks, seed, true);
-    let baseline = run_fleet(gpus, base_tasks, seed, false);
-    let check = run_fleet(gpus, base_tasks, seed, true);
+    let (optimized, _) = run_fleet(gpus, tasks, seed, true);
+    let (baseline, _) = run_fleet(gpus, base_tasks, seed, false);
+    let (check, _) = run_fleet(gpus, base_tasks, seed, true);
     assert_eq!(
         baseline.sim.behavior, check.sim.behavior,
         "optimizations changed simulation behaviour"
@@ -301,8 +328,8 @@ mod tests {
     /// same assertion `measure` makes at scale).
     #[test]
     fn small_fleet_completes_and_matches_across_toggles() {
-        let on = run_fleet(4, 300, 7, true);
-        let off = run_fleet(4, 300, 7, false);
+        let (on, _) = run_fleet(4, 300, 7, true);
+        let (off, _) = run_fleet(4, 300, 7, false);
         assert_eq!(on.sim.behavior, off.sim.behavior);
         assert_eq!(on.sim.behavior.completed, 300);
         assert_eq!(on.sim.behavior.failed, 0);

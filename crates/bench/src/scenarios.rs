@@ -121,7 +121,7 @@ pub fn warm_up(
             .dfk
             .tasks()
             .iter()
-            .filter_map(|t| t.error.clone())
+            .filter_map(|t| world.dfk.error(t.id))
             .collect::<Vec<_>>()
     );
 }
@@ -148,7 +148,7 @@ pub fn session_call(llm: &LlmSpec, gpu_spec: &GpuSpec, app: &str) -> AppCall {
 
 /// The tasks of `app`, in submission order.
 pub fn app_tasks<'w>(world: &'w FaasWorld, app: &'w str) -> impl Iterator<Item = &'w TaskRecord> {
-    world.dfk.tasks().iter().filter(move |t| t.app == app)
+    world.dfk.tasks().iter().filter(move |t| *t.app == *app)
 }
 
 /// How many of `app`'s tasks are done, and how many failed.

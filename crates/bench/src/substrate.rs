@@ -113,7 +113,8 @@ pub struct CostProxy {
     pub fleet_heap_pushes: u64,
     /// Event-heap pops on the scaled-down fleet case.
     pub fleet_heap_pops: u64,
-    /// Heap allocation calls during the scaled-down fleet case, from
+    /// Heap allocation calls while the scaled-down fleet case builds,
+    /// boots and runs its world (not while the harness reduces it), from
     /// the counting global allocator ([`crate::alloc`]). Exact on the
     /// single-threaded `repro` binary; an increase means the dispatch
     /// hot path gained an allocation.
@@ -459,8 +460,8 @@ pub fn cost_proxy() -> CostProxy {
     let (_, arb_fired, calls, visited) = contended_arbitration_instrumented();
     let relaunch = relaunch_chain_instrumented();
     let timeshare = timeshare_instrumented();
-    let (fleet, heap) =
-        crate::alloc::section(|| crate::fleet::run_fleet(4, 2_000, 42, true).sim.behavior);
+    let (fleet, heap) = crate::fleet::run_fleet(4, 2_000, 42, true);
+    let fleet = fleet.sim.behavior;
     CostProxy {
         timer_events_fired: fired,
         timer_heap_pushes: pushes,

@@ -19,7 +19,7 @@ pub fn makespan(world: &FaasWorld, app: &str) -> Option<SimDuration> {
         .dfk
         .tasks()
         .iter()
-        .filter(|t| t.app == app && t.state == TaskState::Done);
+        .filter(|t| *t.app == *app && t.state == TaskState::Done);
     let mut first: Option<SimTime> = None;
     let mut last: Option<SimTime> = None;
     for t in done {
@@ -35,7 +35,7 @@ pub fn makespan(world: &FaasWorld, app: &str) -> Option<SimDuration> {
 pub fn exec_latency(world: &FaasWorld, app: &str) -> OnlineStats {
     let mut s = OnlineStats::new();
     for t in world.dfk.tasks() {
-        if t.app == app && t.state == TaskState::Done {
+        if *t.app == *app && t.state == TaskState::Done {
             if let (Some(st), Some(fin)) = (t.started, t.finished) {
                 s.record(fin.duration_since(st).as_secs_f64());
             }
@@ -48,7 +48,7 @@ pub fn exec_latency(world: &FaasWorld, app: &str) -> OnlineStats {
 pub fn turnaround(world: &FaasWorld, app: &str) -> OnlineStats {
     let mut s = OnlineStats::new();
     for t in world.dfk.tasks() {
-        if t.app == app && t.state == TaskState::Done {
+        if *t.app == *app && t.state == TaskState::Done {
             if let Some(fin) = t.finished {
                 s.record(fin.duration_since(t.submitted).as_secs_f64());
             }
@@ -63,7 +63,7 @@ pub fn throughput(world: &FaasWorld, app: &str) -> f64 {
         .dfk
         .tasks()
         .iter()
-        .filter(|t| t.app == app && t.state == TaskState::Done)
+        .filter(|t| *t.app == *app && t.state == TaskState::Done)
         .count();
     match makespan(world, app) {
         Some(m) if m.as_secs_f64() > 0.0 => n as f64 / m.as_secs_f64(),
@@ -191,7 +191,7 @@ mod tests {
                 .dfk
                 .tasks()
                 .iter()
-                .filter(|t| t.app == app)
+                .filter(|t| *t.app == *app)
                 .map(|t| (t.started.unwrap(), t.finished.unwrap()))
                 .collect();
             assert_eq!(tl.track_spans(app), spans.as_slice());
@@ -199,7 +199,7 @@ mod tests {
         let end = tl.horizon();
         // alpha's two bursts overlap on the two workers, so their union
         // runs from the first start to the last finish; beta runs alone.
-        let alpha = w.dfk.tasks().iter().filter(|t| t.app == "alpha");
+        let alpha = w.dfk.tasks().iter().filter(|t| *t.app == *"alpha");
         let lo = alpha.clone().map(|t| t.started.unwrap()).min().unwrap();
         let hi = alpha.map(|t| t.finished.unwrap()).max().unwrap();
         assert_eq!(

@@ -5,15 +5,28 @@
 //! re-queues failed tasks while retries remain. This module is the pure
 //! state machine; event wiring lives in [`crate::world`].
 //!
-//! A settled task keeps only its [`TaskRecord`]: its body factory is
-//! dropped when it reaches `Done` or `Failed`, and dependency edges live
-//! in a side table holding only unsettled tasks that still wait on a
-//! dependency or have dependents.
+//! The task table holds one 128-byte [`TaskRecord`] per task, so a
+//! million-request fleet keeps it compact:
+//! - the record holds inline only what every task's lifecycle writes;
+//! - what only some tasks carry (a failure reason, dependencies, SLO
+//!   fields) sits behind one pointer that is allocated at submit for a
+//!   call that sets a dependency, deadline or service estimate, and
+//!   otherwise at the first failure; read it through [`Dfk::error`],
+//!   [`Dfk::depends_on`], [`Dfk::deadline`] and [`Dfk::est_service`];
+//! - app names are interned: every task of an app shares one [`AppName`]
+//!   allocation;
+//! - executor and worker indices are `u32`.
+//!
+//! A settled task keeps only its record: its body factory is dropped when
+//! it reaches `Done` or `Failed`, and dependency edges live in a side
+//! table holding only unsettled tasks that still wait on a dependency or
+//! have dependents.
 
 use crate::app::{AppCall, BodyFactory, TaskId};
-use parfait_simcore::SimTime;
+use parfait_simcore::{SimDuration, SimTime};
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// Task lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -30,14 +43,18 @@ pub enum TaskState {
     Failed,
 }
 
+/// An app (function) name interned by the [`Dfk`]: every task of one app
+/// shares one allocation.
+pub type AppName = Rc<str>;
+
 /// One task's record (Parsl monitoring-DB style).
 pub struct TaskRecord {
     /// Task id.
     pub id: TaskId,
     /// App (function) name.
-    pub app: String,
+    pub app: AppName,
     /// Executor index in the config.
-    pub executor: usize,
+    pub executor: u32,
     /// Current state.
     pub state: TaskState,
     /// Submission time.
@@ -49,24 +66,31 @@ pub struct TaskRecord {
     /// Completion or permanent failure time.
     pub finished: Option<SimTime>,
     /// Worker that ran the final attempt.
-    pub worker: Option<usize>,
+    pub worker: Option<u32>,
     /// Remaining retry budget.
     pub retries_left: u32,
     /// Dispatch attempts so far (1 after the first dispatch). Drives the
     /// retry-backoff exponent and the re-executed-work accounting.
     pub attempts: u32,
-    /// Failure reason, if failed.
-    pub error: Option<String>,
-    /// Dependencies.
-    pub depends_on: Vec<TaskId>,
-    /// End-to-end deadline relative to `submitted` (admission control,
-    /// goodput accounting).
-    pub deadline: Option<parfait_simcore::SimDuration>,
-    /// Caller-estimated single-attempt service time (queue-wait estimate,
-    /// hedge trigger).
-    pub est_service: Option<parfait_simcore::SimDuration>,
     /// Recreates the body for each attempt; `None` once the task settled.
     pub(crate) factory: Option<BodyFactory>,
+    /// The fields only some tasks carry; `None` until one is set.
+    extra: Option<Box<TaskExtra>>,
+}
+
+/// The fields of a [`TaskRecord`] that only some tasks carry.
+#[derive(Default)]
+struct TaskExtra {
+    /// Failure reason of the last failed attempt.
+    error: Option<String>,
+    /// Dependencies.
+    depends_on: Vec<TaskId>,
+    /// End-to-end deadline relative to `submitted` (admission control,
+    /// goodput accounting).
+    deadline: Option<SimDuration>,
+    /// Caller-estimated single-attempt service time (queue-wait estimate,
+    /// hedge trigger).
+    est_service: Option<SimDuration>,
 }
 
 /// Dependency edges of one unsettled task.
@@ -97,6 +121,8 @@ pub struct Dfk {
     /// Edges of unsettled tasks with unmet dependencies or with
     /// dependents. An entry is removed when its task settles.
     edges: BTreeMap<TaskId, Edges>,
+    /// Interned app names, one allocation per distinct name.
+    apps: BTreeSet<AppName>,
     done: u64,
     failed: u64,
 }
@@ -116,10 +142,18 @@ impl Dfk {
         executor: usize,
         retries: u32,
     ) -> (TaskId, bool) {
+        let AppCall {
+            app,
+            make_body,
+            depends_on,
+            deadline,
+            est_service,
+            ..
+        } = call;
         let id = TaskId(self.tasks.len() as u64);
         let mut pending = 0;
         let mut failed_dep = false;
-        for dep in &call.depends_on {
+        for dep in &depends_on {
             match self.tasks[dep.0 as usize].state {
                 TaskState::Done => {}
                 TaskState::Failed => {
@@ -137,10 +171,20 @@ impl Dfk {
         if pending > 0 && !failed_dep {
             self.edges.entry(id).or_default().pending = pending;
         }
+        let extra =
+            (!depends_on.is_empty() || deadline.is_some() || est_service.is_some()).then(|| {
+                Box::new(TaskExtra {
+                    error: failed_dep.then(|| "dependency failed before submission".to_string()),
+                    depends_on,
+                    deadline,
+                    est_service,
+                })
+            });
+        let app = self.intern(app);
         self.tasks.push(TaskRecord {
             id,
-            app: call.app,
-            executor,
+            app,
+            executor: u32::try_from(executor).expect("executor index fits in u32"),
             state: if failed_dep {
                 TaskState::Failed
             } else if ready {
@@ -155,11 +199,8 @@ impl Dfk {
             worker: None,
             retries_left: retries,
             attempts: 0,
-            error: failed_dep.then(|| "dependency failed before submission".to_string()),
-            depends_on: call.depends_on,
-            deadline: call.deadline,
-            est_service: call.est_service,
-            factory: (!failed_dep).then_some(call.make_body),
+            factory: (!failed_dep).then_some(make_body),
+            extra,
         });
         if failed_dep {
             self.failed += 1;
@@ -167,9 +208,55 @@ impl Dfk {
         (id, ready)
     }
 
+    /// The interned name equal to `name`. Interning the first call of an
+    /// app allocates its name once; later calls drop their `String`.
+    fn intern(&mut self, name: String) -> AppName {
+        if let Some(app) = self.apps.get(name.as_str()) {
+            return app.clone();
+        }
+        let app = AppName::from(name);
+        self.apps.insert(app.clone());
+        app
+    }
+
     /// Borrow a record.
     pub fn task(&self, id: TaskId) -> &TaskRecord {
         &self.tasks[id.0 as usize]
+    }
+
+    fn extra(&self, id: TaskId) -> Option<&TaskExtra> {
+        self.task(id).extra.as_deref()
+    }
+
+    /// Failure reason of the task's last failed attempt (`None` while no
+    /// attempt failed). A retried task that later succeeded keeps it.
+    pub fn error(&self, id: TaskId) -> Option<&str> {
+        self.extra(id)?.error.as_deref()
+    }
+
+    /// The task's dependencies, in the order the call listed them.
+    pub fn depends_on(&self, id: TaskId) -> &[TaskId] {
+        self.extra(id).map_or(&[], |x| &x.depends_on)
+    }
+
+    /// End-to-end deadline relative to submission (admission control,
+    /// goodput accounting).
+    pub fn deadline(&self, id: TaskId) -> Option<SimDuration> {
+        self.extra(id)?.deadline
+    }
+
+    /// Caller-estimated single-attempt service time (queue-wait
+    /// estimate, hedge trigger).
+    pub fn est_service(&self, id: TaskId) -> Option<SimDuration> {
+        self.extra(id)?.est_service
+    }
+
+    /// Record the failure reason of `id`'s current attempt.
+    fn set_error(&mut self, id: TaskId, error: String) {
+        self.task_mut(id)
+            .extra
+            .get_or_insert_with(Box::default)
+            .error = Some(error);
     }
 
     /// Mutably borrow a record.
@@ -213,7 +300,7 @@ impl Dfk {
         debug_assert!(matches!(t.state, TaskState::Ready));
         t.state = TaskState::Running;
         t.dispatched = Some(now);
-        t.worker = Some(worker);
+        t.worker = Some(u32::try_from(worker).expect("worker index fits in u32"));
         t.attempts += 1;
     }
 
@@ -276,14 +363,12 @@ impl Dfk {
     /// puts it back on the executor queue) or fails permanently,
     /// cascading to dependents.
     pub fn mark_failed(&mut self, id: TaskId, now: SimTime, error: &str) -> FailureOutcome {
-        {
-            let t = self.task_mut(id);
-            if t.retries_left > 0 {
-                t.retries_left -= 1;
-                t.state = TaskState::Ready;
-                t.error = Some(error.to_string());
-                return FailureOutcome::Retry;
-            }
+        let t = self.task_mut(id);
+        if t.retries_left > 0 {
+            t.retries_left -= 1;
+            t.state = TaskState::Ready;
+            self.set_error(id, error.to_string());
+            return FailureOutcome::Retry;
         }
         let mut cascade = Vec::new();
         let mut stack = vec![(id, error.to_string())];
@@ -291,7 +376,7 @@ impl Dfk {
             if self.task(tid).state == TaskState::Failed {
                 continue;
             }
-            self.task_mut(tid).error = Some(err);
+            self.set_error(tid, err);
             let deps = self.settle(tid, TaskState::Failed, now);
             self.failed += 1;
             if tid != id {
@@ -382,7 +467,9 @@ mod tests {
             other => panic!("expected fatal, got {other:?}"),
         }
         assert_eq!(dfk.failed_count(), 1);
-        assert_eq!(dfk.task(a).error.as_deref(), Some("oom again"));
+        assert_eq!(dfk.error(a), Some("oom again"));
+        let mut rng = SimRng::new(0);
+        assert!(dfk.make_body(a, &mut rng).is_none(), "failed: no body");
     }
 
     #[test]
@@ -401,7 +488,9 @@ mod tests {
         }
         assert_eq!(dfk.failed_count(), 3);
         assert!(dfk.all_settled());
-        assert!(dfk.task(c).error.as_deref().unwrap().contains("dependency"));
+        assert_eq!(dfk.error(a), Some("boom"));
+        assert_eq!(dfk.error(b), Some("dependency task 0 failed"));
+        assert_eq!(dfk.error(c), Some("dependency task 1 failed"));
     }
 
     #[test]
@@ -467,6 +556,73 @@ mod tests {
         dfk.mark_done(d, t(5));
         assert!(dfk.all_settled());
         assert!(dfk.edges.is_empty(), "settled tasks keep no edges");
+    }
+
+    #[test]
+    fn plain_call_carries_no_extra_until_its_first_failure() {
+        let mut dfk = Dfk::new();
+        let (a, _) = dfk.submit(t(0), call("a"), 0, 1);
+        assert!(dfk.task(a).extra.is_none(), "no dependency, no SLO field");
+        assert_eq!(dfk.error(a), None);
+        assert!(dfk.depends_on(a).is_empty());
+        dfk.mark_dispatched(a, t(0), 0);
+        assert_eq!(dfk.mark_failed(a, t(1), "oom"), FailureOutcome::Retry);
+        assert!(dfk.task(a).extra.is_some(), "the first failure boxes it");
+        assert_eq!(dfk.error(a), Some("oom"));
+    }
+
+    #[test]
+    fn retried_success_keeps_its_last_error() {
+        let mut dfk = Dfk::new();
+        let (a, _) = dfk.submit(t(0), call("a"), 0, 2);
+        dfk.mark_dispatched(a, t(0), 0);
+        dfk.mark_failed(a, t(1), "first");
+        dfk.mark_dispatched(a, t(1), 0);
+        dfk.mark_failed(a, t(2), "second");
+        dfk.mark_dispatched(a, t(2), 0);
+        dfk.mark_done(a, t(3));
+        assert_eq!(dfk.task(a).state, TaskState::Done);
+        assert_eq!(dfk.error(a), Some("second"));
+    }
+
+    #[test]
+    fn extra_fields_read_back_what_the_call_set() {
+        let mut dfk = Dfk::new();
+        let (a, _) = dfk.submit(t(0), call("a"), 0, 0);
+        let (b, _) = dfk.submit(t(0), call("b"), 0, 0);
+        let slo = call("c")
+            .after(&[b, a])
+            .with_deadline(SimDuration::from_secs(9))
+            .with_est_service(SimDuration::from_millis(250));
+        let (c, _) = dfk.submit(t(0), slo, 0, 0);
+        assert_eq!(dfk.depends_on(c), &[b, a]);
+        assert_eq!(dfk.deadline(c), Some(SimDuration::from_secs(9)));
+        assert_eq!(dfk.est_service(c), Some(SimDuration::from_millis(250)));
+        let (d, _) = dfk.submit(
+            t(0),
+            call("d").with_est_service(SimDuration::from_secs(2)),
+            0,
+            0,
+        );
+        assert!(dfk.depends_on(d).is_empty());
+        assert_eq!(dfk.deadline(d), None);
+        assert_eq!(dfk.est_service(d), Some(SimDuration::from_secs(2)));
+        assert_eq!(
+            (dfk.depends_on(a), dfk.deadline(a), dfk.est_service(a)),
+            (&[][..], None, None)
+        );
+    }
+
+    #[test]
+    fn app_names_are_interned() {
+        let mut dfk = Dfk::new();
+        let (a, _) = dfk.submit(t(0), call("infer"), 0, 0);
+        let (b, _) = dfk.submit(t(0), call("train"), 0, 0);
+        let (c, _) = dfk.submit(t(0), call("infer"), 0, 0);
+        assert!(Rc::ptr_eq(&dfk.task(a).app, &dfk.task(c).app));
+        assert!(!Rc::ptr_eq(&dfk.task(a).app, &dfk.task(b).app));
+        assert_eq!(dfk.apps.len(), 2);
+        assert!(*dfk.task(a).app == *"infer" && *dfk.task(b).app == *"train");
     }
 
     #[test]

@@ -395,7 +395,7 @@ impl FaasWorld {
         }
         self.queues[exec]
             .iter()
-            .map(|q| self.dfk.task(*q).est_service.unwrap_or(est).as_secs_f64())
+            .map(|q| self.dfk.est_service(*q).unwrap_or(est).as_secs_f64())
             .sum()
     }
 

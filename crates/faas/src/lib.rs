@@ -41,7 +41,7 @@ pub use config::{
     AcceleratorSpec, Config, ExecutorConfig, OverloadConfig, ReconfigConfig, RecoveryConfig,
     Topology,
 };
-pub use dfk::{Dfk, FailureOutcome, TaskRecord, TaskState};
+pub use dfk::{AppName, Dfk, FailureOutcome, TaskRecord, TaskState};
 pub use drain::{
     begin_drain, reconfig_commit_fails, DrainCallback, DrainError, DrainOutcome, ReconfigControl,
     ReconfigStats,

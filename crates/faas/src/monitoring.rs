@@ -402,7 +402,7 @@ pub fn time_in_queue_percentiles(dfk: &Dfk, executor: usize) -> Option<Percentil
     let xs: Vec<f64> = dfk
         .tasks()
         .iter()
-        .filter(|t| t.executor == executor)
+        .filter(|t| t.executor as usize == executor)
         .filter_map(|t| {
             t.dispatched
                 .map(|d| d.duration_since(t.submitted).as_secs_f64())
@@ -450,8 +450,8 @@ pub fn task_rows(dfk: &Dfk) -> Vec<TaskRow> {
         .iter()
         .map(|t| TaskRow {
             id: t.id.0,
-            app: t.app.clone(),
-            executor: t.executor,
+            app: t.app.to_string(),
+            executor: t.executor as usize,
             state: state_name(t.state),
             turnaround_s: t
                 .finished
@@ -460,8 +460,8 @@ pub fn task_rows(dfk: &Dfk) -> Vec<TaskRow> {
                 (Some(s), Some(f)) => Some(f.duration_since(s).as_secs_f64()),
                 _ => None,
             },
-            worker: t.worker,
-            error: t.error.clone(),
+            worker: t.worker.map(|w| w as usize),
+            error: dfk.error(t.id).map(str::to_owned),
         })
         .collect()
 }

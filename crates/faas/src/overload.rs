@@ -11,6 +11,7 @@
 //! constants beside it; see DESIGN.md "Overload model".
 
 use crate::app::TaskId;
+use crate::dfk::AppName;
 use parfait_simcore::SimRng;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -55,7 +56,7 @@ pub struct OverloadState {
     pub(crate) hedge_rng: SimRng,
     /// Per-app retry-budget token balances. Created lazily at the app's
     /// first admission, seeded with `RETRY_BUDGET_BURST`.
-    pub(crate) retry_tokens: BTreeMap<String, f64>,
+    pub(crate) retry_tokens: BTreeMap<AppName, f64>,
     /// Tasks currently running as a primary/duplicate pair. An entry
     /// exists from hedge launch until the first attempt finishes (either
     /// way); its absence plus a `Done` task state is how a late loser

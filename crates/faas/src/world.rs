@@ -505,7 +505,7 @@ impl FaasWorld {
                 let mut known: u128 = 0;
                 let mut unknown = 0usize;
                 for t in &self.queues[e] {
-                    match self.dfk.task(*t).est_service {
+                    match self.dfk.est_service(*t) {
                         Some(d) => known += d.as_nanos() as u128,
                         None => unknown += 1,
                     }
@@ -551,7 +551,7 @@ impl FaasWorld {
 /// queued-estimate totals in sync. Every queue push funnels through
 /// here (and every removal through [`queue_pop_front`]/[`queue_remove`]).
 fn queue_push(world: &mut FaasWorld, exec: usize, task: TaskId) {
-    let est = world.dfk.task(task).est_service;
+    let est = world.dfk.est_service(task);
     world.index.queue_delta_push(exec, est);
     world.queues[exec].push_back(task);
 }
@@ -559,7 +559,7 @@ fn queue_push(world: &mut FaasWorld, exec: usize, task: TaskId) {
 /// Dequeue the oldest task of an executor's ready queue.
 fn queue_pop_front(world: &mut FaasWorld, exec: usize) -> Option<TaskId> {
     let task = world.queues[exec].pop_front()?;
-    let est = world.dfk.task(task).est_service;
+    let est = world.dfk.est_service(task);
     world.index.queue_delta_pop(exec, est);
     Some(task)
 }
@@ -569,7 +569,7 @@ fn queue_remove(world: &mut FaasWorld, exec: usize, task: TaskId) {
     let before = world.queues[exec].len();
     world.queues[exec].retain(|t| *t != task);
     let removed = before - world.queues[exec].len();
-    let est = world.dfk.task(task).est_service;
+    let est = world.dfk.est_service(task);
     for _ in 0..removed {
         world.index.queue_delta_pop(exec, est);
     }
@@ -664,12 +664,10 @@ fn resolve_accel(
         }
         AcceleratorSpec::Mig(uuid) => {
             env.insert("CUDA_VISIBLE_DEVICES".into(), uuid.clone());
-            for gi in 0..fleet.len() as u32 {
-                if fleet.device(GpuId(gi)).mig.by_uuid(uuid).is_some() {
-                    return Ok((GpuId(gi), CtxBinding::MigInstance(uuid.clone()), env));
-                }
+            match fleet.mig_device(uuid) {
+                Some(gpu) => Ok((gpu, CtxBinding::MigInstance(uuid.clone()), env)),
+                None => Err(format!("MIG instance {uuid} not found on any device")),
             }
-            Err(format!("MIG instance {uuid} not found on any device"))
         }
         AcceleratorSpec::VgpuSlot(i, s) => {
             env.insert("CUDA_VISIBLE_DEVICES".into(), format!("vgpu{i}:{s}"));
@@ -790,8 +788,8 @@ fn admit(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: TaskId, exec:
     // live workers, and refuse work that cannot finish in time even if
     // nothing else goes wrong.
     if ov.deadline_admission {
-        let t = world.dfk.task(task);
-        if let (Some(deadline), Some(est)) = (t.deadline, t.est_service) {
+        let dfk = &world.dfk;
+        if let (Some(deadline), Some(est)) = (dfk.deadline(task), dfk.est_service(task)) {
             let live = world.live_workers(exec).max(1);
             let wait_est = world.queued_work(exec, est) / live as f64;
             if wait_est + est.as_secs_f64() > deadline.as_secs_f64() {
@@ -1504,7 +1502,7 @@ fn arm_hedge(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, tas
     if is_hedge || world.overload.hedges.contains_key(&task) {
         return;
     }
-    let Some(est) = world.dfk.task(task).est_service else {
+    let Some(est) = world.dfk.est_service(task) else {
         return;
     };
     let mult = 1.0 + HEDGE_JITTER * world.overload.hedge_rng.f64();
@@ -1723,14 +1721,14 @@ fn finish_task(
                 // Live SLO telemetry: fold the turnaround into the
                 // executor's EWMA for the closed-loop controller.
                 let t = world.dfk.task(run.task);
-                let (texec, submitted) = (t.executor, t.submitted);
+                let (texec, submitted) = (t.executor as usize, t.submitted);
                 world
                     .monitor
                     .note_latency(texec, now, now.duration_since(submitted).as_secs_f64());
             }
             let ready = world.dfk.mark_done(run.task, now);
             for r in ready {
-                let rexec = world.dfk.task(r).executor;
+                let rexec = world.dfk.task(r).executor as usize;
                 queue_push(world, rexec, r);
             }
             true
@@ -2604,7 +2602,7 @@ fn schedule_retry(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, task: Task
             if w.dfk.task(task).state != TaskState::Ready {
                 return;
             }
-            let exec = w.dfk.task(task).executor;
+            let exec = w.dfk.task(task).executor as usize;
             if w.queues[exec].contains(&task) {
                 return;
             }
@@ -2884,7 +2882,8 @@ fn fail_over_queues(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
             continue;
         }
         while let Some(task) = queue_pop_front(world, e) {
-            world.dfk.task_mut(task).executor = target;
+            world.dfk.task_mut(task).executor =
+                u32::try_from(target).expect("executor index fits in u32");
             queue_push(world, target, task);
             moved += 1;
         }

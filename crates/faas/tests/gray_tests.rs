@@ -187,7 +187,7 @@ fn zombie_on_hedge_primary_survivor_wins_exactly_once() {
     );
     eng.run_until(&mut w, SimTime::from_secs(5));
     assert_eq!(w.dfk.task(id).state, TaskState::Running);
-    let primary = w.dfk.task(id).worker.expect("dispatched");
+    let primary = w.dfk.task(id).worker.expect("dispatched") as usize;
     inject_fault(
         &mut w,
         &mut eng,

@@ -64,7 +64,7 @@ fn shed_oldest_evicts_head_of_queue() {
     eng.run(&mut w);
     for id in &ids[..3] {
         assert_eq!(w.dfk.task(*id).state, TaskState::Failed);
-        assert!(w.dfk.task(*id).error.as_deref().unwrap().contains("oldest"));
+        assert!(w.dfk.error(*id).unwrap().contains("oldest"));
     }
     for id in &ids[3..] {
         assert_eq!(w.dfk.task(*id).state, TaskState::Done);
@@ -107,13 +107,7 @@ fn deadline_admission_rejects_unattainable_work() {
     );
     assert_eq!(w.overload.stats.tasks_rejected, 1);
     assert_eq!(w.dfk.task(t1).state, TaskState::Failed);
-    assert!(w
-        .dfk
-        .task(t1)
-        .error
-        .as_deref()
-        .unwrap()
-        .contains("deadline"));
+    assert!(w.dfk.error(t1).unwrap().contains("deadline"));
     eng.run(&mut w);
     assert_eq!(w.dfk.task(t0).state, TaskState::Done);
     assert_eq!(w.dfk.task(t2).state, TaskState::Done);
@@ -142,7 +136,7 @@ fn slow_primary_gpu(
     task: TaskId,
     duration: SimDuration,
 ) -> u32 {
-    let wid = w.dfk.task(task).worker.expect("dispatched");
+    let wid = w.dfk.task(task).worker.expect("dispatched") as usize;
     let (gpu, _) = w.workers[wid].gpu.expect("gpu worker");
     inject_fault(
         w,
@@ -237,7 +231,7 @@ fn hedge_duplicate_completion_is_idempotent() {
     assert_eq!(w.dfk.done_count(), 1, "one task, one completion");
     // Both attempts ended `ok`, the loser inside the cancel latency: its
     // late `Ok` was reached, and no cancellation tore it down.
-    let primary = w.dfk.task(id).worker.expect("dispatched");
+    let primary = w.dfk.task(id).worker.expect("dispatched") as usize;
     let ends: Vec<(usize, SimTime, &str)> = w
         .monitor
         .worker_events
@@ -295,7 +289,7 @@ fn hedge_survives_primary_crash_with_defined_winner() {
     eng.run_until(&mut w, SimTime::from_secs(18));
     assert_eq!(w.overload.stats.hedges_launched, 1);
     assert!(w.overload.is_hedged(id), "pair still racing at 18 s");
-    let primary = w.dfk.task(id).worker.expect("primary recorded");
+    let primary = w.dfk.task(id).worker.expect("primary recorded") as usize;
     kill_worker(&mut w, &mut eng, primary, "host lost");
     assert!(
         !w.overload.is_hedged(id),
@@ -349,7 +343,7 @@ fn hedge_loser_cancel_aborts_kernel_but_not_worker() {
     }
     assert_eq!(w.overload.stats.hedges_launched, 1);
     assert_eq!(w.overload.stats.hedges_wasted, 1, "the primary won");
-    let primary = w.dfk.task(id).worker.expect("dispatched");
+    let primary = w.dfk.task(id).worker.expect("dispatched") as usize;
     let loser = 1 - primary;
     let loser_gpu = GpuId(loser as u32);
     assert_eq!(w.workers[loser].state, WorkerState::Busy, "still racing");

@@ -58,7 +58,7 @@ proptest! {
         for (i, &id) in ids.iter().enumerate() {
             let t = w.dfk.task(id);
             let started = t.started.unwrap();
-            for dep in &t.depends_on {
+            for dep in w.dfk.depends_on(id) {
                 let df = w.dfk.task(*dep).finished.unwrap();
                 prop_assert!(
                     started >= df,

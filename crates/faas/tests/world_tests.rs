@@ -57,15 +57,14 @@ fn unknown_executor_label_fails_terminally_instead_of_panicking() {
     });
     let id = submit(&mut w, &mut eng, bad);
     eng.run(&mut w);
-    let t = w.dfk.task(id);
-    assert_eq!(t.state, TaskState::Failed);
+    assert_eq!(w.dfk.task(id).state, TaskState::Failed);
     assert!(
-        t.error
-            .as_deref()
+        w.dfk
+            .error(id)
             .unwrap_or_default()
             .contains("unknown executor"),
         "error: {:?}",
-        t.error
+        w.dfk.error(id)
     );
     // The platform keeps serving well-formed work afterwards.
     let ok = submit(&mut w, &mut eng, cpu_call("hello", 1));
@@ -106,7 +105,7 @@ fn settled_tasks_release_their_body_factory() {
 
     // A GPU step on the CPU-only worker fails every attempt (retries: 1).
     let doomed = submit(&mut w, &mut eng, gpu_call());
-    while w.dfk.task(doomed).error.is_none() {
+    while w.dfk.error(doomed).is_none() {
         assert!(eng.step(&mut w), "the first attempt must fail");
     }
     assert_eq!(w.dfk.task(doomed).state, TaskState::Ready);
@@ -372,9 +371,8 @@ fn model_oom_fails_task_after_retries() {
         }),
     );
     eng.run(&mut w);
-    let t = w.dfk.task(id);
-    assert_eq!(t.state, TaskState::Failed);
-    assert!(t.error.as_deref().unwrap().contains("alloc failed"));
+    assert_eq!(w.dfk.task(id).state, TaskState::Failed);
+    assert!(w.dfk.error(id).unwrap().contains("alloc failed"));
     assert_eq!(w.dfk.failed_count(), 1);
 }
 
@@ -452,12 +450,12 @@ fn killing_busy_worker_retries_task_elsewhere() {
     let id = submit(&mut w, &mut eng, cpu_call("long", 100));
     // Let it start…
     eng.run_until(&mut w, SimTime::from_secs(10));
-    let victim = w.dfk.task(id).worker.unwrap();
+    let victim = w.dfk.task(id).worker.unwrap() as usize;
     kill_worker(&mut w, &mut eng, victim, "chaos");
     eng.run(&mut w);
     let t = w.dfk.task(id);
     assert_eq!(t.state, TaskState::Done, "retry on the surviving worker");
-    assert_ne!(t.worker.unwrap(), victim);
+    assert_ne!(t.worker.unwrap() as usize, victim);
 }
 
 #[test]
@@ -667,7 +665,7 @@ fn world_cancel_removes_from_queue() {
     assert_eq!(w.dfk.task(running).state, TaskState::Done);
     for t in [waiting, queued] {
         assert_eq!(w.dfk.task(t).state, TaskState::Failed);
-        assert_eq!(w.dfk.task(t).error.as_deref(), Some("cancelled"));
+        assert_eq!(w.dfk.error(t), Some("cancelled"));
     }
     assert_eq!(w.dfk.task(dependent).state, TaskState::Failed, "cascaded");
     assert!(w.dfk.all_settled());
@@ -714,7 +712,7 @@ fn cancel_during_retry_backoff_purges_checkpoint() {
         "the cancelled task's snapshot is gone"
     );
     eng.run(&mut w);
-    assert_eq!(w.dfk.task(id).error.as_deref(), Some("cancelled"));
+    assert_eq!(w.dfk.error(id), Some("cancelled"));
 }
 
 // ---------------------------------------------------------------------
@@ -814,7 +812,12 @@ fn kill_mid_model_load_keeps_cache_and_device_consistent() {
     respawn_worker(&mut w, &mut eng, 0, None).unwrap();
     eng.run(&mut w);
     let t = w.dfk.task(id);
-    assert_eq!(t.state, TaskState::Done, "retry completes: {:?}", t.error);
+    assert_eq!(
+        t.state,
+        TaskState::Done,
+        "retry completes: {:?}",
+        w.dfk.error(id)
+    );
     assert!(w.workers[0].has_model(7));
     assert_eq!(w.dfk.reexecuted_attempts(), 1);
 }
@@ -879,7 +882,7 @@ fn hedge_cancel_racing_kernel_completion_is_clean() {
     let hedge_work = 432.0 - rate * (lead.as_secs_f64() - cancel.as_secs_f64());
     let (mut w, mut eng, id) = shared_gpu_race(hedge_work);
     let won_at = w.dfk.task(id).finished.unwrap();
-    let loser = 1 - w.dfk.task(id).worker.unwrap();
+    let loser = 1 - w.dfk.task(id).worker.unwrap() as usize;
     assert_eq!(
         w.fleet.device(GpuId(0)).next_wake(eng.now()),
         Some(won_at + cancel),

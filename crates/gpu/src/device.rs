@@ -895,7 +895,7 @@ impl GpuDevice {
             mem,
             mig_mem: BTreeMap::new(),
             vgpu_mem: Vec::new(),
-            mig: MigManager::new(),
+            mig: MigManager::new(id),
             mps: MpsDaemon::new(),
             rot: Rotation::IDLE,
             ts_next: SimTime::MAX,
@@ -1104,8 +1104,7 @@ impl GpuDevice {
                 actual: self.mode.name(),
             });
         }
-        let gpu = self.id.0;
-        let iid = self.mig.create(&self.spec.clone(), gpu, profile)?;
+        let iid = self.mig.create(&self.spec.clone(), profile)?;
         let inst = self.mig.get(iid).expect("just created");
         let mut pool = MemoryPool::new(inst.memory_bytes);
         pool.set_oversubscription(self.allow_uvm);

@@ -31,6 +31,7 @@
 use crate::device::{CtxId, GpuDevice, GpuId, KernelDone, KernelId};
 use crate::error::Result;
 use crate::kernel::KernelDesc;
+use crate::mig;
 use crate::spec::GpuSpec;
 use parfait_simcore::Engine;
 
@@ -76,6 +77,16 @@ impl GpuFleet {
     /// Iterate devices.
     pub fn iter(&self) -> impl Iterator<Item = &GpuDevice> {
         self.devices.iter()
+    }
+
+    /// The device holding the MIG instance `uuid`: the one the uuid
+    /// names ([`mig::uuid_gpu`]), if it holds it.
+    pub fn mig_device(&self, uuid: &str) -> Option<GpuId> {
+        mig::uuid_gpu(uuid).filter(|g| {
+            self.devices
+                .get(g.0 as usize)
+                .is_some_and(|d| d.mig.by_uuid(uuid).is_some())
+        })
     }
 
     /// Toggle per-domain dirty tracking on every device (see
@@ -270,6 +281,26 @@ mod tests {
             }
         }
         assert_eq!(eng.pending(), armed, "only device wakes are scheduled");
+    }
+
+    #[test]
+    fn mig_uuid_resolves_on_its_named_device() {
+        let mut fleet = GpuFleet::new();
+        for _ in 0..3 {
+            let g = fleet.add(GpuSpec::a100_80gb());
+            fleet.device_mut(g).set_mode(DeviceMode::Mig).unwrap();
+        }
+        let i = fleet.device_mut(GpuId(2)).mig_create("3g.40gb").unwrap();
+        let uuid = fleet.device(GpuId(2)).mig.get(i).unwrap().uuid.clone();
+        assert_eq!(fleet.mig_device(&uuid), Some(GpuId(2)));
+        fleet.device_mut(GpuId(2)).mig_destroy(i).unwrap();
+        assert_eq!(fleet.mig_device(&uuid), None, "destroyed");
+        assert_eq!(
+            fleet.mig_device("MIG-GPU7-0-3g.40gb"),
+            None,
+            "beyond the fleet"
+        );
+        assert_eq!(fleet.mig_device("GPU-unnamed"), None);
     }
 
     #[test]

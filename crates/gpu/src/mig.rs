@@ -14,6 +14,7 @@
 //! restart" drawback row of Table 1. The reset cost itself is modelled by
 //! `parfait-core::reconfig`.
 
+use crate::device::GpuId;
 use crate::error::{GpuError, Result};
 use crate::spec::GpuSpec;
 use serde::Serialize;
@@ -100,8 +101,11 @@ pub struct MigInstance {
 }
 
 /// Per-device MIG state machine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MigManager {
+    /// The device whose instances this manager creates (named in their
+    /// UUIDs).
+    gpu: GpuId,
     enabled: bool,
     instances: BTreeMap<u32, MigInstance>,
     next_id: u32,
@@ -111,9 +115,16 @@ pub struct MigManager {
 }
 
 impl MigManager {
-    /// Fresh manager, MIG disabled.
-    pub fn new() -> Self {
-        MigManager::default()
+    /// Fresh manager of device `gpu`, MIG disabled.
+    pub fn new(gpu: GpuId) -> Self {
+        MigManager {
+            gpu,
+            enabled: false,
+            instances: BTreeMap::new(),
+            next_id: 0,
+            slices: [false; 7],
+            mem_slices_used: 0,
+        }
     }
 
     /// Is MIG mode on?
@@ -158,9 +169,9 @@ impl MigManager {
         self.slices.iter().filter(|s| !**s).count() as u8
     }
 
-    /// Create an instance of `profile_name` on `spec`, for device `gpu_id`
-    /// (used in the UUID). First-fit over the profile's valid starts.
-    pub fn create(&mut self, spec: &GpuSpec, gpu_id: u32, profile_name: &str) -> Result<u32> {
+    /// Create an instance of `profile_name` on `spec`. First-fit over the
+    /// profile's valid starts.
+    pub fn create(&mut self, spec: &GpuSpec, profile_name: &str) -> Result<u32> {
         if !self.enabled {
             return Err(GpuError::WrongMode {
                 expected: "MIG",
@@ -196,7 +207,7 @@ impl MigManager {
         self.next_id += 1;
         let inst = MigInstance {
             id,
-            uuid: format!("MIG-GPU{gpu_id}-{id}-{}", profile.name),
+            uuid: instance_uuid(self.gpu, id, profile.name),
             profile,
             start_slice: start,
             sms: spec.mig_slice_sms * profile.compute_slices as u32,
@@ -231,12 +242,31 @@ impl MigManager {
     }
 }
 
+/// The NVML-style UUID of instance `id` of `profile` on device `gpu`:
+/// `MIG-GPU{gpu}-{id}-{profile}`.
+fn instance_uuid(gpu: GpuId, id: u32, profile: &str) -> String {
+    format!("MIG-GPU{}-{id}-{profile}", gpu.0)
+}
+
+/// The device a UUID in [`instance_uuid`]'s form names, or `None` for a
+/// UUID in another form. Only that device's manager creates such a UUID,
+/// so no other device holds it; whether the named one still does is the
+/// caller's lookup.
+pub fn uuid_gpu(uuid: &str) -> Option<GpuId> {
+    let (gpu, _) = uuid.strip_prefix("MIG-GPU")?.split_once('-')?;
+    gpu.parse().ok().map(GpuId)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn mgr() -> (MigManager, GpuSpec) {
-        let mut m = MigManager::new();
+        mgr_of(GpuId(0))
+    }
+
+    fn mgr_of(gpu: GpuId) -> (MigManager, GpuSpec) {
+        let mut m = MigManager::new(gpu);
         m.set_enabled(true).unwrap();
         (m, GpuSpec::a100_80gb())
     }
@@ -272,8 +302,8 @@ mod tests {
 
     #[test]
     fn create_requires_mig_mode() {
-        let mut m = MigManager::new();
-        let err = m.create(&GpuSpec::a100_80gb(), 0, "1g.10gb").unwrap_err();
+        let mut m = MigManager::new(GpuId(0));
+        let err = m.create(&GpuSpec::a100_80gb(), "1g.10gb").unwrap_err();
         assert!(matches!(err, GpuError::WrongMode { .. }));
     }
 
@@ -281,19 +311,19 @@ mod tests {
     fn seven_1g_instances_fit_and_eighth_fails() {
         let (mut m, spec) = mgr();
         for _ in 0..7 {
-            m.create(&spec, 0, "1g.10gb").unwrap();
+            m.create(&spec, "1g.10gb").unwrap();
         }
         assert_eq!(m.instance_count(), 7);
         assert!(matches!(
-            m.create(&spec, 0, "1g.10gb"),
+            m.create(&spec, "1g.10gb"),
             Err(GpuError::MigPlacement { .. })
         ));
     }
 
     #[test]
     fn instance_resources_scale_with_profile() {
-        let (mut m, spec) = mgr();
-        let id = m.create(&spec, 3, "3g.40gb").unwrap();
+        let (mut m, spec) = mgr_of(GpuId(3));
+        let id = m.create(&spec, "3g.40gb").unwrap();
         let inst = m.get(id).unwrap();
         assert_eq!(inst.sms, 42); // 3 slices × 14 SMs
         assert_eq!(inst.memory_bytes, spec.memory_bytes / 8 * 4);
@@ -305,20 +335,20 @@ mod tests {
     fn paper_partitions_two_three_four_way() {
         // §5.2: 2 procs → 3g each; 3 → 2g each; 4 → 1g each.
         let (mut m, spec) = mgr();
-        let a = m.create(&spec, 0, "3g.40gb").unwrap();
-        let b = m.create(&spec, 0, "3g.40gb").unwrap();
+        let a = m.create(&spec, "3g.40gb").unwrap();
+        let b = m.create(&spec, "3g.40gb").unwrap();
         assert_eq!(m.instance_count(), 2);
         m.destroy(a).unwrap();
         m.destroy(b).unwrap();
 
         for _ in 0..3 {
-            m.create(&spec, 0, "2g.20gb").unwrap();
+            m.create(&spec, "2g.20gb").unwrap();
         }
         assert_eq!(m.instance_count(), 3);
         m.destroy_all();
 
         for _ in 0..4 {
-            m.create(&spec, 0, "1g.10gb").unwrap();
+            m.create(&spec, "1g.10gb").unwrap();
         }
         assert_eq!(m.instance_count(), 4);
     }
@@ -328,11 +358,11 @@ mod tests {
         let (mut m, spec) = mgr();
         // Occupy slice 0 with 1g; 3g must then go to start 4; a second 3g
         // has nowhere to go even though 3 slices (1,2,3) are free.
-        m.create(&spec, 0, "1g.10gb").unwrap();
-        let b = m.create(&spec, 0, "3g.40gb").unwrap();
+        m.create(&spec, "1g.10gb").unwrap();
+        let b = m.create(&spec, "3g.40gb").unwrap();
         assert_eq!(m.get(b).unwrap().start_slice, 4);
         assert!(matches!(
-            m.create(&spec, 0, "3g.40gb"),
+            m.create(&spec, "3g.40gb"),
             Err(GpuError::MigPlacement { .. })
         ));
         assert_eq!(m.free_slices(), 3);
@@ -343,16 +373,16 @@ mod tests {
         let (mut m, spec) = mgr();
         // 3g.40gb uses 4 memory slices; two of them exhaust all 8 memory
         // slices even though a compute slice remains.
-        m.create(&spec, 0, "3g.40gb").unwrap();
-        m.create(&spec, 0, "3g.40gb").unwrap();
+        m.create(&spec, "3g.40gb").unwrap();
+        m.create(&spec, "3g.40gb").unwrap();
         assert_eq!(m.free_slices(), 1);
-        assert!(m.create(&spec, 0, "1g.10gb").is_err());
+        assert!(m.create(&spec, "1g.10gb").is_err());
     }
 
     #[test]
     fn destroy_frees_slices_and_unknown_fails() {
         let (mut m, spec) = mgr();
-        let id = m.create(&spec, 0, "7g.80gb").unwrap();
+        let id = m.create(&spec, "7g.80gb").unwrap();
         assert_eq!(m.free_slices(), 0);
         m.destroy(id).unwrap();
         assert_eq!(m.free_slices(), 7);
@@ -362,7 +392,7 @@ mod tests {
     #[test]
     fn disable_requires_no_instances() {
         let (mut m, spec) = mgr();
-        m.create(&spec, 0, "1g.10gb").unwrap();
+        m.create(&spec, "1g.10gb").unwrap();
         assert!(m.set_enabled(false).is_err());
         m.destroy_all();
         m.set_enabled(false).unwrap();
@@ -372,9 +402,26 @@ mod tests {
     #[test]
     fn uuid_lookup() {
         let (mut m, spec) = mgr();
-        let id = m.create(&spec, 0, "2g.20gb").unwrap();
+        let id = m.create(&spec, "2g.20gb").unwrap();
         let uuid = m.get(id).unwrap().uuid.clone();
         assert_eq!(m.by_uuid(&uuid).unwrap().id, id);
         assert!(m.by_uuid("MIG-nonexistent").is_none());
+    }
+
+    #[test]
+    fn uuid_names_its_device() {
+        let (mut m, spec) = mgr_of(GpuId(412));
+        let id = m.create(&spec, "3g.40gb").unwrap();
+        assert_eq!(uuid_gpu(&m.get(id).unwrap().uuid), Some(GpuId(412)));
+        assert_eq!(uuid_gpu("MIG-GPU0-0-7g.80gb"), Some(GpuId(0)));
+        for other in [
+            "MIG-nonexistent",
+            "MIG-GPU",
+            "MIG-GPU3",
+            "MIG-GPUx-0-1g.10gb",
+            "GPU-3-0",
+        ] {
+            assert_eq!(uuid_gpu(other), None, "{other}");
+        }
     }
 }

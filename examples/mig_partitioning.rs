@@ -27,7 +27,7 @@ fn first_completion_after(world: &FaasWorld, app: &str) -> Option<f64> {
         .dfk
         .tasks()
         .iter()
-        .filter(|t| t.app == app && t.state == TaskState::Done)
+        .filter(|t| *t.app == *app && t.state == TaskState::Done)
         .filter_map(|t| t.finished)
         .min()
         .map(|t| t.as_secs_f64())

@@ -110,8 +110,8 @@ fn overload_scenario_is_bit_identical_across_runs() {
 /// live outside `FleetSimStats`, so the comparison is exact.
 #[test]
 fn fleet_scenario_is_bit_identical_across_runs() {
-    let run_a = parfait_bench::fleet::run_fleet(4, 2000, SEED, true);
-    let run_b = parfait_bench::fleet::run_fleet(4, 2000, SEED, true);
+    let (run_a, _) = parfait_bench::fleet::run_fleet(4, 2000, SEED, true);
+    let (run_b, _) = parfait_bench::fleet::run_fleet(4, 2000, SEED, true);
     let json_a = serde_json::to_string(&run_a.sim).expect("fleet stats serialize");
     let json_b = serde_json::to_string(&run_b.sim).expect("fleet stats serialize");
     assert_eq!(

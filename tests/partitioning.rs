@@ -78,7 +78,7 @@ fn mps_resize_restarts_workers_and_applies_new_percentages() {
         w.dfk
             .tasks()
             .iter()
-            .filter(|t| t.app == "after" && t.state == TaskState::Done)
+            .filter(|t| *t.app == *"after" && t.state == TaskState::Done)
             .count(),
         1
     );

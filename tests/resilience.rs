@@ -64,7 +64,7 @@ fn chaos_kill_respawn_preserves_invariants() {
         w.dfk
             .tasks()
             .iter()
-            .filter_map(|t| t.error.clone())
+            .filter_map(|t| w.dfk.error(t.id))
             .collect::<Vec<_>>()
     );
     // Memory invariant: device holds exactly the live workers' models.
