@@ -10,7 +10,7 @@
 //! calibrated performance model that preserves the *scheduling* behaviour
 //! the paper studies (see DESIGN.md §1 for the substitution argument):
 //!
-//! * [`spec`] — device catalog (A100-40/80 GB, H100, MI210).
+//! * [`spec`] — device catalog (A100-40/80 GB, MI210).
 //! * [`kernel`] — wave-quantized kernel execution-time model.
 //! * [`memory`] — byte-accurate allocator with UVM oversubscription.
 //! * [`sharing`] — Table 1 as a type: time-sharing, default MPS,

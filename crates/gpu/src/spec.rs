@@ -85,22 +85,6 @@ impl GpuSpec {
         }
     }
 
-    /// NVIDIA H100 SXM 80 GB (mentioned in §3.4 as the newer generation).
-    pub fn h100_80gb() -> Self {
-        GpuSpec {
-            name: "H100-SXM5-80GB",
-            vendor: Vendor::Nvidia,
-            sms: 132,
-            memory_bytes: 80 * GIB,
-            hbm_gbps: 3350.0,
-            fp32_tflops: 66.9,
-            mig_capable: true,
-            mig_slice_sms: 16,
-            load_gbps: 4.0,
-            uvm_penalty: 0.90,
-        }
-    }
-
     /// AMD MI210 64 GB (§3.4's comparison part). Not MIG-capable; supports
     /// CU masking, the MPS-percentage analog of Table 1.
     pub fn mi210() -> Self {

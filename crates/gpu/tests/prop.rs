@@ -22,7 +22,8 @@ fn arb_domain_kernel() -> impl Strategy<Value = KernelDesc> {
 /// Run one op sequence against a fresh device in the selected mode and
 /// record `kernel_rates()` (rates as raw bits for exact comparison) after
 /// every op. Ops: 0 = launch, 1 = collect_finished sweep, 2 = destroy the
-/// selected context and recreate it with the same binding.
+/// selected context and recreate it with the same binding, 3 =
+/// `abort_tagged` of one of the last four launches' tags.
 fn rate_trace(
     mode_sel: usize,
     ops: &[(u8, KernelDesc, usize, u64)],
@@ -76,6 +77,7 @@ fn rate_trace(
         .collect();
     let mut now = SimTime::ZERO;
     let mut trace = Vec::with_capacity(ops.len());
+    let mut tags = Vec::new();
     for (i, (op, kernel, sel, dt)) in ops.iter().enumerate() {
         now += SimDuration::from_nanos(*dt);
         let slot = sel % ctxs.len();
@@ -83,17 +85,23 @@ fn rate_trace(
             0 => {
                 d.launch(now, ctxs[slot].0, kernel.clone(), i as u64)
                     .unwrap();
+                tags.push(i as u64);
             }
             1 => {
                 d.collect_finished(now);
             }
-            _ => {
+            2 => {
                 let binding = ctxs[slot].1.clone();
                 d.destroy_context(now, ctxs[slot].0).unwrap();
                 let id = d
                     .create_context(now, &format!("r{i}"), binding.clone())
                     .unwrap();
                 ctxs[slot] = (id, binding);
+            }
+            _ => {
+                if !tags.is_empty() {
+                    d.abort_tagged(now, tags[tags.len() - 1 - sel % tags.len()]);
+                }
             }
         }
         trace.push(
@@ -397,15 +405,15 @@ proptest! {
     }
 
     /// Per-domain dirty tracking is a pure strength reduction: any
-    /// interleaving of launches, completion sweeps, and context
-    /// teardown/recreate (the client-fault path) on any device mode
-    /// must yield byte-identical per-kernel rate traces with dirty
-    /// tracking on and off.
+    /// interleaving of launches, completion sweeps, context
+    /// teardown/recreate (the client-fault path) and tagged aborts (a
+    /// cancelled attempt) on any device mode must yield byte-identical
+    /// per-kernel rate traces with dirty tracking on and off.
     #[test]
     fn dirty_tracking_matches_full_recompute(
         mode_sel in 0usize..5,
         ops in proptest::collection::vec(
-            (0u8..3, arb_domain_kernel(), 0usize..4, 1u64..400_000_000u64),
+            (0u8..4, arb_domain_kernel(), 0usize..4, 1u64..400_000_000u64),
             1..30,
         ),
     ) {

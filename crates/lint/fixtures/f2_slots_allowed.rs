@@ -1,10 +1,10 @@
-// F2 fixture: a scoped allow covers a write through the slab's raw
-// `slots`.
+// F2 fixture: a scoped allow covers a write through the kernel table's
+// raw `list`.
 
 impl GpuDevice {
     // lint:allow(dirty-domain, restores the work and rates a replay computed from unchanged rate inputs)
-    pub fn write_back(&mut self, slot: usize, left: f64, rate: f64) {
-        let k = self.kernels.slots[slot].as_mut().expect("live slot");
+    pub fn write_back(&mut self, p: usize, left: f64, rate: f64) {
+        let k = &mut self.kernels.list[p];
         k.remaining = left;
         k.rate = rate;
     }

@@ -3,11 +3,10 @@
 // scope, and read-only methods never need marks.
 
 impl GpuDevice {
-    /// Inserting a kernel changes the domain's rate inputs — and this
+    /// Appending a kernel changes the domain's rate inputs — and this
     /// fn forgets to mark it.
-    pub fn sneak_launch(&mut self, id: u64, k: Kernel) {
-        self.order.push(id);
-        self.kernels.insert(id, k);
+    pub fn sneak_launch(&mut self, k: ActiveKernel) {
+        self.kernels.push(k);
     }
 
     /// Reads don't need marks.
@@ -18,7 +17,7 @@ impl GpuDevice {
 
 impl SomethingElse {
     /// Identical body, different self type: F2 does not apply.
-    pub fn unrelated(&mut self, id: u64, k: Kernel) {
-        self.kernels.insert(id, k);
+    pub fn unrelated(&mut self, k: ActiveKernel) {
+        self.kernels.push(k);
     }
 }

@@ -885,24 +885,17 @@ fn pass_f1(
 const RATE_CONTAINERS: &[(&str, &[&str])] = &[
     (
         "kernels",
-        &[
-            "insert",
-            "take_at",
-            "retain",
-            "clear",
-            "get_mut",
-            "compact_order",
-        ],
+        &["push", "remove", "remove_where", "clear", "get_mut"],
     ),
     ("ctxs", &["insert", "remove"]),
     ("mem", &["alloc", "freeb"]),
 ];
 
 /// Scalar fields of `GpuDevice` whose assignment changes rates.
-const RATE_FIELDS: &[&str] = &["slowdown", "mode", "cfg", "allow_uvm", "mem"];
+const RATE_FIELDS: &[&str] = &["slowdown", "mode", "mps_interference", "allow_uvm", "mem"];
 
 /// The dirty-marking entry points.
-const DIRTY_MARKS: &[&str] = &["mark_ctx_dirty", "mark_domain_dirty", "mark_all_dirty"];
+const DIRTY_MARKS: &[&str] = &["mark_domain_dirty", "mark_all_dirty"];
 
 fn pass_f2(
     ctx: &FileCtx,
@@ -954,15 +947,15 @@ fn pass_f2(
                     if RATE_FIELDS.contains(&name) && is_assignment_op(toks, i + 1) {
                         trigger = Some((format!("assignment to `.{name}`"), t.line));
                     }
-                    // The slab's raw storage reaches kernels past its
-                    // listed mutators, so any use counts as one.
+                    // The kernel table's raw vector reaches kernels past
+                    // its listed mutators, so any use counts as one.
                     if name == "kernels"
                         && toks.get(i + 1).is_some_and(|n| n.is_punct('.'))
                         && toks
                             .get(i + 2)
-                            .is_some_and(|n| n.kind == TokKind::Ident && n.text == "slots")
+                            .is_some_and(|n| n.kind == TokKind::Ident && n.text == "list")
                     {
-                        trigger = Some(("`.kernels.slots`".to_string(), t.line));
+                        trigger = Some(("`.kernels.list`".to_string(), t.line));
                     }
                 }
             }
@@ -986,8 +979,8 @@ fn pass_f2(
             s.end_line,
             format!(
                 "`GpuDevice::{}` mutates rate-feeding device state ({what}, line \
-                 {tline}) without calling mark_ctx_dirty/mark_domain_dirty/\
-                 mark_all_dirty: a skipped domain would keep stale rates and the \
+                 {tline}) without calling mark_domain_dirty/mark_all_dirty: \
+                 a skipped domain would keep stale rates and the \
                  dirty-tracking on/off bit-equivalence breaks; mark the affected \
                  domain or list the fn in {MANIFEST_FILE} [dirty-exempt] with a \
                  justification",

@@ -225,7 +225,7 @@ fn f2_raw_slot_write_is_flagged() {
     let d = &f.diagnostics[0];
     assert_eq!((d.code, d.id), ("F2", "dirty-domain"));
     assert!(d.msg.contains("write_back"));
-    assert!(d.msg.contains("`.kernels.slots`"), "{}", d.msg);
+    assert!(d.msg.contains("`.kernels.list`"), "{}", d.msg);
 }
 
 #[test]

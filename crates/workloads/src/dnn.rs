@@ -4,4 +4,3 @@
 pub mod exec;
 pub mod layers;
 pub mod models;
-pub mod train;
