@@ -68,25 +68,16 @@ fn apply_core_action(
     action: &ChaosAction,
     workers_per_gpu: u32,
 ) -> Option<bool> {
-    let fleet_gpus = world.fleet.len() as u32;
     match action {
-        ChaosAction::ResizeMps { gpu, skew } => {
-            if *gpu >= fleet_gpus {
-                return Some(false);
-            }
-            Some(
-                begin_resize_mps(world, eng, *gpu, skewed_percentages(workers_per_gpu, *skew))
-                    .is_ok(),
-            )
-        }
+        ChaosAction::ResizeMps { gpu, skew } => Some(
+            begin_resize_mps(world, eng, *gpu, skewed_percentages(workers_per_gpu, *skew)).is_ok(),
+        ),
         ChaosAction::ReconfigMig { gpu } => {
-            if *gpu >= fleet_gpus {
-                return Some(false);
-            }
             Some(begin_reconfigure_mig(world, eng, *gpu, workers_per_gpu as usize).is_ok())
         }
         ChaosAction::AutoscaleFlip { gpu } => {
-            if *gpu >= fleet_gpus {
+            // The autoscaler builds its tenant list from the index.
+            if *gpu as usize >= world.fleet.len() {
                 return Some(false);
             }
             let tenants: Vec<usize> = (0..workers_per_gpu)

@@ -169,7 +169,7 @@ fn run_phase(
     let measure_start = eng.now();
     resume_sampling(&mut world, &mut eng);
     if inject {
-        install_faults(&mut world, &mut eng, &fault_plan(measure_start));
+        install_faults(&mut eng, &fault_plan(measure_start));
     }
     for _ in 0..completions {
         submit(&mut world, &mut eng, chat_call(&llm, &gpu_spec, "chat"));
@@ -210,7 +210,7 @@ fn run_correlated_phase(
     let measure_start = eng.now();
     resume_sampling(&mut world, &mut eng);
     if inject {
-        install_faults(&mut world, &mut eng, &correlated_plan(measure_start));
+        install_faults(&mut eng, &correlated_plan(measure_start));
     }
     for _ in 0..SESSION_COUNT {
         submit(

@@ -222,7 +222,7 @@ fn run_gray_phase(
     let measure_start = eng.now();
     resume_sampling(&mut world, &mut eng);
     if inject {
-        install_faults(&mut world, &mut eng, &gray_plan(measure_start));
+        install_faults(&mut eng, &gray_plan(measure_start));
     }
     for _ in 0..GRAY_SESSIONS {
         submit(

@@ -291,7 +291,6 @@ pub fn straggler_run(strategy: &Strategy, hedged: bool, seed: u64) -> StragglerR
     let t0 = eng.now();
     resume_sampling(&mut world, &mut eng);
     install_faults(
-        &mut world,
         &mut eng,
         &FaultPlan::one(
             t0 + SimDuration::from_millis(1),

@@ -125,7 +125,7 @@ pub fn parse_accelerators(
 
 /// Render specs back into the `available_accelerators` /
 /// `gpu_percentage` string form (the inverse of [`parse_accelerators`],
-/// used by monitoring dumps and config echo). MIG entries carry no
+/// which the round-trip tests check). MIG entries carry no
 /// percentage; mixed lists render percentages only when any entry has
 /// one, defaulting plain GPUs to 100.
 pub fn format_accelerators(specs: &[AcceleratorSpec]) -> (Vec<String>, Option<Vec<u32>>) {

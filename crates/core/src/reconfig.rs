@@ -55,6 +55,8 @@ pub const MIG_RESET_TIME: SimDuration = SimDuration::from_millis(1_500);
 /// why its commit did not apply.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReconfigError {
+    /// The target GPU index is outside the fleet.
+    UnknownGpu(u32),
     /// The partition plan itself is invalid.
     Plan(PlanError),
     /// The target GPU is quarantined/fenced; reconfiguring a fenced
@@ -94,6 +96,7 @@ impl From<PlanError> for ReconfigError {
 impl std::fmt::Display for ReconfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ReconfigError::UnknownGpu(g) => write!(f, "GPU {g} is not in the fleet"),
             ReconfigError::Plan(e) => write!(f, "invalid plan: {e}"),
             ReconfigError::GpuFenced(g) => write!(f, "GPU {g} is fenced/quarantined"),
             ReconfigError::WorkerUnhealthy { worker } => {
@@ -164,13 +167,23 @@ pub fn workers_on_gpu(world: &FaasWorld, gpu: u32) -> Vec<usize> {
                     | Some(AcceleratorSpec::GpuPercentage(g, _))
                     | Some(AcceleratorSpec::VgpuSlot(g, _)) => *g == gpu,
                     Some(AcceleratorSpec::Mig(uuid)) => {
-                        world.fleet.device(GpuId(gpu)).mig.by_uuid(uuid).is_some()
+                        world.fleet.mig_device(uuid) == Some(GpuId(gpu))
                     }
                     None => false,
                 }
         })
         .map(|w| w.id)
         .collect()
+}
+
+/// The first refusal of every reconfiguration entry point: a GPU index
+/// outside the fleet names no device to read or reset.
+fn check_known(world: &FaasWorld, gpu: u32) -> Result<(), ReconfigError> {
+    if (gpu as usize) < world.fleet.len() {
+        Ok(())
+    } else {
+        Err(ReconfigError::UnknownGpu(gpu))
+    }
 }
 
 /// Common refusals shared by every reconfiguration entry point: never
@@ -224,9 +237,9 @@ fn report(
 /// the new percentage. The device stays in `MpsPartitioned` mode and
 /// other GPUs are untouched — but each worker pays a §6 restart.
 ///
-/// Refuses fenced GPUs, crashed victims, and GPUs mid-drain; use
-/// [`begin_resize_mps`] for the graceful staged path. A failed commit
-/// rolls back to the old shares and returns
+/// Refuses GPUs outside the fleet, fenced GPUs, crashed victims, and
+/// GPUs mid-drain; use [`begin_resize_mps`] for the graceful staged
+/// path. A failed commit rolls back to the old shares and returns
 /// [`ReconfigError::CommitFailed`].
 pub fn resize_mps(
     world: &mut FaasWorld,
@@ -234,6 +247,7 @@ pub fn resize_mps(
     gpu: u32,
     new_percentages: &[u32],
 ) -> Result<ReconfigReport, ReconfigError> {
+    check_known(world, gpu)?;
     let victims = workers_on_gpu(world, gpu);
     validate_mps(world, gpu, &victims, new_percentages)?;
     check_target(world, gpu, &victims, true)?;
@@ -272,14 +286,16 @@ fn validate_mps(
 /// weight cache), re-create instances, and respawn the workers bound to
 /// the new UUIDs. Worker respawn is delayed by [`MIG_RESET_TIME`].
 ///
-/// Refuses fenced GPUs, crashed victims, and GPUs mid-drain; use
-/// [`begin_reconfigure_mig`] for the graceful staged path.
+/// Refuses GPUs outside the fleet, fenced GPUs, crashed victims, and
+/// GPUs mid-drain; use [`begin_reconfigure_mig`] for the graceful staged
+/// path.
 pub fn reconfigure_mig_equal(
     world: &mut FaasWorld,
     eng: &mut Engine<FaasWorld>,
     gpu: u32,
     k: usize,
 ) -> Result<ReconfigReport, ReconfigError> {
+    check_known(world, gpu)?;
     if workers_on_gpu(world, gpu).len() != k {
         return Err(PlanError::WeightLengthMismatch.into());
     }
@@ -289,8 +305,8 @@ pub fn reconfigure_mig_equal(
 /// Switch a GPU's sharing strategy wholesale (e.g. time-sharing → MPS):
 /// kill residents, reset the device, respawn with the plan's bindings.
 ///
-/// Refuses fenced GPUs, crashed victims, and GPUs mid-drain. A failed
-/// commit quarantines the device and returns
+/// Refuses GPUs outside the fleet, fenced GPUs, crashed victims, and
+/// GPUs mid-drain. A failed commit quarantines the device and returns
 /// [`ReconfigError::CommitFailed`].
 pub fn switch_strategy(
     world: &mut FaasWorld,
@@ -298,6 +314,7 @@ pub fn switch_strategy(
     gpu: u32,
     strategy: &Strategy,
 ) -> Result<ReconfigReport, ReconfigError> {
+    check_known(world, gpu)?;
     let victims = workers_on_gpu(world, gpu);
     check_target(world, gpu, &victims, true)?;
     // Validate the plan shape before touching any worker (pure); the
@@ -327,6 +344,7 @@ pub fn begin_resize_mps(
     gpu: u32,
     new_percentages: Vec<u32>,
 ) -> Result<(), ReconfigError> {
+    check_known(world, gpu)?;
     let victims = workers_on_gpu(world, gpu);
     validate_mps(world, gpu, &victims, &new_percentages)?;
     check_target(world, gpu, &victims, false)?;
@@ -419,6 +437,7 @@ pub fn begin_reconfigure_mig(
     gpu: u32,
     k: usize,
 ) -> Result<(), ReconfigError> {
+    check_known(world, gpu)?;
     let victims = workers_on_gpu(world, gpu);
     if victims.len() != k {
         return Err(PlanError::WeightLengthMismatch.into());

@@ -1,9 +1,9 @@
 //! Deterministic fault injection and the recovery bookkeeping it drives.
 //!
-//! A [`FaultPlan`] is a schedule of [`FaultEvent`]s — either authored
-//! explicitly or realized from [`StochasticFaults`] rates through a
-//! dedicated `SimRng` stream, so the *same seed always produces the same
-//! fault timeline*. [`install_faults`] arms the plan on the engine;
+//! A [`FaultPlan`] is a schedule of [`FaultEvent`]s, authored by hand
+//! or drawn by the chaos grammar from its own frozen `SimRng` stream, so
+//! the *same seed always produces the same fault timeline*.
+//! [`install_faults`] arms the plan on the engine;
 //! [`inject_fault`] applies one fault with the blast radius its device
 //! mode implies:
 //!
@@ -23,7 +23,7 @@ use crate::world::{
 };
 use parfait_gpu::host::resync;
 use parfait_gpu::{CtxId, DeviceMode, GpuId};
-use parfait_simcore::{streams, Engine, SimDuration, SimRng, SimTime};
+use parfait_simcore::{Engine, SimDuration, SimRng, SimTime};
 use serde::Serialize;
 
 /// What breaks.
@@ -133,75 +133,12 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Rates for drawing a random-but-reproducible fault schedule. Arrivals
-/// are Poisson (exponential inter-arrival times) over `[0, horizon)`;
-/// targets are drawn uniformly. Everything comes from one dedicated RNG
-/// stream, so the realized schedule is a pure function of the world seed.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct StochasticFaults {
-    /// Window faults may arrive in.
-    pub horizon: SimDuration,
-    /// Silent process crashes per hour (across all workers).
-    pub crash_rate_per_hour: f64,
-    /// Fatal client faults per hour (across all workers).
-    pub client_fault_rate_per_hour: f64,
-    /// Device ECC/Xid faults per hour (across all GPUs).
-    pub device_fault_rate_per_hour: f64,
-    /// Straggler episodes per hour (across all GPUs).
-    pub straggler_rate_per_hour: f64,
-    /// Slowdown factor stragglers apply.
-    pub straggler_factor: f64,
-    /// How long each straggler episode lasts.
-    pub straggler_duration: SimDuration,
-    /// Host reboots per hour (across all hosts with GPUs). Realized on
-    /// the dedicated [`streams::CORRELATED_FAULTS`] stream so turning
-    /// this on never perturbs the independent-fault draws above.
-    pub host_reboot_rate_per_hour: f64,
-    /// Rack power events per hour (across all racks with GPUs), realized
-    /// on [`streams::CORRELATED_FAULTS`].
-    pub rack_power_rate_per_hour: f64,
-    /// Zombie-worker episodes per hour (across all workers). Realized on
-    /// the dedicated [`streams::GRAY_FAULTS`] stream so turning gray
-    /// rates on never perturbs a previously recorded crash schedule.
-    pub zombie_rate_per_hour: f64,
-    /// Flaky-link episodes per hour (across all GPUs), realized on
-    /// [`streams::GRAY_FAULTS`].
-    pub flaky_link_rate_per_hour: f64,
-    /// Link-rate multiplier flaky-link episodes apply.
-    pub flaky_link_factor: f64,
-    /// How long each flaky-link episode lasts.
-    pub flaky_link_duration: SimDuration,
-}
-
-impl StochasticFaults {
-    /// All-zero rates over `horizon`; builder-style starting point.
-    pub fn quiet(horizon: SimDuration) -> Self {
-        StochasticFaults {
-            horizon,
-            crash_rate_per_hour: 0.0,
-            client_fault_rate_per_hour: 0.0,
-            device_fault_rate_per_hour: 0.0,
-            straggler_rate_per_hour: 0.0,
-            straggler_factor: 1.0,
-            straggler_duration: SimDuration::ZERO,
-            host_reboot_rate_per_hour: 0.0,
-            rack_power_rate_per_hour: 0.0,
-            zombie_rate_per_hour: 0.0,
-            flaky_link_rate_per_hour: 0.0,
-            flaky_link_factor: 1.0,
-            flaky_link_duration: SimDuration::ZERO,
-        }
-    }
-}
-
-/// A complete fault schedule: explicit events plus optional stochastic
-/// rates realized at install time.
+/// A fault schedule: explicitly timed events, authored by hand or drawn
+/// by the chaos grammar ([`crate::chaos::generate_schedule`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultPlan {
-    /// Explicitly scheduled faults.
+    /// Scheduled faults.
     pub events: Vec<FaultEvent>,
-    /// Rates to realize into additional events (seeded, reproducible).
-    pub stochastic: Option<StochasticFaults>,
 }
 
 impl FaultPlan {
@@ -209,7 +146,6 @@ impl FaultPlan {
     pub fn one(at: SimTime, kind: FaultKind) -> Self {
         FaultPlan {
             events: vec![FaultEvent { at, kind }],
-            stochastic: None,
         }
     }
 
@@ -220,193 +156,18 @@ impl FaultPlan {
     }
 }
 
-/// Append Poisson arrivals at `rate_per_hour` over `[0, horizon)` (offset
-/// by `base`), drawing each arrival's fault with `mk`. The draw order —
-/// gap, fault, gap, ... — is frozen: recorded schedules depend on it.
-fn poisson(
-    out: &mut Vec<FaultEvent>,
-    rate_per_hour: f64,
-    horizon: SimDuration,
-    base: SimTime,
-    rng: &mut SimRng,
-    mut mk: impl FnMut(&mut SimRng) -> FaultKind,
-) {
-    if rate_per_hour <= 0.0 {
-        return;
-    }
-    let horizon = horizon.as_secs_f64();
-    let mean_gap = 3600.0 / rate_per_hour;
-    let mut t = rng.exp(mean_gap);
-    while t < horizon {
-        let kind = mk(rng);
-        out.push(FaultEvent {
-            at: base + SimDuration::from_secs_f64(t),
-            kind,
-        });
-        t += rng.exp(mean_gap);
-    }
-}
-
-fn realize_stochastic(
-    s: &StochasticFaults,
-    rng: &mut SimRng,
-    base: SimTime,
-    workers: usize,
-    gpus: usize,
-) -> Vec<FaultEvent> {
-    let mut out = Vec::new();
-    let h = s.horizon;
-    if workers > 0 {
-        let n = workers as u64;
-        poisson(&mut out, s.crash_rate_per_hour, h, base, rng, |r| {
-            FaultKind::WorkerCrash {
-                worker: r.below(n) as usize,
-            }
-        });
-        poisson(&mut out, s.client_fault_rate_per_hour, h, base, rng, |r| {
-            FaultKind::GpuClientFault {
-                worker: r.below(n) as usize,
-            }
-        });
-    }
-    if gpus > 0 {
-        let n = gpus as u64;
-        poisson(&mut out, s.device_fault_rate_per_hour, h, base, rng, |r| {
-            FaultKind::DeviceFault {
-                gpu: r.below(n) as u32,
-            }
-        });
-        let factor = s.straggler_factor;
-        let duration = s.straggler_duration;
-        poisson(&mut out, s.straggler_rate_per_hour, h, base, rng, |r| {
-            FaultKind::Straggler {
-                gpu: r.below(n) as u32,
-                factor,
-                duration,
-            }
-        });
-    }
-    out
-}
-
-/// Realize the correlated (domain-level) rates on their own RNG stream.
-/// Drawing these separately from [`realize_stochastic`] keeps previously
-/// recorded independent-fault schedules bit-identical when correlated
-/// rates are enabled alongside them.
-fn realize_correlated(
-    s: &StochasticFaults,
-    rng: &mut SimRng,
-    base: SimTime,
-    hosts: u64,
-    racks: u64,
-) -> Vec<FaultEvent> {
-    let mut out = Vec::new();
-    let h = s.horizon;
-    if hosts > 0 {
-        poisson(&mut out, s.host_reboot_rate_per_hour, h, base, rng, |r| {
-            FaultKind::HostReboot {
-                host: r.below(hosts) as u32,
-            }
-        });
-    }
-    if racks > 0 {
-        poisson(&mut out, s.rack_power_rate_per_hour, h, base, rng, |r| {
-            FaultKind::RackPower {
-                rack: r.below(racks) as u32,
-            }
-        });
-    }
-    out
-}
-
-/// Realize the gray (zombie / flaky-link) rates on their own RNG stream,
-/// for the same reason [`realize_correlated`] has one: enabling gray
-/// rates must not perturb previously recorded crash or domain schedules.
-fn realize_gray(
-    s: &StochasticFaults,
-    rng: &mut SimRng,
-    base: SimTime,
-    workers: usize,
-    gpus: usize,
-) -> Vec<FaultEvent> {
-    let mut out = Vec::new();
-    let h = s.horizon;
-    if workers > 0 {
-        poisson(&mut out, s.zombie_rate_per_hour, h, base, rng, |r| {
-            FaultKind::ZombieWorker {
-                worker: r.below(workers as u64) as usize,
-            }
-        });
-    }
-    if gpus > 0 {
-        let factor = s.flaky_link_factor;
-        let duration = s.flaky_link_duration;
-        poisson(&mut out, s.flaky_link_rate_per_hour, h, base, rng, |r| {
-            FaultKind::FlakyLink {
-                gpu: r.below(gpus as u64) as u32,
-                factor,
-                duration,
-            }
-        });
-    }
-    out
-}
-
-/// Realize and arm a fault plan on the engine. Events in the past fire
-/// immediately (at `eng.now()`). Returns the realized schedule — explicit
-/// events plus any stochastic draws — sorted by injection time, for
-/// embedding in reports.
-pub fn install_faults(
-    world: &mut FaasWorld,
-    eng: &mut Engine<FaasWorld>,
-    plan: &FaultPlan,
-) -> Vec<FaultEvent> {
+/// Arm a fault plan on the engine. Events in the past fire immediately
+/// (at `eng.now()`); simultaneous faults fire in plan order.
+pub fn install_faults(eng: &mut Engine<FaasWorld>, plan: &FaultPlan) {
     let mut events = plan.events.clone();
-    if let Some(s) = &plan.stochastic {
-        let mut rng = world.rng.split(streams::FAULT_REALIZATION);
-        events.extend(realize_stochastic(
-            s,
-            &mut rng,
-            eng.now(),
-            world.workers.len(),
-            world.fleet.len(),
-        ));
-        if s.host_reboot_rate_per_hour > 0.0 || s.rack_power_rate_per_hour > 0.0 {
-            let topo = world.config.topology;
-            let gpus = world.fleet.len() as u32;
-            let hosts = if gpus == 0 {
-                0
-            } else {
-                u64::from(topo.host_of(gpus - 1)) + 1
-            };
-            let racks = if gpus == 0 {
-                0
-            } else {
-                u64::from(topo.rack_of(gpus - 1)) + 1
-            };
-            let mut crng = world.rng.split(streams::CORRELATED_FAULTS);
-            events.extend(realize_correlated(s, &mut crng, eng.now(), hosts, racks));
-        }
-        if s.zombie_rate_per_hour > 0.0 || s.flaky_link_rate_per_hour > 0.0 {
-            let mut grng = world.rng.split(streams::GRAY_FAULTS);
-            events.extend(realize_gray(
-                s,
-                &mut grng,
-                eng.now(),
-                world.workers.len(),
-                world.fleet.len(),
-            ));
-        }
-    }
     events.sort_by_key(|e| e.at); // stable: simultaneous faults keep plan order
-    for ev in &events {
-        let kind = ev.kind.clone();
+    for ev in events {
+        let kind = ev.kind;
         let at = ev.at.max(eng.now());
         eng.schedule_at(at, move |w: &mut FaasWorld, e| {
             inject_fault(w, e, &kind);
         });
     }
-    events
 }
 
 /// Outcome of a single [`inject_fault`] application.

@@ -48,13 +48,13 @@ pub use drain::{
 };
 pub use faults::{
     inject_fault, install_faults, FaultEvent, FaultKind, FaultPlan, GpuHealth, GrayStats,
-    InjectOutcome, RecoveryState, RecoveryStats, StochasticFaults,
+    InjectOutcome, RecoveryState, RecoveryStats,
 };
 pub use monitoring::{time_in_queue_percentiles, FaultPhase, FaultRecord, Percentiles};
 pub use overload::{OverloadState, OverloadStats};
 pub use strategy::enable_brownout;
 pub use world::{
     add_worker, auto_respawn, boot, cancel, crash_worker, fault_host, fault_rack, gpu_quarantined,
-    kick_executor, kill_worker, quarantine_gpu, respawn_worker, resume_sampling, run, shutdown,
-    submit, Driver, FaasWorld, RespawnError, Worker, WorkerState,
+    kick_executor, kill_worker, quarantine_gpu, respawn_worker, resume_sampling, run, submit,
+    Driver, FaasWorld, RespawnError, Worker, WorkerState,
 };

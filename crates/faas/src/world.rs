@@ -646,11 +646,15 @@ fn begin_cold_start(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usi
 }
 
 /// Resolve an accelerator spec into a device + binding and build the
-/// environment the worker process would see.
+/// environment the worker process would see. A GPU index outside the
+/// fleet, like an unknown MIG uuid, is an error.
 fn resolve_accel(
     fleet: &GpuFleet,
     spec: &AcceleratorSpec,
 ) -> Result<(GpuId, CtxBinding, BTreeMap<String, String>), String> {
+    if let Some(i) = spec.gpu_index().filter(|&i| i as usize >= fleet.len()) {
+        return Err(format!("GPU {i} is not in the fleet"));
+    }
     let mut env = BTreeMap::new();
     match spec {
         AcceleratorSpec::Gpu(i) => {
@@ -1777,8 +1781,9 @@ fn finish_task(
     }
 }
 
-/// Kill a worker process (shutdown or §6 reconfiguration). The in-flight
-/// task, if any, fails with `reason` (and retries elsewhere).
+/// Kill a worker process (§6 reconfiguration or another platform
+/// teardown). The in-flight task, if any, fails with `reason` (and
+/// retries elsewhere).
 pub fn kill_worker(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>, wid: usize, reason: &str) {
     let now = eng.now();
     if world.workers[wid].state == WorkerState::Dead {
@@ -1917,13 +1922,6 @@ pub fn add_worker(
         .register_worker(id, exec, WorkerState::Provisioning);
     schedule_spawn(world, eng, id);
     Some(id)
-}
-
-/// Kill every worker (platform shutdown).
-pub fn shutdown(world: &mut FaasWorld, eng: &mut Engine<FaasWorld>) {
-    for wid in 0..world.workers.len() {
-        kill_worker(world, eng, wid, "shutdown");
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -53,7 +53,6 @@ fn host_reboot_fences_all_host_gpus_with_staggered_readmission() {
         .collect();
     let at = SimTime::from_secs(10);
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(at, FaultKind::HostReboot { host: 0 }),
     );
@@ -111,7 +110,6 @@ fn rack_power_fences_every_host_in_the_rack() {
         .map(|i| submit(&mut w, &mut eng, seq_call(&format!("t{i}"), 60)))
         .collect();
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(SimTime::from_secs(10), FaultKind::RackPower { rack: 0 }),
     );
@@ -169,7 +167,6 @@ fn rack_fault_extends_existing_quarantine() {
     assert!(gpu_quarantined(&w, GpuId(0)));
     eng.run_until(&mut w, SimTime::from_secs(6));
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(SimTime::from_secs(6), FaultKind::RackPower { rack: 0 }),
     );
@@ -233,7 +230,6 @@ fn checkpoint_write_torn_by_host_reboot_is_not_restored() {
     let (mut w, mut eng, id) = platform();
     let reboot = captured + SimDuration::from_nanos(window.as_nanos() / 2);
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(reboot, FaultKind::HostReboot { host: 0 }),
     );
@@ -284,7 +280,6 @@ fn resume_from_checkpoint_skips_completed_work() {
         boot(&mut w, &mut eng);
         let id = submit(&mut w, &mut eng, seq_call("t", 30));
         install_faults(
-            &mut w,
             &mut eng,
             &FaultPlan::one(SimTime::from_secs(22), FaultKind::HostReboot { host: 0 }),
         );
@@ -346,7 +341,6 @@ fn blast_radius_teardown_counts_as_detected_crashes() {
         submit(&mut w, &mut eng, seq_call(&format!("t{i}"), 10));
     }
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(
             SimTime::from_secs(5),

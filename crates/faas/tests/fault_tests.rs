@@ -3,6 +3,7 @@
 //! breaker, and end-to-end determinism.
 
 use parfait_faas::app::bodies::{CpuBurn, KernelSeq};
+use parfait_faas::chaos::{generate_schedule, ChaosAction, ChaosConfig};
 use parfait_faas::monitoring::export_json;
 use parfait_faas::*;
 use parfait_gpu::{DeviceMode, GpuFleet, GpuId, GpuSpec, KernelDesc, GIB};
@@ -59,7 +60,7 @@ fn mps_client_fault_kills_all_residents_then_recovers() {
         SimTime::from_secs(15),
         FaultKind::GpuClientFault { worker: 0 },
     );
-    install_faults(&mut w, &mut eng, &plan);
+    install_faults(&mut eng, &plan);
 
     eng.run_until(&mut w, SimTime::from_secs(16));
     assert!(
@@ -119,7 +120,7 @@ fn mig_client_fault_is_contained_to_one_instance() {
         SimTime::from_secs(15),
         FaultKind::GpuClientFault { worker: 0 },
     );
-    install_faults(&mut w, &mut eng, &plan);
+    install_faults(&mut eng, &plan);
 
     eng.run_until(&mut w, SimTime::from_secs(16));
     // The victim died (and may already be cold-starting its respawn).
@@ -161,7 +162,6 @@ fn watchdog_detects_silent_crash_after_timeout() {
     let id = submit(&mut w, &mut eng, cpu_call("long", 60));
     let crash_at = SimTime::from_secs(10);
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(crash_at, FaultKind::WorkerCrash { worker: 0 }),
     );
@@ -256,7 +256,7 @@ fn restart_budget_caps_auto_respawns() {
         .with(SimTime::from_secs(10), FaultKind::WorkerCrash { worker: 0 })
         .with(SimTime::from_secs(40), FaultKind::WorkerCrash { worker: 0 })
         .with(SimTime::from_secs(80), FaultKind::WorkerCrash { worker: 0 });
-    install_faults(&mut w, &mut eng, &plan);
+    install_faults(&mut eng, &plan);
     eng.run(&mut w);
     assert_eq!(w.workers[0].state, WorkerState::Dead, "stays down");
     assert_eq!(w.recovery.stats.respawns, 2);
@@ -294,7 +294,7 @@ fn breaker_trips_after_repeated_contained_faults() {
             SimTime::from_secs(45),
             FaultKind::GpuClientFault { worker: 0 },
         );
-    install_faults(&mut w, &mut eng, &plan);
+    install_faults(&mut eng, &plan);
     assert_eq!(config::BREAKER_THRESHOLD, 3);
     eng.run_until(&mut w, SimTime::from_secs(20));
     assert!(
@@ -349,7 +349,6 @@ fn provisioning_failure_and_model_oom_recover() {
         }),
     );
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(SimTime::from_secs(1), FaultKind::ModelLoadOom { worker: 0 }),
     );
@@ -390,7 +389,7 @@ fn straggler_slows_then_clears() {
             duration: SimDuration::from_secs(60),
         },
     );
-    install_faults(&mut w, &mut eng, &plan);
+    install_faults(&mut eng, &plan);
     eng.run(&mut w);
     let t = w.dfk.task(fast);
     assert_eq!(t.state, TaskState::Done);
@@ -409,11 +408,24 @@ fn straggler_slows_then_clears() {
         .any(|r| r.kind == "straggler-cleared"));
 }
 
+/// The faults the chaos grammar draws for cases `0..cases` of search
+/// `seed` on `cfg`'s fleet, as plan events.
+fn chaos_faults(seed: u64, cases: u64, cfg: &ChaosConfig) -> Vec<FaultEvent> {
+    (0..cases)
+        .flat_map(|case| generate_schedule(seed, case, cfg).events)
+        .filter_map(|e| match e.action {
+            ChaosAction::Fault(kind) => Some(FaultEvent { at: e.at, kind }),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Same seed + same plan ⇒ bit-identical monitoring export (fault
-/// records, task rows, worker events), including stochastic draws.
+/// records, task rows, worker events), including faults the chaos
+/// grammar draws.
 #[test]
 fn fault_runs_are_deterministic() {
-    fn run_once() -> (String, u64, u64) {
+    fn run_once() -> (String, FaultPlan, u64) {
         let mut config = Config::new(vec![ExecutorConfig::gpu(
             "gpu",
             vec![AcceleratorSpec::Gpu(0), AcceleratorSpec::Gpu(0)],
@@ -425,38 +437,22 @@ fn fault_runs_are_deterministic() {
         for i in 0..8 {
             submit(&mut w, &mut eng, gpu_call(&format!("t{i}"), 2.0));
         }
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                at: SimTime::from_secs(12),
-                kind: FaultKind::WorkerCrash { worker: 0 },
-            }],
-            stochastic: Some(StochasticFaults {
-                horizon: SimDuration::from_secs(120),
-                crash_rate_per_hour: 30.0,
-                client_fault_rate_per_hour: 30.0,
-                device_fault_rate_per_hour: 0.0,
-                straggler_rate_per_hour: 20.0,
-                straggler_factor: 0.5,
-                straggler_duration: SimDuration::from_secs(5),
-                host_reboot_rate_per_hour: 0.0,
-                rack_power_rate_per_hour: 0.0,
-                zombie_rate_per_hour: 0.0,
-                flaky_link_rate_per_hour: 0.0,
-                flaky_link_factor: 1.0,
-                flaky_link_duration: SimDuration::ZERO,
-            }),
+        let cfg = ChaosConfig {
+            gpus: 1,
+            workers_per_gpu: 2,
+            max_events: 8,
+            window: SimDuration::from_secs(120),
         };
-        let realized = install_faults(&mut w, &mut eng, &plan);
+        let mut plan = FaultPlan::one(SimTime::from_secs(12), FaultKind::WorkerCrash { worker: 0 });
+        plan.events.extend(chaos_faults(12345, 4, &cfg));
+        install_faults(&mut eng, &plan);
         eng.run(&mut w);
-        (
-            export_json(&w.dfk, &w.monitor),
-            realized.len() as u64,
-            eng.events_fired(),
-        )
+        (export_json(&w.dfk, &w.monitor), plan, eng.events_fired())
     }
-    let (a_json, a_events, a_fired) = run_once();
-    let (b_json, b_events, b_fired) = run_once();
-    assert_eq!(a_events, b_events, "identical realized schedules");
+    let (a_json, a_plan, a_fired) = run_once();
+    let (b_json, b_plan, b_fired) = run_once();
+    assert!(a_plan.events.len() > 1, "the grammar drew faults");
+    assert_eq!(a_plan, b_plan, "identical fault schedules");
     assert_eq!(a_fired, b_fired, "identical event traces");
     assert_eq!(a_json, b_json, "bit-identical monitoring export");
 }
@@ -640,11 +636,17 @@ fn scratch_call(i: usize) -> AppCall {
     .with_deadline(SimDuration::from_secs(40))
 }
 
+/// Chaos schedules whose faults the faulty-fleet scenario injects. With
+/// the two long gray episodes, every count from 2 to 16 reaches every
+/// fault path over seeds 1–6; with 1, no retry is ever suppressed.
+const FAULTY_FLEET_CASES: u64 = 6;
+
 /// One run of the faulty-fleet scenario: 4 A100s (2 MPS-partitioned,
 /// 2 time-sharing) on 2 hosts, an executor per sharing mode, every
-/// protection on, brownout on the time-sharing executor, 600
-/// bursty arrivals and a stochastic plan with every fault kind. Returns
-/// the drained world and its fired-event count.
+/// protection on, brownout on the time-sharing executor, 600 bursty
+/// arrivals, and the faults of the chaos grammar's first
+/// `FAULTY_FLEET_CASES` schedules under `seed` on top of explicit ones.
+/// Returns the drained world and its fired-event count.
 fn faulty_fleet_run(seed: u64, fast_paths: bool) -> (FaasWorld, u64) {
     let mut fleet = GpuFleet::new();
     for mode in [
@@ -713,7 +715,7 @@ fn faulty_fleet_run(seed: u64, fast_paths: bool) -> (FaasWorld, u64) {
             submit(w, e, scratch_call(i));
         });
     }
-    let plan = FaultPlan {
+    let mut plan = FaultPlan {
         events: vec![
             FaultEvent {
                 at: SimTime::from_secs(3),
@@ -731,24 +733,37 @@ fn faulty_fleet_run(seed: u64, fast_paths: bool) -> (FaasWorld, u64) {
                 at: SimTime::from_secs(60),
                 kind: FaultKind::ReconfigFail { gpu: 0 },
             },
+            // Two long gray episodes, one after the other across the
+            // arrivals: the grammar's last at most 21 s, too short for
+            // fail-slow probation to park a device or for an evacuation
+            // drain to force-kill a slowed member.
+            FaultEvent {
+                at: SimTime::from_secs(10),
+                kind: FaultKind::Straggler {
+                    gpu: 2,
+                    factor: 0.3,
+                    duration: SimDuration::from_secs(90),
+                },
+            },
+            FaultEvent {
+                at: SimTime::from_secs(100),
+                kind: FaultKind::FlakyLink {
+                    gpu: 3,
+                    factor: 0.25,
+                    duration: SimDuration::from_secs(90),
+                },
+            },
         ],
-        stochastic: Some(StochasticFaults {
-            horizon: SimDuration::from_secs(200),
-            crash_rate_per_hour: 60.0,
-            client_fault_rate_per_hour: 40.0,
-            device_fault_rate_per_hour: 10.0,
-            straggler_rate_per_hour: 60.0,
-            straggler_factor: 0.3,
-            straggler_duration: SimDuration::from_secs(20),
-            host_reboot_rate_per_hour: 10.0,
-            rack_power_rate_per_hour: 5.0,
-            zombie_rate_per_hour: 40.0,
-            flaky_link_rate_per_hour: 40.0,
-            flaky_link_factor: 0.3,
-            flaky_link_duration: SimDuration::from_secs(20),
-        }),
     };
-    install_faults(&mut w, &mut eng, &plan);
+    let grammar = ChaosConfig {
+        gpus: 4,
+        workers_per_gpu: 2,
+        max_events: 8,
+        window: SimDuration::from_secs(200),
+    };
+    plan.events
+        .extend(chaos_faults(seed, FAULTY_FLEET_CASES, &grammar));
+    install_faults(&mut eng, &plan);
     eng.run(&mut w);
     let fired = eng.events_fired();
     (w, fired)

@@ -78,7 +78,7 @@ fn overlapping_stragglers_keep_device_slowed_until_last_clears() {
                 duration: SimDuration::from_secs(30),
             },
         );
-    install_faults(&mut w, &mut eng, &plan);
+    install_faults(&mut eng, &plan);
 
     eng.run_until(&mut w, SimTime::from_secs(25));
     // A's clear (t = 22 s) landed mid-B and must have been ignored.
@@ -233,7 +233,6 @@ fn device_wide_straggler_is_probed_not_misread_as_worker_deaths() {
     // 2.0× over the GPU 0 peer baseline (threshold 1.6×) — but still
     // far inside the 10 s progress timeout.
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(
             SimTime::from_secs(3),
@@ -345,7 +344,6 @@ fn fence_during_probe_context_canary_resyncs_the_device() {
         .map(|i| submit(&mut w, &mut eng, seq_call(&format!("t{i}"), 6)))
         .collect();
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(
             SimTime::from_secs(3),

@@ -468,7 +468,6 @@ fn retry_budget_bounds_retry_storm_during_host_outage() {
         submit(&mut w, &mut eng, seq_call("svc", 60));
     }
     install_faults(
-        &mut w,
         &mut eng,
         &FaultPlan::one(SimTime::from_secs(10), FaultKind::HostReboot { host: 0 }),
     );

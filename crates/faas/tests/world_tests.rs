@@ -46,6 +46,46 @@ fn cpu_task_runs_to_completion() {
     assert_eq!(w.dfk.done_count(), 1);
 }
 
+/// An `available_accelerators` entry naming a GPU outside the fleet is
+/// refused at cold start like an unknown MIG uuid: that worker goes Dead
+/// with a Killed event naming the index, and the rest keep serving.
+#[test]
+fn gpu_index_outside_the_fleet_kills_only_that_worker() {
+    let config = Config::new(vec![
+        ExecutorConfig::cpu("cpu", 1),
+        ExecutorConfig::gpu(
+            "gpu",
+            vec![
+                AcceleratorSpec::Gpu(0),
+                AcceleratorSpec::Gpu(3),
+                AcceleratorSpec::GpuPercentage(1, 50),
+                AcceleratorSpec::VgpuSlot(2, 0),
+            ],
+        ),
+    ]);
+    let mut w = FaasWorld::new(config, fleet_one(DeviceMode::TimeSharing), 1);
+    let mut eng = Engine::new();
+    boot(&mut w, &mut eng);
+    let id = submit(&mut w, &mut eng, cpu_call("hello", 1));
+    eng.run(&mut w);
+    assert_eq!(w.dfk.task(id).state, TaskState::Done);
+    let gpu_workers: Vec<&Worker> = w.workers.iter().filter(|wk| wk.executor == 1).collect();
+    assert_eq!(gpu_workers[0].state, WorkerState::Idle, "GPU 0 binds");
+    for (wk, gpu) in gpu_workers[1..].iter().zip([3, 1, 2]) {
+        assert_eq!(
+            wk.state,
+            WorkerState::Dead,
+            "GPU {gpu} is outside the fleet"
+        );
+        assert!(
+            w.monitor.worker_events.iter().any(|e| e.worker == wk.id
+                && e.kind == monitoring::WorkerEventKind::Killed
+                && e.detail.contains(&format!("GPU {gpu} "))),
+            "a Killed event names GPU {gpu}"
+        );
+    }
+}
+
 #[test]
 fn unknown_executor_label_fails_terminally_instead_of_panicking() {
     let config = Config::new(vec![ExecutorConfig::cpu("cpu", 1)]);

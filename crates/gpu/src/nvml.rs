@@ -2,8 +2,8 @@
 //!
 //! Real deployments discover and control GPUs through NVML (`nvidia-smi`
 //! is a CLI over it): enumerate devices, query memory and utilization,
-//! flip MIG mode, list instances. The FaaS layer and the partition planner
-//! consume this API rather than poking [`crate::device::GpuDevice`]
+//! flip MIG mode, list instances. The examples and tests read devices
+//! through this API rather than poking [`crate::device::GpuDevice`]
 //! internals, mirroring how the paper's Parsl changes shell out to
 //! `nvidia-smi` / `nvidia-cuda-mps-control`.
 //!

@@ -20,21 +20,11 @@
 /// scheduling in `parfait-faas::world` (historically hard-coded as 617).
 pub const RETRY_JITTER: u64 = 617;
 
-/// Realization of stochastic fault plans in `parfait-faas::faults`
-/// (historically hard-coded as 618).
-pub const FAULT_REALIZATION: u64 = 618;
-
 /// Checkpoint timer jitter for the periodic snapshotting of long-running
 /// task bodies in `parfait-faas::world` (de-synchronizes co-resident
 /// workers so snapshot writebacks do not all land on the PCIe link in
 /// the same instant).
 pub const CHECKPOINT_TIMING: u64 = 640;
-
-/// Realization of *correlated* stochastic fault schedules (host reboots,
-/// rack power events) in `parfait-faas::faults`. Kept separate from
-/// [`FAULT_REALIZATION`] so enabling correlated rates never perturbs the
-/// draws of a previously recorded independent-fault schedule.
-pub const CORRELATED_FAULTS: u64 = 641;
 
 /// Straggler-hedging timer jitter in `parfait-faas::world`: the delay
 /// before a speculative duplicate of a slow task is launched is
@@ -71,9 +61,9 @@ pub const FLEET_ARRIVALS: u64 = 644;
 
 /// Realization of injected reconfiguration failures
 /// (`FaultKind::ReconfigFail` and the `reconfig_fail_prob` Bernoulli
-/// draw) in `parfait-faas`. Kept separate from [`FAULT_REALIZATION`] so
+/// draw) in `parfait-faas`. Kept separate from every other stream so
 /// enabling reconfig-fault injection never perturbs the draws of a
-/// previously recorded worker/device fault schedule.
+/// previously recorded run.
 pub const RECONFIG_FAULTS: u64 = 645;
 
 /// Arrival traces for the closed-loop autoscaling scenario in
@@ -81,13 +71,6 @@ pub const RECONFIG_FAULTS: u64 = 645;
 /// sequentially). Kept separate from [`FLEET_ARRIVALS`] so the autoscale
 /// sweep never perturbs the recorded fleet artifact.
 pub const AUTOSCALE_ARRIVALS: u64 = 646;
-
-/// Realization of stochastic *gray* fault schedules (zombie workers,
-/// flaky PCIe links) in `parfait-faas::faults`. Kept separate from
-/// [`FAULT_REALIZATION`] and [`CORRELATED_FAULTS`] so enabling gray
-/// rates never perturbs the draws of a previously recorded crash or
-/// domain-outage schedule.
-pub const GRAY_FAULTS: u64 = 647;
 
 /// Canary-probe timer jitter for the fail-slow probation machine in
 /// `parfait-faas::world`: the delay between a completed evacuation
@@ -115,9 +98,7 @@ pub const CHAOS_ARRIVALS: u64 = 650;
 /// table still participates in the duplicate-id check.
 pub const ALL: &[(&str, u64)] = &[
     ("RETRY_JITTER", RETRY_JITTER),
-    ("FAULT_REALIZATION", FAULT_REALIZATION),
     ("CHECKPOINT_TIMING", CHECKPOINT_TIMING),
-    ("CORRELATED_FAULTS", CORRELATED_FAULTS),
     ("HEDGE_TIMING", HEDGE_TIMING),
     ("WORKER_BASE", WORKER_BASE),
     ("MOLECULAR_CAMPAIGN", MOLECULAR_CAMPAIGN),
@@ -126,7 +107,6 @@ pub const ALL: &[(&str, u64)] = &[
     ("FLEET_ARRIVALS", FLEET_ARRIVALS),
     ("RECONFIG_FAULTS", RECONFIG_FAULTS),
     ("AUTOSCALE_ARRIVALS", AUTOSCALE_ARRIVALS),
-    ("GRAY_FAULTS", GRAY_FAULTS),
     ("GRAY_CANARY", GRAY_CANARY),
     ("CHAOS_SCHEDULE", CHAOS_SCHEDULE),
     ("CHAOS_ARRIVALS", CHAOS_ARRIVALS),
@@ -151,9 +131,7 @@ mod tests {
         // ARRIVAL_TRACE, the value fixed by the PR 4 regeneration);
         // renumbering them would silently change every seeded trace.
         assert_eq!(RETRY_JITTER, 617);
-        assert_eq!(FAULT_REALIZATION, 618);
         assert_eq!(CHECKPOINT_TIMING, 640);
-        assert_eq!(CORRELATED_FAULTS, 641);
         assert_eq!(HEDGE_TIMING, 642);
         assert_eq!(WORKER_BASE, 1000);
         assert_eq!(MOLECULAR_CAMPAIGN, 77);
@@ -162,7 +140,6 @@ mod tests {
         assert_eq!(FLEET_ARRIVALS, 644);
         assert_eq!(RECONFIG_FAULTS, 645);
         assert_eq!(AUTOSCALE_ARRIVALS, 646);
-        assert_eq!(GRAY_FAULTS, 647);
         assert_eq!(GRAY_CANARY, 648);
         assert_eq!(CHAOS_SCHEDULE, 649);
         assert_eq!(CHAOS_ARRIVALS, 650);
@@ -170,9 +147,12 @@ mod tests {
 
     /// Ids whose streams were deleted with their last reader. Kept out of
     /// the `pub const` items, which the lint parses as live streams.
+    /// 618: independent-fault draws of the deleted stochastic fault rates.
+    /// 641: host-reboot and rack-power draws of the same rates.
     /// 643: admission tie-breaks of the deleted shed-lowest-priority
     /// policy.
-    const RETIRED: &[u64] = &[643];
+    /// 647: zombie and flaky-link draws of the stochastic fault rates.
+    const RETIRED: &[u64] = &[618, 641, 643, 647];
 
     #[test]
     fn retired_ids_stay_retired() {

@@ -2,8 +2,8 @@
 //!
 //! The paper's §5.2 experiments are closed-loop (each chatbot process
 //! issues its next completion when the previous one finishes — that is
-//! the task-queue model). Open-loop and bursty traces are provided for
-//! the extension experiments and examples.
+//! the task-queue model). Open-loop Poisson traces and the fleet shape
+//! (diurnal swing plus flash crowds) drive the extension experiments.
 
 use parfait_simcore::{SimDuration, SimRng, SimTime};
 use serde::Serialize;
@@ -51,43 +51,6 @@ pub fn poisson(rng: &mut SimRng, rate_per_sec: f64, n: usize) -> Trace {
             SimTime::ZERO + SimDuration::from_secs_f64(t)
         })
         .collect();
-    Trace { arrivals }
-}
-
-/// Deterministic arrivals every `period`.
-pub fn uniform(period: SimDuration, n: usize) -> Trace {
-    Trace {
-        arrivals: (1..=n as u64).map(|i| SimTime::ZERO + period * i).collect(),
-    }
-}
-
-/// Bursty on/off arrivals: Poisson at `burst_rate` during `on` windows,
-/// silent during `off` windows, until `n` requests exist.
-pub fn bursty(
-    rng: &mut SimRng,
-    burst_rate: f64,
-    on: SimDuration,
-    off: SimDuration,
-    n: usize,
-) -> Trace {
-    assert!(burst_rate > 0.0, "rate must be positive");
-    let mut arrivals = Vec::with_capacity(n);
-    let mut window_start = 0.0;
-    let (on_s, off_s) = (on.as_secs_f64(), off.as_secs_f64());
-    'outer: loop {
-        let mut t = window_start;
-        loop {
-            t += rng.exp(1.0 / burst_rate);
-            if t > window_start + on_s {
-                break;
-            }
-            arrivals.push(SimTime::ZERO + SimDuration::from_secs_f64(t));
-            if arrivals.len() == n {
-                break 'outer;
-            }
-        }
-        window_start += on_s + off_s;
-    }
     Trace { arrivals }
 }
 
@@ -189,29 +152,6 @@ mod tests {
         assert!(tr.arrivals.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    #[test]
-    fn uniform_is_regular() {
-        let tr = uniform(SimDuration::from_secs(2), 5);
-        assert_eq!(tr.len(), 5);
-        assert_eq!(tr.arrivals[0], SimTime::from_secs(2));
-        assert_eq!(tr.arrivals[4], SimTime::from_secs(10));
-        assert_eq!(tr.mean_gap_secs(), 2.0);
-    }
-
-    #[test]
-    fn bursty_respects_off_windows() {
-        let mut rng = SimRng::new(2);
-        let on = SimDuration::from_secs(10);
-        let off = SimDuration::from_secs(50);
-        let tr = bursty(&mut rng, 10.0, on, off, 500);
-        assert_eq!(tr.len(), 500);
-        // No arrival may land inside an off window.
-        for a in &tr.arrivals {
-            let s = a.as_secs_f64() % 60.0;
-            assert!(s <= 10.0 + 1e-9, "arrival at {s} inside off window");
-        }
-    }
-
     fn test_shape() -> FleetShape {
         FleetShape {
             base_rate: 100.0,
@@ -293,7 +233,7 @@ mod tests {
 
     #[test]
     fn empty_trace_edge_cases() {
-        let tr = uniform(SimDuration::from_secs(1), 0);
+        let tr = poisson(&mut SimRng::new(6), 1.0, 0);
         assert!(tr.is_empty());
         assert_eq!(tr.mean_gap_secs(), 0.0);
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the workload models.
 
 use parfait_gpu::GpuSpec;
-use parfait_simcore::{SimDuration, SimRng};
+use parfait_simcore::SimRng;
 use parfait_workloads::dnn::layers::{NetBuilder, Shape};
 use parfait_workloads::dnn::{exec, models};
 use parfait_workloads::molecular::{random_molecule, Chemistry};
@@ -101,15 +101,6 @@ proptest! {
         let t = trace::poisson(&mut rng, rate, n);
         prop_assert_eq!(t.len(), n);
         prop_assert!(t.arrivals.windows(2).all(|w| w[0] <= w[1]));
-        let b = trace::bursty(
-            &mut rng,
-            rate,
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(10),
-            n,
-        );
-        prop_assert_eq!(b.len(), n);
-        prop_assert!(b.arrivals.windows(2).all(|w| w[0] <= w[1]));
     }
 
     /// MLP predictions stay finite for any input in the training domain,

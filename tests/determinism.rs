@@ -47,8 +47,8 @@ fn mig_fault_scenario_is_bit_identical_across_runs() {
 }
 
 /// The PR-4 correlated-outage scenario (host reboot + checkpoint/restore)
-/// draws from two new RNG streams (`CHECKPOINT_TIMING`,
-/// `CORRELATED_FAULTS`); byte-compare it across double runs too.
+/// draws checkpoint jitter from its own RNG stream (`CHECKPOINT_TIMING`);
+/// byte-compare it across double runs too.
 fn assert_correlated_double_run_identical(strategy: Strategy, ckpt_s: Option<u64>) {
     let (report_a, trace_a) = traced_correlated_run(&strategy, ckpt_s, SEED);
     let (report_b, trace_b) = traced_correlated_run(&strategy, ckpt_s, SEED);
@@ -153,9 +153,8 @@ fn autoscale_scenario_is_bit_identical_across_runs() {
 
 /// The PR-9 gray-failure scenario (zombie + fail-slow schedule under
 /// the progress watchdog, peer-relative probation, and the canary
-/// probe) draws from two new RNG streams (`GRAY_FAULTS`,
-/// `GRAY_CANARY`); byte-compare the full progress+peer arm across
-/// double runs.
+/// probe) draws canary jitter from its own RNG stream (`GRAY_CANARY`);
+/// byte-compare the full progress+peer arm across double runs.
 fn assert_gray_double_run_identical(strategy: Strategy) {
     let (report_a, trace_a) = traced_gray_run(&strategy, Detection::ProgressPeer, SEED);
     let (report_b, trace_b) = traced_gray_run(&strategy, Detection::ProgressPeer, SEED);

@@ -184,6 +184,57 @@ fn mig_reconfigure_resets_gpu_and_rebinds_uuids() {
     assert_eq!(w.dfk.failed_count(), 0);
 }
 
+/// A §6 resize or re-slice aimed at a GPU outside the fleet is refused
+/// with `UnknownGpu` by every entry point, before any worker is touched;
+/// `workers_on_gpu` finds no tenant there, even with MIG workers present.
+#[test]
+fn reconfiguration_refuses_a_gpu_outside_the_fleet() {
+    use parfait::core::reconfig::workers_on_gpu;
+    use parfait::core::{begin_reconfigure_mig, begin_resize_mps, ReconfigError};
+
+    let (mut w, mut eng, llm, gpu) = platform(&Strategy::MigEqual, 2);
+    boot(&mut w, &mut eng);
+    eng.run(&mut w);
+    let specs: Vec<_> = w.workers.iter().map(|wk| wk.accel.clone()).collect();
+    assert_eq!(workers_on_gpu(&w, 0).len(), 2);
+    assert!(workers_on_gpu(&w, 1).is_empty());
+    let unknown = ReconfigError::UnknownGpu(1);
+    assert_eq!(
+        resize_mps(&mut w, &mut eng, 1, &[50, 50]).unwrap_err(),
+        unknown
+    );
+    assert_eq!(
+        begin_resize_mps(&mut w, &mut eng, 1, vec![50, 50]).unwrap_err(),
+        unknown
+    );
+    assert_eq!(
+        reconfigure_mig_equal(&mut w, &mut eng, 1, 2).unwrap_err(),
+        unknown
+    );
+    assert_eq!(
+        begin_reconfigure_mig(&mut w, &mut eng, 1, 2).unwrap_err(),
+        unknown
+    );
+    assert_eq!(
+        switch_strategy(&mut w, &mut eng, 1, &Strategy::MpsEqual).unwrap_err(),
+        unknown
+    );
+    assert_eq!(unknown.to_string(), "GPU 1 is not in the fleet");
+    eng.run(&mut w);
+    for (wk, spec) in w.workers.iter().zip(&specs) {
+        assert_eq!(
+            wk.state,
+            WorkerState::Idle,
+            "refusal must not touch workers"
+        );
+        assert_eq!(&wk.accel, spec, "bindings unchanged");
+    }
+    assert_eq!(w.reconfig.stats.drains_started, 0, "no drain was staged");
+    submit(&mut w, &mut eng, chat(&llm, &gpu, "after"));
+    eng.run(&mut w);
+    assert_eq!(w.dfk.done_count(), 1);
+}
+
 #[test]
 fn strategy_switch_timesharing_to_mps() {
     let (mut w, mut eng, llm, gpu) = platform(&Strategy::TimeSharing, 3);
